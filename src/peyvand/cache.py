@@ -2,8 +2,11 @@
 
 The format is a magic header line followed by canonical JSON (sorted keys,
 sorted set members), so rebuilding from unchanged inputs is byte-identical.
-A version bump in the header invalidates old caches loudly instead of
-misreading them.
+The body holds the dump's records keyed by id, the reference lists in the
+lists file's shape and the article document frequencies; records and
+lists are read back by the dump's and the lists file's own parsers, so a
+malformed body fails the same way a malformed input does. A version bump
+in the header invalidates old caches loudly instead of misreading them.
 """
 
 from __future__ import annotations
@@ -13,17 +16,20 @@ from pathlib import Path
 
 from .errors import PeyvandError
 from .kb import (
-    ClassFilter,
-    EntityRecord,
     KnowledgeBase,
-    NerType,
-    PosCategory,
     ReferenceLists,
+    build_kb,
+    lists_to_obj,
+    parse_record,
+    parse_reference_lists,
+    record_to_obj,
 )
+from .textnorm import get_normalizer
 
 MAGIC = b"#peyvand-index"
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 _HEADER = MAGIC + b":v%d\n" % CACHE_VERSION
+_BODY_KEYS = {"doc_freq", "dropped_links", "entities", "lists", "normalizer"}
 
 
 class CacheError(PeyvandError):
@@ -41,32 +47,10 @@ class CacheVersionMismatch(CacheError):
 def save_index(kb: KnowledgeBase, lists: ReferenceLists, path: str | Path) -> None:
     payload = {
         "normalizer": kb.normalizer,
-        "doc_count": kb.doc_count,
         "dropped_links": kb.dropped_links,
         "doc_freq": kb.doc_freq,
-        "alias_index": {key: sorted(ids) for key, ids in kb.alias_index.items()},
-        "entities": {
-            e.id: {
-                "label": e.canonical_label,
-                "variants": sorted(e.variant_labels),
-                "class": e.kb_class,
-                "ner_type": e.ner_type.value,
-                "pos": e.pos_category.value,
-                "article": e.article_text,
-                "links": sorted(e.out_links),
-                "rare": e.rare,
-            }
-            for e in kb.entities.values()
-        },
-        "lists": {
-            "rare_blocklist": sorted(lists.rare_blocklist),
-            "class_filters": {
-                cls: {"triggers": sorted(f.triggers), "penalty": f.penalty}
-                for cls, f in lists.class_filters.items()
-            },
-            "type_mapping": {ner.value: sorted(classes) for ner, classes in lists.type_mapping.items()},
-            "stopwords": sorted(lists.stopwords),
-        },
+        "entities": {e.id: record_to_obj(e) for e in kb.entities.values()},
+        "lists": lists_to_obj(lists),
     }
     body = json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
     Path(path).write_bytes(_HEADER + body.encode("utf-8") + b"\n")
@@ -85,39 +69,35 @@ def load_index(path: str | Path) -> tuple[KnowledgeBase, ReferenceLists]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CacheError(f"{path}: corrupt index cache: {exc}") from exc
 
-    entities = {
-        entity_id: EntityRecord(
-            id=entity_id,
-            canonical_label=rec["label"],
-            variant_labels=frozenset(rec["variants"]),
-            kb_class=rec["class"],
-            ner_type=NerType(rec["ner_type"]),
-            pos_category=PosCategory(rec["pos"]),
-            article_text=rec["article"],
-            out_links=frozenset(rec["links"]),
-            rare=rec["rare"],
-        )
-        for entity_id, rec in payload["entities"].items()
-    }
-    kb = KnowledgeBase(
-        entities=entities,
-        alias_index={key: frozenset(ids) for key, ids in payload["alias_index"].items()},
-        doc_count=payload["doc_count"],
-        doc_freq=payload["doc_freq"],
-        normalizer=payload["normalizer"],
-        dropped_links=payload["dropped_links"],
-    )
-    raw_lists = payload["lists"]
-    lists = ReferenceLists(
-        rare_blocklist=frozenset(raw_lists["rare_blocklist"]),
-        class_filters={
-            cls: ClassFilter(frozenset(f["triggers"]), f["penalty"])
-            for cls, f in raw_lists["class_filters"].items()
-        },
-        type_mapping={
-            NerType(key): frozenset(classes)
-            for key, classes in raw_lists["type_mapping"].items()
-        },
-        stopwords=frozenset(raw_lists["stopwords"]),
-    )
+    def corrupt(reason: str) -> CacheError:
+        return CacheError(f"{path}: corrupt index cache: {reason}")
+
+    if not isinstance(payload, dict) or payload.keys() != _BODY_KEYS:
+        raise corrupt(f"the body must be an object with the keys {sorted(_BODY_KEYS)}")
+    normalizer = payload["normalizer"]
+    try:
+        get_normalizer(normalizer)
+    except (TypeError, ValueError):
+        raise corrupt(f"unknown normalizer {normalizer!r}") from None
+    dropped = payload["dropped_links"]
+    if type(dropped) is not int or dropped < 0:
+        raise corrupt("dropped_links must be a non-negative integer")
+    frequencies = payload["doc_freq"]
+    if not isinstance(frequencies, dict) or not all(
+        type(n) is int and n >= 0 for n in frequencies.values()
+    ):
+        raise corrupt("doc_freq must map terms to non-negative integers")
+    entities = payload["entities"]
+    if not isinstance(entities, dict):
+        raise corrupt("entities must map ids to records")
+
+    lists = parse_reference_lists(payload["lists"], path, normalizer)
+    parsed = []
+    for entity_id, obj in entities.items():
+        if not isinstance(obj, dict):
+            raise corrupt(f"entity {entity_id!r} is not a record")
+        obj["id"] = entity_id
+        parsed.append(parse_record(obj, path, None))
+    kb = build_kb(parsed, normalizer, frequencies)
+    kb.dropped_links = dropped
     return kb, lists

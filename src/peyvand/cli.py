@@ -53,8 +53,9 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _load_config(args: argparse.Namespace) -> LinkerConfig:
-    cfg = LinkerConfig.from_file(args.config) if args.config else LinkerConfig()
+def _load_config(args: argparse.Namespace, base: LinkerConfig = LinkerConfig()) -> LinkerConfig:
+    """The config file over `base`, then the command-line overrides."""
+    cfg = LinkerConfig.from_file(args.config, base) if args.config else base
     overrides = {}
     if getattr(args, "lambda_weight", None) is not None:
         overrides["lambda_weight"] = args.lambda_weight
@@ -85,13 +86,15 @@ def cmd_link(args: argparse.Namespace) -> int:
     kb, lists = load_index(args.index)
     timings["load_index"] = time.perf_counter() - started
 
-    cfg = _load_config(args)
+    # The index fixes the normalizer; only one a config file sets can differ.
+    cfg = _load_config(args, LinkerConfig(normalizer=kb.normalizer))
     if cfg.normalizer != kb.normalizer:
         print(
             f"warning: config normalizer {cfg.normalizer!r} ignored; the index was "
             f"built with {kb.normalizer!r}",
             file=sys.stderr,
         )
+        cfg = dataclasses.replace(cfg, normalizer=kb.normalizer)
     if cfg.lambda_weight > 0 and not lists.stopwords:
         print("warning: context scoring enabled but the stopword list is empty", file=sys.stderr)
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Sequence, TYPE_CHECKING
 
 from .errors import PeyvandError
-from .kb import KnowledgeBase, NerType, PosCategory, lookup_alias
+from .kb import KnowledgeBase, NerType, PosCategory, lookup_alias, read_json_lines
 from .textnorm import get_normalizer, tokenize
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -122,7 +122,9 @@ def _validate_mentions(doc_id: str, text: str, mentions: Sequence[Mention]) -> N
             raise OverlappingMentions(doc_id)
 
 
-def _parse_mention(obj: dict, path: str | Path, line_no: int) -> Mention:
+def _parse_mention(obj: object, path: str | Path, line_no: int) -> Mention:
+    if not isinstance(obj, dict):
+        raise MalformedDocument(path, line_no, "mention must be a JSON object")
     for key in ("start", "end", "surface"):
         if key not in obj:
             raise MalformedDocument(path, line_no, f"mention missing key {key!r}")
@@ -153,56 +155,49 @@ def _parse_mention(obj: dict, path: str | Path, line_no: int) -> Mention:
 def load_corpus(path: str | Path) -> list[Document]:
     docs: list[Document] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedDocument(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict):
-                raise MalformedDocument(path, line_no, "document must be a JSON object")
-            for key in ("id", "category", "text", "mentions"):
-                if key not in obj:
-                    raise MalformedDocument(path, line_no, f"missing key {key!r}")
-            doc_id, category, text = obj["id"], obj["category"], obj["text"]
-            if not isinstance(doc_id, str) or not doc_id:
-                raise MalformedDocument(path, line_no, "id must be a non-empty string")
-            if not isinstance(category, str) or not isinstance(text, str):
-                raise MalformedDocument(path, line_no, "category and text must be strings")
-            if doc_id in seen:
-                raise MalformedDocument(path, line_no, f"duplicate document id {doc_id!r}")
-            seen.add(doc_id)
-            if not isinstance(obj["mentions"], list):
-                raise MalformedDocument(path, line_no, "mentions must be an array")
-            mentions = [_parse_mention(m, path, line_no) for m in obj["mentions"]]
-            _validate_mentions(doc_id, text, mentions)
-            docs.append(Document(doc_id, category, text, mentions))
+    for line_no, obj in read_json_lines(path, MalformedDocument):
+        if not isinstance(obj, dict):
+            raise MalformedDocument(path, line_no, "document must be a JSON object")
+        for key in ("id", "category", "text", "mentions"):
+            if key not in obj:
+                raise MalformedDocument(path, line_no, f"missing key {key!r}")
+        doc_id, category, text = obj["id"], obj["category"], obj["text"]
+        if not isinstance(doc_id, str) or not doc_id:
+            raise MalformedDocument(path, line_no, "id must be a non-empty string")
+        if not isinstance(category, str) or not isinstance(text, str):
+            raise MalformedDocument(path, line_no, "category and text must be strings")
+        if doc_id in seen:
+            raise MalformedDocument(path, line_no, f"duplicate document id {doc_id!r}")
+        seen.add(doc_id)
+        if not isinstance(obj["mentions"], list):
+            raise MalformedDocument(path, line_no, "mentions must be an array")
+        mentions = [_parse_mention(m, path, line_no) for m in obj["mentions"]]
+        _validate_mentions(doc_id, text, mentions)
+        docs.append(Document(doc_id, category, text, mentions))
     return docs
 
 
 def _mention_to_obj(m: Mention) -> dict:
+    """Span, surface, type and POS, as corpus and prediction files write them."""
     obj: dict = {"start": m.start, "end": m.end, "surface": m.surface}
     if m.ner_type is not None:
         obj["ner_type"] = m.ner_type.value
     if m.pos_tag is not None:
         obj["pos"] = m.pos_tag.value
-    if m.gold is not None:
-        obj["gold"] = None if isinstance(m.gold, _Nil) else m.gold
     return obj
 
 
 def save_corpus(docs: Iterable[Document], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for doc in docs:
-            obj = {
-                "id": doc.id,
-                "category": doc.category,
-                "text": doc.text,
-                "mentions": [_mention_to_obj(m) for m in doc.mentions],
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            mentions = []
+            for m in doc.mentions:
+                obj = _mention_to_obj(m)
+                if m.gold is not None:
+                    obj["gold"] = None if isinstance(m.gold, _Nil) else m.gold
+                mentions.append(obj)
+            record = {"id": doc.id, "category": doc.category, "text": doc.text, "mentions": mentions}
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def write_predictions(
@@ -219,11 +214,7 @@ def write_predictions(
                 raise ValueError(f"document {doc.id!r}: one result per mention required")
             mentions = []
             for mention, res in zip(doc.mentions, doc_results):
-                obj: dict = {"start": mention.start, "end": mention.end, "surface": mention.surface}
-                if mention.ner_type is not None:
-                    obj["ner_type"] = mention.ner_type.value
-                if mention.pos_tag is not None:
-                    obj["pos"] = mention.pos_tag.value
+                obj = _mention_to_obj(mention)
                 obj["prediction"] = None if isinstance(res.decision, _Nil) else res.decision
                 obj["score"] = res.score
                 obj["ambiguity"] = [
@@ -234,41 +225,38 @@ def write_predictions(
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _parse_prediction(obj: object, path: str | Path, line_no: int) -> PredictedMention:
+    mention = _parse_mention(obj, path, line_no)
+    for key in ("prediction", "score", "ambiguity"):
+        if key not in obj:
+            raise MalformedDocument(path, line_no, f"prediction missing key {key!r}")
+    prediction, score, ambiguity = obj["prediction"], obj["score"], obj["ambiguity"]
+    if prediction is not None and not isinstance(prediction, str):
+        raise MalformedDocument(path, line_no, "prediction must be an entity id or null")
+    if not isinstance(score, (int, float)):
+        raise MalformedDocument(path, line_no, "score must be a number")
+    if not isinstance(ambiguity, list) or not all(
+        isinstance(c, dict) and isinstance(c.get("id"), str) and isinstance(c.get("score"), (int, float))
+        for c in ambiguity
+    ):
+        raise MalformedDocument(path, line_no, "ambiguity must be an array of {id, score} objects")
+    ranked = tuple(RankedCandidate(c["id"], float(c["score"])) for c in ambiguity)
+    return PredictedMention(
+        mention.start, mention.end, mention.surface, NIL if prediction is None else prediction,
+        float(score), ranked, mention.ner_type, mention.pos_tag,
+    )
+
+
 def load_predictions(path: str | Path) -> list[PredictionDoc]:
     docs: list[PredictionDoc] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedDocument(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
-                raise MalformedDocument(path, line_no, "prediction record needs a string id")
-            mentions = []
-            for m in obj.get("mentions", []):
-                for key in ("start", "end", "surface", "prediction", "score", "ambiguity"):
-                    if key not in m:
-                        raise MalformedDocument(path, line_no, f"prediction missing key {key!r}")
-                prediction = NIL if m["prediction"] is None else m["prediction"]
-                ner = m.get("ner_type")
-                pos = m.get("pos")
-                mentions.append(
-                    PredictedMention(
-                        start=m["start"],
-                        end=m["end"],
-                        surface=m["surface"],
-                        prediction=prediction,
-                        score=float(m["score"]),
-                        ambiguity=tuple(
-                            RankedCandidate(c["id"], float(c["score"])) for c in m["ambiguity"]
-                        ),
-                        ner_type=NerType(ner) if ner is not None else None,
-                        pos_tag=PosCategory(pos) if pos is not None else None,
-                    )
-                )
-            docs.append(PredictionDoc(obj["id"], obj.get("category", ""), obj.get("text", ""), mentions))
+    for line_no, obj in read_json_lines(path, MalformedDocument):
+        if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
+            raise MalformedDocument(path, line_no, "prediction record needs a string id")
+        raw_mentions = obj.get("mentions", [])
+        if not isinstance(raw_mentions, list):
+            raise MalformedDocument(path, line_no, "mentions must be an array")
+        mentions = [_parse_prediction(m, path, line_no) for m in raw_mentions]
+        docs.append(PredictionDoc(obj["id"], obj.get("category", ""), obj.get("text", ""), mentions))
     return docs
 
 

@@ -15,8 +15,8 @@ before precision, recall and F1 are computed. 0/0 ratios are 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 from .corpus import Document, PredictionDoc, _Nil
 from .errors import PeyvandError
@@ -134,18 +134,7 @@ def render_report(report: EvalReport) -> str:
 
 def report_records(report: EvalReport) -> dict:
     """Machine-readable form with the raw counts."""
-
-    def as_dict(row: MetricRow) -> Mapping:
-        return {
-            "tp": row.tp,
-            "fp": row.fp,
-            "fn": row.fn,
-            "precision": row.precision,
-            "recall": row.recall,
-            "f1": row.f1,
-        }
-
     return {
-        "categories": {name: as_dict(row) for name, row in report.per_category.items()},
-        "total": as_dict(report.total),
+        "categories": {name: asdict(row) for name, row in report.per_category.items()},
+        "total": asdict(report.total),
     }

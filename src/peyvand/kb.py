@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
+from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import PeyvandError
 from .textnorm import content_terms, get_normalizer, tokenize
@@ -101,17 +102,38 @@ class KnowledgeBase:
     dropped_links: int = 0
 
 
-def load_reference_lists(path: str | Path, normalizer: str = "persian") -> ReferenceLists:
-    """Load and validate a reference-lists file.
+def read_json_lines(
+    path: str | Path, error: Callable[[str | Path, int, str], PeyvandError]
+) -> Iterator[tuple[int, object]]:
+    """Line number and decoded value of each non-blank line of a JSON-lines
+    file; a line that is not JSON raises `error(path, line, reason)`."""
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise error(path, line_no, f"invalid JSON: {exc.msg}") from exc
+            yield line_no, obj
 
-    Trigger terms and stopwords are stored normalized so membership tests
-    against normalized tokens are direct.
-    """
-    norm = get_normalizer(normalizer)
+
+def load_reference_lists(path: str | Path, normalizer: str = "persian") -> ReferenceLists:
+    """Load and validate a reference-lists file."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MalformedRecord(path, None, f"invalid JSON: {exc}") from exc
+    return parse_reference_lists(data, path, normalizer)
+
+
+def parse_reference_lists(data: object, path: str | Path, normalizer: str) -> ReferenceLists:
+    """Validate decoded reference lists; `path` names their source in errors.
+
+    Trigger terms and stopwords are stored normalized so membership tests
+    against normalized tokens are direct; normalizing is idempotent.
+    """
+    norm = get_normalizer(normalizer)
     if not isinstance(data, dict):
         raise MalformedRecord(path, None, "reference lists must be a JSON object")
 
@@ -120,11 +142,14 @@ def load_reference_lists(path: str | Path, normalizer: str = "persian") -> Refer
         raise MalformedRecord(path, None, "rare_blocklist must be an array of entity ids")
 
     class_filters: dict[str, ClassFilter] = {}
-    for cls, spec in data.get("class_filters", {}).items():
+    raw_filters = data.get("class_filters", {})
+    if not isinstance(raw_filters, dict):
+        raise MalformedRecord(path, None, "class_filters must be an object")
+    for cls, spec in raw_filters.items():
         if not isinstance(spec, dict) or "triggers" not in spec or "penalty" not in spec:
             raise MalformedRecord(path, None, f"class_filters[{cls!r}] needs triggers and penalty")
         penalty = spec["penalty"]
-        if not isinstance(penalty, (int, float)) or not 0.0 < float(penalty) < 1.0:
+        if not isinstance(penalty, (int, float)) or not 0.0 < penalty < 1.0:
             raise MalformedRecord(
                 path, None, f"class_filters[{cls!r}].penalty must lie strictly between 0 and 1"
             )
@@ -134,7 +159,10 @@ def load_reference_lists(path: str | Path, normalizer: str = "persian") -> Refer
         class_filters[cls] = ClassFilter(frozenset(norm(t) for t in triggers), float(penalty))
 
     type_mapping: dict[NerType, frozenset[str]] = {}
-    for key, classes in data.get("type_mapping", {}).items():
+    raw_mapping = data.get("type_mapping", {})
+    if not isinstance(raw_mapping, dict):
+        raise MalformedRecord(path, None, "type_mapping must be an object")
+    for key, classes in raw_mapping.items():
         try:
             ner = NerType(key)
         except ValueError:
@@ -155,10 +183,27 @@ def load_reference_lists(path: str | Path, normalizer: str = "persian") -> Refer
     )
 
 
+def lists_to_obj(lists: ReferenceLists) -> dict:
+    """The lists file shape, sorted; `parse_reference_lists` reads it back."""
+    return {
+        "rare_blocklist": sorted(lists.rare_blocklist),
+        "class_filters": {
+            cls: {"triggers": sorted(f.triggers), "penalty": f.penalty}
+            for cls, f in lists.class_filters.items()
+        },
+        "type_mapping": {ner.value: sorted(classes) for ner, classes in lists.type_mapping.items()},
+        "stopwords": sorted(lists.stopwords),
+    }
+
+
 _RECORD_KEYS = ("id", "label", "variants", "class", "ner_type", "pos", "article", "links")
 
 
-def _parse_record(obj: object, path: str | Path, line_no: int) -> tuple[EntityRecord, list[str]]:
+def parse_record(
+    obj: object, path: str | Path, line_no: int | None
+) -> tuple[EntityRecord, list[str]]:
+    """Validate one dump record; returns it with its out-links unresolved,
+    and the links as written so `build_kb` can count the ones it drops."""
     if not isinstance(obj, dict):
         raise MalformedRecord(path, line_no, "record must be a JSON object")
     for key in _RECORD_KEYS:
@@ -199,10 +244,73 @@ def _parse_record(obj: object, path: str | Path, line_no: int) -> tuple[EntityRe
         ner_type=ner,
         pos_category=pos,
         article_text=obj["article"],
-        out_links=frozenset(),  # resolved after the whole dump is read
+        out_links=frozenset(links),  # resolved by `build_kb`
         rare=rare,
     )
     return record, links
+
+
+def record_to_obj(record: EntityRecord) -> dict:
+    """The dump-line shape of a record, sorted and without its id."""
+    return {
+        "label": record.canonical_label,
+        "variants": sorted(record.variant_labels),
+        "class": record.kb_class,
+        "ner_type": record.ner_type.value,
+        "pos": record.pos_category.value,
+        "article": record.article_text,
+        "links": sorted(record.out_links),
+        "rare": record.rare,
+    }
+
+
+def doc_freq(
+    records: Iterable[EntityRecord], stopwords: frozenset[str], normalizer: str
+) -> dict[str, int]:
+    """Number of non-empty articles each content term occurs in."""
+    norm = get_normalizer(normalizer)
+    counts: Counter[str] = Counter()
+    for record in records:
+        if record.article_text:
+            counts.update(set(content_terms(tokenize(record.article_text, norm), stopwords)))
+    return dict(counts)
+
+
+def build_kb(
+    parsed: Collection[tuple[EntityRecord, list[str]]],
+    normalizer: str,
+    frequencies: dict[str, int],
+) -> KnowledgeBase:
+    """Build a knowledge base from `parse_record` output and `doc_freq`.
+
+    Out-links that point outside the records (or back at the entity
+    itself) are dropped and counted on `KnowledgeBase.dropped_links`; an
+    incomplete dump subset is not an error.
+    """
+    norm = get_normalizer(normalizer)
+    ids = {record.id for record, _ in parsed}
+    entities: dict[str, EntityRecord] = {}
+    dropped = 0
+    for record, links in parsed:
+        resolved = frozenset(l for l in links if l in ids and l != record.id)
+        dropped += len(links) - len(resolved)
+        if resolved != record.out_links:
+            record = replace(record, out_links=resolved)
+        entities[record.id] = record
+
+    alias_sets: dict[str, set[str]] = {}
+    for entity in entities.values():
+        for alias in {entity.canonical_label, *entity.variant_labels}:
+            alias_sets.setdefault(norm(alias), set()).add(entity.id)
+
+    return KnowledgeBase(
+        entities=entities,
+        alias_index={key: frozenset(members) for key, members in alias_sets.items()},
+        doc_count=sum(1 for entity in entities.values() if entity.article_text),
+        doc_freq=frequencies,
+        normalizer=normalizer,
+        dropped_links=dropped,
+    )
 
 
 def load_kb(
@@ -210,70 +318,17 @@ def load_kb(
     lists_path: str | Path,
     normalizer: str = "persian",
 ) -> tuple[KnowledgeBase, ReferenceLists]:
-    """Load a dump and its reference lists and build all indexes.
-
-    Out-links that point outside the dump (or back at the entity itself)
-    are dropped and counted on `KnowledgeBase.dropped_links`; an
-    incomplete dump subset is not an error.
-    """
+    """Load a dump and its reference lists and build all indexes."""
     lists = load_reference_lists(lists_path, normalizer)
-    norm = get_normalizer(normalizer)
-
     raw: dict[str, tuple[EntityRecord, list[str]]] = {}
-    with open(dump_path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(dump_path, line_no, f"invalid JSON: {exc.msg}") from exc
-            record, links = _parse_record(obj, dump_path, line_no)
-            if record.id in raw:
-                raise DuplicateEntityId(dump_path, line_no, record.id)
-            raw[record.id] = (record, links)
+    for line_no, obj in read_json_lines(dump_path, MalformedRecord):
+        record, links = parse_record(obj, dump_path, line_no)
+        if record.id in raw:
+            raise DuplicateEntityId(dump_path, line_no, record.id)
+        raw[record.id] = (record, links)
 
-    entities: dict[str, EntityRecord] = {}
-    dropped = 0
-    for entity_id, (record, links) in raw.items():
-        resolved = frozenset(l for l in links if l in raw and l != entity_id)
-        dropped += len(links) - len(resolved)
-        entities[entity_id] = EntityRecord(
-            id=record.id,
-            canonical_label=record.canonical_label,
-            variant_labels=record.variant_labels,
-            kb_class=record.kb_class,
-            ner_type=record.ner_type,
-            pos_category=record.pos_category,
-            article_text=record.article_text,
-            out_links=resolved,
-            rare=record.rare,
-        )
-
-    alias_sets: dict[str, set[str]] = {}
-    for entity in entities.values():
-        for alias in {entity.canonical_label, *entity.variant_labels}:
-            alias_sets.setdefault(norm(alias), set()).add(entity.id)
-    alias_index = {key: frozenset(ids) for key, ids in alias_sets.items()}
-
-    doc_freq: Counter[str] = Counter()
-    doc_count = 0
-    for entity in entities.values():
-        if not entity.article_text:
-            continue
-        doc_count += 1
-        terms = set(content_terms(tokenize(entity.article_text, norm), lists.stopwords))
-        doc_freq.update(terms)
-
-    kb = KnowledgeBase(
-        entities=entities,
-        alias_index=alias_index,
-        doc_count=doc_count,
-        doc_freq=dict(doc_freq),
-        normalizer=normalizer,
-        dropped_links=dropped,
-    )
-    return kb, lists
+    frequencies = doc_freq((record for record, _ in raw.values()), lists.stopwords, normalizer)
+    return build_kb(raw.values(), normalizer, frequencies), lists
 
 
 def lookup_alias(kb: KnowledgeBase, surface: str) -> frozenset[str]:

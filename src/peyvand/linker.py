@@ -34,7 +34,7 @@ from .kb import (
     link_exists,
     lookup_alias,
 )
-from .textnorm import Token, get_normalizer, tokenize
+from .textnorm import Token, content_terms, get_normalizer, tokenize
 
 
 class ConfigError(PeyvandError):
@@ -60,14 +60,19 @@ class LinkerConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.lambda_weight <= 1.0:
             raise ConfigError(f"lambda must lie in [0, 1], got {self.lambda_weight}")
-        if self.nil_threshold < 0.0:
-            raise ConfigError(f"nil_threshold must be non-negative, got {self.nil_threshold}")
-        if self.context_window is not None and self.context_window < 1:
-            raise ConfigError("context_window must be a positive token count or null")
+        if not 0.0 <= self.nil_threshold < math.inf:
+            raise ConfigError(
+                f"nil_threshold must be finite and non-negative, got {self.nil_threshold}"
+            )
+        window = self.context_window
+        if window is not None and (type(window) is not int or window < 1):
+            raise ConfigError(f"context_window must be a positive integer or null, got {window!r}")
         get_normalizer(self.normalizer)  # raises on unknown profile
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "LinkerConfig":
+    def from_dict(cls, data: Mapping, base: "LinkerConfig | None" = None) -> "LinkerConfig":
+        """Keys missing from `data` keep their value in `base` (default: defaults)."""
+        base = base or cls()
         known = {"lambda", "nil_threshold", "filters", "normalizer", "context_window", "idf_smoothing"}
         unknown = set(data) - known
         if unknown:
@@ -78,28 +83,28 @@ class LinkerConfig:
             raise ConfigError(f"unknown filter keys: {sorted(bad)}")
         try:
             return cls(
-                lambda_weight=float(data.get("lambda", cls.lambda_weight)),
-                nil_threshold=float(data.get("nil_threshold", cls.nil_threshold)),
-                type_filter=bool(filters.get("type", cls.type_filter)),
-                pos_filter=bool(filters.get("pos", cls.pos_filter)),
-                popularity_filter=bool(filters.get("popularity", cls.popularity_filter)),
-                class_filter=bool(filters.get("class", cls.class_filter)),
-                normalizer=data.get("normalizer", cls.normalizer),
-                context_window=data.get("context_window", cls.context_window),
-                idf_smoothing=bool(data.get("idf_smoothing", cls.idf_smoothing)),
+                lambda_weight=float(data.get("lambda", base.lambda_weight)),
+                nil_threshold=float(data.get("nil_threshold", base.nil_threshold)),
+                type_filter=bool(filters.get("type", base.type_filter)),
+                pos_filter=bool(filters.get("pos", base.pos_filter)),
+                popularity_filter=bool(filters.get("popularity", base.popularity_filter)),
+                class_filter=bool(filters.get("class", base.class_filter)),
+                normalizer=data.get("normalizer", base.normalizer),
+                context_window=data.get("context_window", base.context_window),
+                idf_smoothing=bool(data.get("idf_smoothing", base.idf_smoothing)),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config value: {exc}") from exc
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "LinkerConfig":
+    def from_file(cls, path: str | Path, base: "LinkerConfig | None" = None) -> "LinkerConfig":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(data, base)
 
     def to_dict(self) -> dict:
         return {
@@ -139,56 +144,6 @@ def generate_candidates(kb: KnowledgeBase, mention: Mention) -> frozenset[str]:
     return lookup_alias(kb, mention.surface)
 
 
-def _document_term_set(kb: KnowledgeBase, lists: ReferenceLists, doc: Document) -> set[str]:
-    norm = get_normalizer(kb.normalizer)
-    return {t.text for t in tokenize(doc.text, norm) if t.text not in lists.stopwords}
-
-
-def _apply_filters(
-    kb: KnowledgeBase,
-    lists: ReferenceLists,
-    cfg: LinkerConfig,
-    mention: Mention,
-    candidates: frozenset[str] | set[str],
-    doc_terms: set[str],
-) -> tuple[set[str], dict[str, float]]:
-    kept = set(candidates)
-
-    # Type check: only when the mention carries a usable type and the
-    # mapping has an opinion about it.
-    if cfg.type_filter and mention.ner_type not in (None, NerType.UNKNOWN):
-        allowed = lists.type_mapping.get(mention.ner_type)
-        if allowed is not None:
-            kept = {c for c in kept if kb.entities[c].kb_class in allowed}
-
-    # POS check: UNKNOWN on either side keeps the candidate.
-    if cfg.pos_filter and mention.pos_tag not in (None, PosCategory.UNKNOWN):
-        kept = {
-            c
-            for c in kept
-            if kb.entities[c].pos_category in (mention.pos_tag, PosCategory.UNKNOWN)
-        }
-
-    # Popularity: the manually curated rare list, whether shipped as a
-    # blocklist or as per-record flags in the dump.
-    if cfg.popularity_filter:
-        kept = {
-            c for c in kept if c not in lists.rare_blocklist and not kb.entities[c].rare
-        }
-
-    penalties = {c: 1.0 for c in kept}
-
-    # Class-specific evidence: generic names (artwork titles and the like)
-    # keep their full rate only when a trigger term appears in the document.
-    if cfg.class_filter:
-        for c in kept:
-            class_filter = lists.class_filters.get(kb.entities[c].kb_class)
-            if class_filter is not None and not (class_filter.triggers & doc_terms):
-                penalties[c] = class_filter.penalty
-
-    return kept, penalties
-
-
 def filter_candidates(
     kb: KnowledgeBase,
     lists: ReferenceLists,
@@ -202,7 +157,7 @@ def filter_candidates(
     Returns the surviving candidate set and a penalty per survivor
     (1.0 unless a class filter fired). Filters never add candidates.
     """
-    return _apply_filters(kb, lists, cfg, mention, candidates, _document_term_set(kb, lists, doc))
+    return _DocScorer(kb, lists, cfg, doc).apply_filters(mention, candidates)
 
 
 def _idf(term: str, kb: KnowledgeBase, smoothing: bool) -> float | None:
@@ -252,6 +207,22 @@ def _context_terms(
     return [t.text for t in before + after if t.text not in stopwords]
 
 
+def _graph_scores(
+    kb: KnowledgeBase,
+    mention_index: int,
+    doc_candidates: Mapping[int, frozenset[str] | set[str]],
+) -> dict[str, float]:
+    """Graph score of each candidate of the mention: its count of distinct
+    linked candidates of other mentions over the mention's best count."""
+    others = set().union(*(cands for j, cands in doc_candidates.items() if j != mention_index))
+    raw = {
+        c: sum(1 for o in others if link_exists(kb, c, o))
+        for c in sorted(doc_candidates.get(mention_index, ()))
+    }
+    max_raw = max(raw.values(), default=0)
+    return {c: n / max_raw if max_raw else 0.0 for c, n in raw.items()}
+
+
 class _DocScorer:
     """Shared per-document state so the text is tokenized and article
     vectors are built once per `link_document` call."""
@@ -273,14 +244,50 @@ class _DocScorer:
         self._norm = norm
         self._article_vectors: dict[str, dict[str, float]] = {}
 
+    def apply_filters(
+        self, mention: Mention, candidates: frozenset[str] | set[str]
+    ) -> tuple[set[str], dict[str, float]]:
+        kb, lists, cfg = self.kb, self.lists, self.cfg
+        kept = set(candidates)
+
+        # Type check: only when the mention carries a usable type and the
+        # mapping has an opinion about it.
+        if cfg.type_filter and mention.ner_type not in (None, NerType.UNKNOWN):
+            allowed = lists.type_mapping.get(mention.ner_type)
+            if allowed is not None:
+                kept = {c for c in kept if kb.entities[c].kb_class in allowed}
+
+        # POS check: UNKNOWN on either side keeps the candidate.
+        if cfg.pos_filter and mention.pos_tag not in (None, PosCategory.UNKNOWN):
+            kept = {
+                c
+                for c in kept
+                if kb.entities[c].pos_category in (mention.pos_tag, PosCategory.UNKNOWN)
+            }
+
+        # Popularity: the manually curated rare list, whether shipped as a
+        # blocklist or as per-record flags in the dump.
+        if cfg.popularity_filter:
+            kept = {
+                c for c in kept if c not in lists.rare_blocklist and not kb.entities[c].rare
+            }
+
+        penalties = {c: 1.0 for c in kept}
+
+        # Class-specific evidence: generic names (artwork titles and the like)
+        # keep their full rate only when a trigger term appears in the document.
+        if cfg.class_filter:
+            for c in kept:
+                class_filter = lists.class_filters.get(kb.entities[c].kb_class)
+                if class_filter is not None and not (class_filter.triggers & self.doc_terms):
+                    penalties[c] = class_filter.penalty
+
+        return kept, penalties
+
     def article_vector(self, entity: EntityRecord) -> dict[str, float]:
         cached = self._article_vectors.get(entity.id)
         if cached is None:
-            terms = [
-                t.text
-                for t in tokenize(entity.article_text, self._norm)
-                if t.text not in self.lists.stopwords
-            ]
+            terms = content_terms(tokenize(entity.article_text, self._norm), self.lists.stopwords)
             cached = _tfidf_vector(terms, self.kb, self.cfg.idf_smoothing)
             self._article_vectors[entity.id] = cached
         return cached
@@ -292,18 +299,6 @@ class _DocScorer:
             self.article_vector(entity),
         )
 
-    def raw_link_counts(
-        self, mention_index: int, doc_candidates: Mapping[int, frozenset[str] | set[str]]
-    ) -> dict[str, int]:
-        others: set[str] = set()
-        for j, cands in doc_candidates.items():
-            if j != mention_index:
-                others.update(cands)
-        return {
-            c: sum(1 for o in others if link_exists(self.kb, c, o))
-            for c in sorted(doc_candidates.get(mention_index, ()))
-        }
-
     def rank(
         self,
         mention_index: int,
@@ -311,13 +306,12 @@ class _DocScorer:
         penalties: Mapping[str, float],
     ) -> LinkResult:
         mention = self.doc.mentions[mention_index]
-        raw = self.raw_link_counts(mention_index, doc_candidates)
-        max_raw = max(raw.values(), default=0)
+        graph_scores = _graph_scores(self.kb, mention_index, doc_candidates)
         scored = []
         for entity_id in sorted(doc_candidates.get(mention_index, ())):
             entity = self.kb.entities[entity_id]
             ctx = self.context_score(mention, entity)
-            graph = raw[entity_id] / max_raw if max_raw else 0.0
+            graph = graph_scores[entity_id]
             penalty = penalties.get(entity_id, 1.0)
             combined = penalty * (
                 self.cfg.lambda_weight * ctx + (1.0 - self.cfg.lambda_weight) * graph
@@ -361,16 +355,7 @@ def graph_score(
     normalized by the best raw count among this mention's candidates."""
     if candidate not in doc_candidates.get(mention_index, ()):
         raise ValueError(f"{candidate!r} is not a candidate of mention {mention_index}")
-    others: set[str] = set()
-    for j, cands in doc_candidates.items():
-        if j != mention_index:
-            others.update(cands)
-    raw = {
-        c: sum(1 for o in others if link_exists(kb, c, o))
-        for c in doc_candidates[mention_index]
-    }
-    max_raw = max(raw.values(), default=0)
-    return raw[candidate] / max_raw if max_raw else 0.0
+    return _graph_scores(kb, mention_index, doc_candidates)[candidate]
 
 
 def rank_and_select(
@@ -388,8 +373,7 @@ def rank_and_select(
     candidate set, or a top score below the NIL threshold, the decision is
     NIL and every scored candidate lands on the ambiguity list.
     """
-    scorer = _DocScorer(kb, lists, cfg, doc)
-    return scorer.rank(mention_index, doc_candidates, penalties or {})
+    return _DocScorer(kb, lists, cfg, doc).rank(mention_index, doc_candidates, penalties or {})
 
 
 def link_document(
@@ -410,9 +394,7 @@ def link_document(
     penalties_by_mention: dict[int, dict[str, float]] = {}
     for i, mention in enumerate(doc.mentions):
         candidates = generate_candidates(kb, mention)
-        kept, penalties = _apply_filters(kb, lists, cfg, mention, candidates, scorer.doc_terms)
-        doc_candidates[i] = kept
-        penalties_by_mention[i] = penalties
+        doc_candidates[i], penalties_by_mention[i] = scorer.apply_filters(mention, candidates)
     return [
         scorer.rank(i, doc_candidates, penalties_by_mention[i])
         for i in range(len(doc.mentions))

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
+from peyvand import kb
 from peyvand.kb import (
     ClassFilter,
     EntityRecord,
@@ -12,7 +11,6 @@ from peyvand.kb import (
     PosCategory,
     ReferenceLists,
 )
-from peyvand.textnorm import content_terms, get_normalizer, tokenize
 
 
 def entity(
@@ -45,23 +43,10 @@ def build_kb(
     normalizer: str = "persian",
 ) -> KnowledgeBase:
     """Index records the same way the loader would, without file round-trips."""
-    norm = get_normalizer(normalizer)
-    alias_sets: dict[str, set[str]] = {}
-    for record in records:
-        for alias in {record.canonical_label, *record.variant_labels}:
-            alias_sets.setdefault(norm(alias), set()).add(record.id)
-    doc_freq: Counter[str] = Counter()
-    doc_count = 0
-    for record in records:
-        if record.article_text:
-            doc_count += 1
-            doc_freq.update(set(content_terms(tokenize(record.article_text, norm), stopwords)))
-    return KnowledgeBase(
-        entities={r.id: r for r in records},
-        alias_index={key: frozenset(ids) for key, ids in alias_sets.items()},
-        doc_count=doc_count,
-        doc_freq=dict(doc_freq),
-        normalizer=normalizer,
+    return kb.build_kb(
+        [(r, sorted(r.out_links)) for r in records],
+        normalizer,
+        kb.doc_freq(records, stopwords, normalizer),
     )
 
 

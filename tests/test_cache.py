@@ -1,8 +1,21 @@
 from __future__ import annotations
 
-import pytest
+import copy
+import json
 
-from peyvand.cache import CACHE_VERSION, CacheError, CacheVersionMismatch, load_index, save_index
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from peyvand.cache import (
+    CACHE_VERSION,
+    MAGIC,
+    CacheError,
+    CacheVersionMismatch,
+    load_index,
+    save_index,
+)
+from peyvand.errors import PeyvandError
 
 
 class TestIndexCache:
@@ -47,3 +60,76 @@ class TestIndexCache:
         path.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(CacheError):
             load_index(path)
+
+    def test_v1_index_demands_rebuild(self, tmp_path, kb, lists):
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+        _, _, body = path.read_bytes().partition(b"\n")
+        path.write_bytes(MAGIC + b":v1\n" + body)
+        with pytest.raises(CacheVersionMismatch, match="rebuild it with `peyvand build-index`"):
+            load_index(path)
+
+    def test_body_holds_dump_records_lists_and_frequencies_only(self, tmp_path, kb, lists):
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+        payload = json.loads(path.read_bytes().partition(b"\n")[2])
+        assert set(payload) == {"doc_freq", "dropped_links", "entities", "lists", "normalizer"}
+        dump_keys = {"label", "variants", "class", "ner_type", "pos", "article", "links", "rare"}
+        assert all(set(record) == dump_keys for record in payload["entities"].values())
+        assert set(payload["lists"]) == {"rare_blocklist", "class_filters", "type_mapping", "stopwords"}
+
+    def test_load_tokenizes_no_article(self, tmp_path, kb, lists, monkeypatch):
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+
+        def no_tokenize(*args, **kwargs):
+            raise AssertionError("load_index tokenized an article")
+
+        monkeypatch.setattr("peyvand.kb.tokenize", no_tokenize)
+        kb2, _ = load_index(path)
+        assert kb2 == kb
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutations(draw, payload):
+    """A copy of `payload` with one value, at any depth, deleted or replaced."""
+    payload = copy.deepcopy(payload)
+    node = payload
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+        elif draw(st.booleans()):
+            del node[key]
+            return payload
+        else:
+            node[key] = draw(_json_values)
+            return payload
+
+
+@pytest.fixture(scope="module")
+def saved_index(tmp_path_factory, kb, lists):
+    path = tmp_path_factory.mktemp("mutated") / "kb.idx"
+    save_index(kb, lists, path)
+    header, _, body = path.read_bytes().partition(b"\n")
+    return path, header, json.loads(body)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_any_body_mutation_loads_or_raises_peyvand_error(saved_index, data):
+    path, header, payload = saved_index
+    mutated = data.draw(_mutations(payload))
+    path.write_bytes(header + b"\n" + json.dumps(mutated, ensure_ascii=False).encode("utf-8"))
+    try:
+        load_index(path)
+    except PeyvandError:
+        pass

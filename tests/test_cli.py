@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from peyvand.cache import CACHE_VERSION
 from peyvand.cli import main
 from peyvand.corpus import load_predictions
 
@@ -122,7 +123,7 @@ class TestLink:
 
     def test_stale_index_version_exits_one(self, tmp_path, data_dir, index_path, capsys):
         stale = tmp_path / "stale.idx"
-        stale.write_bytes(index_path.read_bytes().replace(b":v1\n", b":v99\n", 1))
+        stale.write_bytes(index_path.read_bytes().replace(b":v%d\n" % CACHE_VERSION, b":v99\n", 1))
         code = main(["link", "--index", str(stale),
                      "--corpus", str(data_dir / "mini_corpus.jsonl"),
                      "--out", str(tmp_path / "p.jsonl")])
@@ -208,3 +209,99 @@ def test_module_entry_point_smoke(tmp_path, data_dir):
     )
     assert result.returncode == 0
     assert "peyvand" in result.stdout
+
+
+def _link(index, corpus, out, *extra):
+    return main(["link", "--index", str(index), "--corpus", str(corpus), "--out", str(out), *extra])
+
+
+def _one_error_line(err: str) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1
+
+
+def _rewrite_index_body(src, dest, edit):
+    header, _, body = src.read_bytes().partition(b"\n")
+    payload = json.loads(body)
+    edit(payload)
+    dest.write_bytes(header + b"\n" + json.dumps(payload, ensure_ascii=False).encode("utf-8"))
+
+
+class TestMalformedInputExitsOne:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda body: body.pop("doc_freq"),
+            lambda body: body.update(entities=list(body["entities"].values())),
+            lambda body: body["entities"]["E01"].update(ner_type="XX"),
+        ],
+        ids=["missing-doc-freq", "entities-not-an-object", "bad-ner-type"],
+    )
+    def test_corrupt_index_body(self, tmp_path, data_dir, index_path, capsys, edit):
+        corrupt = tmp_path / "corrupt.idx"
+        _rewrite_index_body(index_path, corrupt, edit)
+        assert _link(corrupt, data_dir / "mini_corpus.jsonl", tmp_path / "p.jsonl") == 1
+        assert _one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--nil-threshold", "nan"), ("--nil-threshold", "inf"), ("--lambda", "nan")],
+    )
+    def test_non_finite_number_flag(self, tmp_path, data_dir, index_path, capsys, flags):
+        out = tmp_path / "p.jsonl"
+        assert _link(index_path, data_dir / "mini_corpus.jsonl", out, *flags) == 1
+        assert _one_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_fractional_context_window(self, tmp_path, data_dir, index_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"context_window": 2.5}), encoding="utf-8")
+        code = _link(index_path, data_dir / "mini_corpus.jsonl", tmp_path / "p.jsonl",
+                     "--config", str(config))
+        assert code == 1
+        assert _one_error_line(capsys.readouterr().err)
+
+    def test_non_object_prediction_mention(self, tmp_path, capsys):
+        gold = tmp_path / "gold.jsonl"
+        gold.write_text(json.dumps({"id": "d1", "category": "x", "text": "الف",
+                                    "mentions": [{"start": 0, "end": 3, "surface": "الف",
+                                                  "gold": "E01"}]},
+                                   ensure_ascii=False) + "\n", encoding="utf-8")
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps({"id": "d1", "mentions": [5]}) + "\n", encoding="utf-8")
+        assert main(["evaluate", "--corpus", str(gold), "--predictions", str(pred)]) == 1
+        err = capsys.readouterr().err
+        assert _one_error_line(err)
+        assert f"{pred}:1:" in err
+
+
+class TestIndexNormalizer:
+    @pytest.fixture(scope="class")
+    def identity_index(self, tmp_path_factory, data_dir):
+        root = tmp_path_factory.mktemp("identity")
+        config = root / "cfg.json"
+        config.write_text(json.dumps({"normalizer": "identity"}), encoding="utf-8")
+        path = root / "identity.idx"
+        assert main(["build-index", "--kb", str(data_dir / "mini_kb.jsonl"),
+                     "--lists", str(data_dir / "reference_lists.json"),
+                     "--out", str(path), "--config", str(config)]) == 0
+        return path
+
+    @pytest.mark.parametrize(
+        "config,warns",
+        [(None, False), ({"lambda": 0.4}, False), ({"normalizer": "persian"}, True)],
+        ids=["no-config", "config-without-normalizer", "config-sets-other-normalizer"],
+    )
+    def test_warns_only_when_a_config_file_sets_another_normalizer(
+        self, tmp_path, data_dir, identity_index, capsys, config, warns
+    ):
+        extra = []
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            extra = ["--config", str(path)]
+        out = tmp_path / "p.jsonl"
+        capsys.readouterr()
+        assert _link(identity_index, data_dir / "mini_corpus.jsonl", out, *extra) == 0
+        assert ("normalizer 'persian' ignored" in capsys.readouterr().err) is warns
+        manifest = json.loads((tmp_path / "p.jsonl.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"]["normalizer"] == "identity"

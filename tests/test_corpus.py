@@ -14,6 +14,7 @@ from peyvand.corpus import (
     corpus_stats,
     count_sentences,
     load_corpus,
+    load_predictions,
     save_corpus,
     stats_by_category,
 )
@@ -180,3 +181,48 @@ class TestStats:
         d02 = next(d for d in mini_corpus if d.id == "d02")
         stats = corpus_stats([d02], kb)
         assert stats.candidates == 6
+
+
+def _prediction_line(**overrides):
+    mention = {"start": 0, "end": 3, "surface": "الف", "prediction": "E1", "score": 0.5,
+               "ambiguity": [{"id": "E2", "score": 0.1}]}
+    mention.update(overrides)
+    return json.dumps({"id": "d1", "category": "sport", "text": "الف ب", "mentions": [mention]},
+                      ensure_ascii=False)
+
+
+class TestLoadPredictions:
+    def test_valid_record(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text(_prediction_line(prediction=None) + "\n", encoding="utf-8")
+        (doc,) = load_predictions(path)
+        assert doc.mentions[0].prediction is NIL
+        assert doc.mentions[0].ambiguity[0].entity_id == "E2"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            json.dumps({"id": "d2", "mentions": [5]}),
+            json.dumps({"id": "d2", "mentions": 5}),
+            _prediction_line(ambiguity={"E2": 0.1}),
+            _prediction_line(ambiguity=[5]),
+            _prediction_line(score="high"),
+            _prediction_line(prediction=7),
+        ],
+        ids=["mention-not-object", "mentions-not-array", "ambiguity-not-array",
+             "ambiguity-entry-not-object", "score-not-number", "prediction-not-id"],
+    )
+    def test_malformed_mention_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "p.jsonl"
+        path.write_text(_prediction_line() + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(MalformedDocument) as err:
+            load_predictions(path)
+        assert err.value.line == 2
+        assert str(err.value).startswith(f"{path}:2:")
+
+
+def test_corpus_mention_not_an_object_rejected(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(_doc_line(mentions=[5]) + "\n", encoding="utf-8")
+    with pytest.raises(MalformedDocument):
+        load_corpus(path)

@@ -11,10 +11,15 @@ from peyvand.kb import (
     NerType,
     PosCategory,
     UnknownEntity,
+    build_kb,
+    doc_freq,
     link_exists,
+    lists_to_obj,
     load_kb,
     load_reference_lists,
     lookup_alias,
+    parse_record,
+    parse_reference_lists,
 )
 from peyvand.textnorm import content_terms, normalize, tokenize
 
@@ -255,3 +260,39 @@ class TestDocFreq:
 def test_enums_round_trip():
     assert NerType("LOC") is NerType.LOC
     assert PosCategory("COMMON_NOUN") is PosCategory.COMMON_NOUN
+
+
+class TestReferenceListsShape:
+    @pytest.mark.parametrize(
+        "data",
+        [{"class_filters": ["film"]}, {"type_mapping": [["LOC", "city"]]}, ["stopwords"]],
+        ids=["class-filters-not-object", "type-mapping-not-object", "lists-not-object"],
+    )
+    def test_non_object_sections_rejected(self, tmp_path, data):
+        path = tmp_path / "lists.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(MalformedRecord):
+            load_reference_lists(path)
+
+    def test_serialized_lists_parse_back_unchanged(self, lists):
+        assert parse_reference_lists(lists_to_obj(lists), "lists", "persian") == lists
+
+
+class TestBuildKb:
+    def test_resolves_links_counts_drops_and_non_empty_articles(self):
+        records = [
+            parse_record(json.loads(_record("A", "آلفا", links=("B", "A", "Z"), article="متن")), "d", 1),
+            parse_record(json.loads(_record("B", "بتا", ["آلفا"])), "d", 2),
+        ]
+        kb = build_kb(records, "persian", {"متن": 1})
+        assert kb.entities["A"].out_links == frozenset({"B"})
+        assert kb.dropped_links == 2
+        assert kb.doc_count == 1
+        assert kb.alias_index[normalize("آلفا")] == frozenset({"A", "B"})
+
+    def test_doc_freq_counts_each_article_once(self):
+        records = [
+            parse_record(json.loads(_record(e, e, article=text)), "d", 1)[0]
+            for e, text in (("A", "سیب سیب و"), ("B", "سیب"), ("C", ""))
+        ]
+        assert doc_freq(records, frozenset({"و"}), "persian") == {"سیب": 2}

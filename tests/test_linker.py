@@ -522,3 +522,33 @@ def test_filters_are_contractive(scenario):
     assert relaxed == set(candidates)
     assert all(p == 1.0 for p in unit.values())
     assert kept <= relaxed
+
+
+class TestConfigRejectsInvalidNumbers:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"nil_threshold": float("nan")},
+            {"nil_threshold": float("inf")},
+            {"lambda_weight": float("nan")},
+            {"lambda_weight": float("inf")},
+            {"context_window": 2.5},
+            {"context_window": True},
+            {"context_window": 0},
+        ],
+    )
+    def test_constructor(self, fields):
+        with pytest.raises(ConfigError):
+            LinkerConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "data", [{"nil_threshold": "nan"}, {"lambda": "inf"}, {"context_window": 2.5}]
+    )
+    def test_from_dict(self, data):
+        with pytest.raises(ConfigError):
+            LinkerConfig.from_dict(data)
+
+    def test_from_dict_keeps_base_values_for_missing_keys(self):
+        base = LinkerConfig(normalizer="identity", nil_threshold=0.3)
+        cfg = LinkerConfig.from_dict({"lambda": 0.2}, base)
+        assert (cfg.lambda_weight, cfg.nil_threshold, cfg.normalizer) == (0.2, 0.3, "identity")
