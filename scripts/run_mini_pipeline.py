@@ -34,7 +34,7 @@ if __name__ == "__main__":
     run(["build-index", "--kb", str(DATA / "mini_kb.jsonl"),
          "--lists", str(DATA / "reference_lists.json"), "--out", str(index)])
     run(["link", "--index", str(index), "--corpus", str(DATA / "mini_corpus.jsonl"),
-         "--out", str(predictions), "--jobs", "1"])
+         "--out", str(predictions)])
     run(["evaluate", "--corpus", str(DATA / "mini_corpus.jsonl"),
          "--predictions", str(predictions)])
     run(["stats", "--corpus", str(DATA / "mini_corpus.jsonl"), "--index", str(index)])

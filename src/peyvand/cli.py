@@ -11,10 +11,8 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -101,15 +99,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     docs = load_corpus(args.corpus)
 
     started = time.perf_counter()
-    jobs = args.jobs if args.jobs else os.cpu_count() or 1
-    if jobs < 1:
-        print(f"error: --jobs must be positive, got {args.jobs}", file=sys.stderr)
-        return 1
-    if jobs == 1:
-        results = [link_document(kb, lists, cfg, doc) for doc in docs]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda d: link_document(kb, lists, cfg, d), docs))
+    results = [link_document(kb, lists, cfg, doc) for doc in docs]
     timings["link"] = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -206,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="linker config file")
     p.add_argument("--lambda", dest="lambda_weight", type=float, help="context/graph mix weight")
     p.add_argument("--nil-threshold", type=float, help="NIL abstention threshold")
-    p.add_argument("--jobs", type=int, default=0, help="worker count (default: available parallelism)")
     p.set_defaults(func=cmd_link)
 
     p = sub.add_parser("evaluate", help="score predictions against gold annotations")

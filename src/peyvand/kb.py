@@ -106,22 +106,40 @@ def read_json_lines(
     path: str | Path, error: Callable[[str | Path, int, str], PeyvandError]
 ) -> Iterator[tuple[int, object]]:
     """Line number and decoded value of each non-blank line of a JSON-lines
-    file; a line that is not JSON raises `error(path, line, reason)`."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(path, line_no, f"invalid JSON: {exc.msg}") from exc
-            yield line_no, obj
+    file; a line that is not UTF-8 JSON raises `error(path, line, reason)`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise error(path, line_no, f"invalid JSON: {exc.msg}") from exc
+                yield line_no, obj
+    except UnicodeDecodeError as exc:
+        raise error(path, *utf8_failure(path)) from exc
+
+
+def utf8_failure(path: str | Path) -> tuple[int, str]:
+    """Line and reason for the first bytes of `path` that are not UTF-8,
+    once decoding it has raised `UnicodeDecodeError`. The text decoder
+    reports offsets within its read buffer, so the file is read again."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return line, f"not valid UTF-8 ({exc.reason} at byte {exc.start})"
+    return 1, "not valid UTF-8"  # the file changed after the failed read
 
 
 def load_reference_lists(path: str | Path, normalizer: str = "persian") -> ReferenceLists:
     """Load and validate a reference-lists file."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(path, *utf8_failure(path)) from exc
     except json.JSONDecodeError as exc:
         raise MalformedRecord(path, None, f"invalid JSON: {exc}") from exc
     return parse_reference_lists(data, path, normalizer)

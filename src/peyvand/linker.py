@@ -33,6 +33,7 @@ from .kb import (
     ReferenceLists,
     link_exists,
     lookup_alias,
+    utf8_failure,
 )
 from .textnorm import Token, content_terms, get_normalizer, tokenize
 
@@ -78,20 +79,28 @@ class LinkerConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         filters = data.get("filters", {})
+        if not isinstance(filters, Mapping):
+            raise ConfigError(f"filters must be an object, got {filters!r}")
         bad = set(filters) - {"type", "pos", "popularity", "class"}
         if bad:
             raise ConfigError(f"unknown filter keys: {sorted(bad)}")
+        flags = {f"filters.{k}": v for k, v in filters.items()}
+        if "idf_smoothing" in data:
+            flags["idf_smoothing"] = data["idf_smoothing"]
+        for key, value in flags.items():
+            if type(value) is not bool:
+                raise ConfigError(f"{key} must be true or false, got {value!r}")
         try:
             return cls(
                 lambda_weight=float(data.get("lambda", base.lambda_weight)),
                 nil_threshold=float(data.get("nil_threshold", base.nil_threshold)),
-                type_filter=bool(filters.get("type", base.type_filter)),
-                pos_filter=bool(filters.get("pos", base.pos_filter)),
-                popularity_filter=bool(filters.get("popularity", base.popularity_filter)),
-                class_filter=bool(filters.get("class", base.class_filter)),
+                type_filter=filters.get("type", base.type_filter),
+                pos_filter=filters.get("pos", base.pos_filter),
+                popularity_filter=filters.get("popularity", base.popularity_filter),
+                class_filter=filters.get("class", base.class_filter),
                 normalizer=data.get("normalizer", base.normalizer),
                 context_window=data.get("context_window", base.context_window),
-                idf_smoothing=bool(data.get("idf_smoothing", base.idf_smoothing)),
+                idf_smoothing=data.get("idf_smoothing", base.idf_smoothing),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config value: {exc}") from exc
@@ -100,6 +109,9 @@ class LinkerConfig:
     def from_file(cls, path: str | Path, base: "LinkerConfig | None" = None) -> "LinkerConfig":
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            line, reason = utf8_failure(path)
+            raise ConfigError(f"{path}:{line}: {reason}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):

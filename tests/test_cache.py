@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import json
 
 import pytest
@@ -16,6 +15,8 @@ from peyvand.cache import (
     save_index,
 )
 from peyvand.errors import PeyvandError
+
+from mutations import mutations
 
 
 class TestIndexCache:
@@ -90,31 +91,6 @@ class TestIndexCache:
         assert kb2 == kb
 
 
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6,
-)
-
-
-@st.composite
-def _mutations(draw, payload):
-    """A copy of `payload` with one value, at any depth, deleted or replaced."""
-    payload = copy.deepcopy(payload)
-    node = payload
-    while True:
-        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
-        child = node[key]
-        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
-            node = child
-        elif draw(st.booleans()):
-            del node[key]
-            return payload
-        else:
-            node[key] = draw(_json_values)
-            return payload
-
-
 @pytest.fixture(scope="module")
 def saved_index(tmp_path_factory, kb, lists):
     path = tmp_path_factory.mktemp("mutated") / "kb.idx"
@@ -127,7 +103,7 @@ def saved_index(tmp_path_factory, kb, lists):
 @settings(max_examples=300, deadline=None)
 def test_any_body_mutation_loads_or_raises_peyvand_error(saved_index, data):
     path, header, payload = saved_index
-    mutated = data.draw(_mutations(payload))
+    mutated = data.draw(mutations(payload))
     path.write_bytes(header + b"\n" + json.dumps(mutated, ensure_ascii=False).encode("utf-8"))
     try:
         load_index(path)

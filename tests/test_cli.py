@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,20 @@ import pytest
 from peyvand.cache import CACHE_VERSION
 from peyvand.cli import main
 from peyvand.corpus import load_predictions
+
+
+def _assert_matches_golden(predictions, data_dir):
+    got = load_predictions(predictions)
+    golden = load_predictions(data_dir / "golden_predictions.jsonl")
+    assert len(got) == len(golden)
+    for g_doc, e_doc in zip(got, golden):
+        assert g_doc.id == e_doc.id
+        for g, e in zip(g_doc.mentions, e_doc.mentions):
+            assert type(g.prediction) is type(e.prediction)
+            if isinstance(g.prediction, str):
+                assert g.prediction == e.prediction
+            assert g.score == pytest.approx(e.score, abs=1e-9)
+            assert [c.entity_id for c in g.ambiguity] == [c.entity_id for c in e.ambiguity]
 
 
 @pytest.fixture(scope="module")
@@ -55,18 +70,8 @@ class TestLink:
         out = tmp_path / "pred.jsonl"
         assert main(["link", "--index", str(index_path),
                      "--corpus", str(data_dir / "mini_corpus.jsonl"),
-                     "--out", str(out), "--jobs", "1"]) == 0
-        got = load_predictions(out)
-        golden = load_predictions(data_dir / "golden_predictions.jsonl")
-        assert len(got) == len(golden)
-        for g_doc, e_doc in zip(got, golden):
-            assert g_doc.id == e_doc.id
-            for g, e in zip(g_doc.mentions, e_doc.mentions):
-                assert type(g.prediction) is type(e.prediction)
-                if isinstance(g.prediction, str):
-                    assert g.prediction == e.prediction
-                assert g.score == pytest.approx(e.score, abs=1e-9)
-                assert [c.entity_id for c in g.ambiguity] == [c.entity_id for c in e.ambiguity]
+                     "--out", str(out)]) == 0
+        _assert_matches_golden(out, data_dir)
 
     def test_nil_threshold_above_one_makes_everything_nil(self, tmp_path, data_dir, index_path):
         out = tmp_path / "pred.jsonl"
@@ -211,6 +216,17 @@ def test_module_entry_point_smoke(tmp_path, data_dir):
     assert "peyvand" in result.stdout
 
 
+def test_mini_pipeline_script_matches_golden_fixture(tmp_path, data_dir):
+    src = str(data_dir.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, str(data_dir.parent / "scripts" / "run_mini_pipeline.py"), str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    _assert_matches_golden(tmp_path / "predictions.jsonl", data_dir)
+
+
 def _link(index, corpus, out, *extra):
     return main(["link", "--index", str(index), "--corpus", str(corpus), "--out", str(out), *extra])
 
@@ -259,6 +275,43 @@ class TestMalformedInputExitsOne:
                      "--config", str(config))
         assert code == 1
         assert _one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "config", [{"filters": 5}, {"idf_smoothing": "false"}], ids=["filters-int", "flag-string"]
+    )
+    def test_malformed_config_flags(self, tmp_path, data_dir, index_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "p.jsonl"
+        assert _link(index_path, data_dir / "mini_corpus.jsonl", out, "--config", str(path)) == 1
+        assert _one_error_line(capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("build-index", "--kb"), ("build-index", "--lists"), ("link", "--corpus"),
+         ("link", "--config"), ("evaluate", "--predictions")],
+    )
+    def test_undecodable_file(self, tmp_path, data_dir, index_path, capsys, command, flag):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe{}\n")
+        argv = {
+            "build-index": ["--kb", str(data_dir / "mini_kb.jsonl"),
+                            "--lists", str(data_dir / "reference_lists.json"),
+                            "--out", str(tmp_path / "x.idx")],
+            "link": ["--index", str(index_path), "--corpus", str(data_dir / "mini_corpus.jsonl"),
+                     "--out", str(tmp_path / "p.jsonl")],
+            "evaluate": ["--corpus", str(data_dir / "mini_corpus.jsonl"),
+                         "--predictions", str(data_dir / "golden_predictions.jsonl")],
+        }[command]
+        if flag in argv:
+            argv[argv.index(flag) + 1] = str(bad)
+        else:
+            argv += [flag, str(bad)]
+        assert main([command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert _one_error_line(err)
+        assert f"{bad}:1: not valid UTF-8" in err
 
     def test_non_object_prediction_mention(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"

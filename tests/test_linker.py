@@ -552,3 +552,19 @@ class TestConfigRejectsInvalidNumbers:
         base = LinkerConfig(normalizer="identity", nil_threshold=0.3)
         cfg = LinkerConfig.from_dict({"lambda": 0.2}, base)
         assert (cfg.lambda_weight, cfg.nil_threshold, cfg.normalizer) == (0.2, 0.3, "identity")
+
+
+class TestConfigRejectsMalformedFlags:
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"filters": 5},
+            {"filters": ["type"]},
+            {"filters": {"type": "false"}},
+            {"idf_smoothing": "false"},
+        ],
+        ids=["filters-int", "filters-list", "filter-flag-string", "idf-smoothing-string"],
+    )
+    def test_from_dict(self, data):
+        with pytest.raises(ConfigError):
+            LinkerConfig.from_dict(data)
