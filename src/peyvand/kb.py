@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator
@@ -92,7 +92,15 @@ class ReferenceLists:
 
 @dataclass
 class KnowledgeBase:
-    """Immutable after load; safe for concurrent readers."""
+    """Immutable after load apart from the `article_vectors` memo; safe for
+    concurrent readers.
+
+    `article_vectors` is derived data, not part of the KB: the linker fills
+    it on first use with each article's TF-IDF vector and norm, keyed by
+    `(stopwords, idf_smoothing)` and then by entity id. It is never saved
+    to the index, and `dataclasses.replace` and `==` ignore it. Concurrent
+    readers may both fill an entry; they store equal values.
+    """
 
     entities: dict[str, EntityRecord]
     alias_index: dict[str, frozenset[str]]
@@ -100,6 +108,9 @@ class KnowledgeBase:
     doc_freq: dict[str, int]
     normalizer: str = "persian"
     dropped_links: int = 0
+    article_vectors: dict[
+        tuple[frozenset[str], bool], dict[str, tuple[dict[str, float], float]]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def read_json_lines(

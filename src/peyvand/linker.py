@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +32,6 @@ from .kb import (
     NerType,
     PosCategory,
     ReferenceLists,
-    link_exists,
     lookup_alias,
     utf8_failure,
 )
@@ -90,6 +90,10 @@ class LinkerConfig:
         for key, value in flags.items():
             if type(value) is not bool:
                 raise ConfigError(f"{key} must be true or false, got {value!r}")
+        for key in ("lambda", "nil_threshold"):
+            value = data.get(key, 0.0)
+            if type(value) is bool or not isinstance(value, (int, float)):
+                raise ConfigError(f"{key} must be a number, got {value!r}")
         try:
             return cls(
                 lambda_weight=float(data.get("lambda", base.lambda_weight)),
@@ -102,7 +106,7 @@ class LinkerConfig:
                 context_window=data.get("context_window", base.context_window),
                 idf_smoothing=data.get("idf_smoothing", base.idf_smoothing),
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid config value: {exc}") from exc
 
     @classmethod
@@ -190,16 +194,18 @@ def _tfidf_vector(terms: Sequence[str], kb: KnowledgeBase, smoothing: bool) -> d
     return vector
 
 
-def _cosine(a: Mapping[str, float], b: Mapping[str, float]) -> float:
+def _vector_norm(vector: Mapping[str, float]) -> float:
+    return math.sqrt(sum(w * w for w in vector.values()))
+
+
+def _cosine(a: Mapping[str, float], norm_a: float, b: Mapping[str, float], norm_b: float) -> float:
     if not a or not b:
         return 0.0
     if len(b) < len(a):
-        a, b = b, a
+        a, b, norm_a, norm_b = b, a, norm_b, norm_a
     dot = sum(w * b[t] for t, w in a.items() if t in b)
     if dot == 0.0:
         return 0.0
-    norm_a = math.sqrt(sum(w * w for w in a.values()))
-    norm_b = math.sqrt(sum(w * w for w in b.values()))
     return dot / (norm_a * norm_b)
 
 
@@ -226,18 +232,20 @@ def _graph_scores(
 ) -> dict[str, float]:
     """Graph score of each candidate of the mention: its count of distinct
     linked candidates of other mentions over the mention's best count."""
+    own = doc_candidates.get(mention_index, frozenset())
     others = set().union(*(cands for j, cands in doc_candidates.items() if j != mention_index))
-    raw = {
-        c: sum(1 for o in others if link_exists(kb, c, o))
-        for c in sorted(doc_candidates.get(mention_index, ()))
-    }
+    linked = {c: others & kb.entities[c].out_links for c in own}
+    for o in others:
+        for c in kb.entities[o].out_links & own:
+            linked[c].add(o)
+    raw = {c: len(linked[c]) for c in sorted(own)}
     max_raw = max(raw.values(), default=0)
     return {c: n / max_raw if max_raw else 0.0 for c, n in raw.items()}
 
 
 class _DocScorer:
-    """Shared per-document state so the text is tokenized and article
-    vectors are built once per `link_document` call."""
+    """Shared per-document state so the text is tokenized once per
+    `link_document` call; article vectors live on the KB's memo."""
 
     def __init__(
         self,
@@ -254,7 +262,9 @@ class _DocScorer:
         self.tokens = tokenize(doc.text, norm)
         self.doc_terms = {t.text for t in self.tokens if t.text not in lists.stopwords}
         self._norm = norm
-        self._article_vectors: dict[str, dict[str, float]] = {}
+        self._article_vectors = kb.article_vectors.setdefault(
+            (lists.stopwords, cfg.idf_smoothing), {}
+        )
 
     def apply_filters(
         self, mention: Mention, candidates: frozenset[str] | set[str]
@@ -296,20 +306,27 @@ class _DocScorer:
 
         return kept, penalties
 
-    def article_vector(self, entity: EntityRecord) -> dict[str, float]:
+    def article_vector(self, entity: EntityRecord) -> tuple[dict[str, float], float]:
+        """The article's TF-IDF vector and norm, built once per KB."""
         cached = self._article_vectors.get(entity.id)
         if cached is None:
-            terms = content_terms(tokenize(entity.article_text, self._norm), self.lists.stopwords)
-            cached = _tfidf_vector(terms, self.kb, self.cfg.idf_smoothing)
-            self._article_vectors[entity.id] = cached
+            # Interned terms share one string per distinct term across all
+            # memoized vectors instead of one per article.
+            terms = [
+                sys.intern(t)
+                for t in content_terms(tokenize(entity.article_text, self._norm), self.lists.stopwords)
+            ]
+            vector = _tfidf_vector(terms, self.kb, self.cfg.idf_smoothing)
+            cached = self._article_vectors[entity.id] = (vector, _vector_norm(vector))
         return cached
 
-    def context_score(self, mention: Mention, entity: EntityRecord) -> float:
+    def context_vector(self, mention: Mention) -> tuple[dict[str, float], float]:
         ctx = _context_terms(self.tokens, mention, self.lists.stopwords, self.cfg.context_window)
-        return _cosine(
-            _tfidf_vector(ctx, self.kb, self.cfg.idf_smoothing),
-            self.article_vector(entity),
-        )
+        vector = _tfidf_vector(ctx, self.kb, self.cfg.idf_smoothing)
+        return vector, _vector_norm(vector)
+
+    def context_score(self, mention: Mention, entity: EntityRecord) -> float:
+        return _cosine(*self.context_vector(mention), *self.article_vector(entity))
 
     def rank(
         self,
@@ -319,10 +336,10 @@ class _DocScorer:
     ) -> LinkResult:
         mention = self.doc.mentions[mention_index]
         graph_scores = _graph_scores(self.kb, mention_index, doc_candidates)
+        context = self.context_vector(mention)
         scored = []
         for entity_id in sorted(doc_candidates.get(mention_index, ())):
-            entity = self.kb.entities[entity_id]
-            ctx = self.context_score(mention, entity)
+            ctx = _cosine(*context, *self.article_vector(self.kb.entities[entity_id]))
             graph = graph_scores[entity_id]
             penalty = penalties.get(entity_id, 1.0)
             combined = penalty * (
@@ -398,8 +415,6 @@ def link_document(
 
     Post-filter candidate sets for all mentions are built first because the
     graph score is collective; scoring then proceeds mention by mention.
-    Pure function of its inputs: documents can be processed in parallel
-    against a shared knowledge base.
     """
     scorer = _DocScorer(kb, lists, cfg, doc)
     doc_candidates: dict[int, set[str]] = {}

@@ -277,7 +277,9 @@ class TestMalformedInputExitsOne:
         assert _one_error_line(capsys.readouterr().err)
 
     @pytest.mark.parametrize(
-        "config", [{"filters": 5}, {"idf_smoothing": "false"}], ids=["filters-int", "flag-string"]
+        "config",
+        [{"filters": 5}, {"idf_smoothing": "false"}, {"nil_threshold": True}],
+        ids=["filters-int", "flag-string", "threshold-bool"],
     )
     def test_malformed_config_flags(self, tmp_path, data_dir, index_path, capsys, config):
         path = tmp_path / "cfg.json"

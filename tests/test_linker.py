@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from peyvand import linker
+from peyvand.cache import save_index
 from peyvand.corpus import Document, Mention, NIL
-from peyvand.kb import NerType, PosCategory
+from peyvand.kb import NerType, PosCategory, load_kb
 from peyvand.linker import (
     ConfigError,
     LinkerConfig,
@@ -542,11 +546,26 @@ class TestConfigRejectsInvalidNumbers:
             LinkerConfig(**fields)
 
     @pytest.mark.parametrize(
-        "data", [{"nil_threshold": "nan"}, {"lambda": "inf"}, {"context_window": 2.5}]
+        "data",
+        [
+            {"nil_threshold": "nan"},
+            {"lambda": "inf"},
+            {"context_window": 2.5},
+            {"nil_threshold": True},
+            {"lambda": False},
+            {"lambda": "0.5"},
+            {"nil_threshold": None},
+            {"lambda": 10**400},
+        ],
     )
     def test_from_dict(self, data):
         with pytest.raises(ConfigError):
             LinkerConfig.from_dict(data)
+
+    def test_from_dict_accepts_json_integers(self):
+        cfg = LinkerConfig.from_dict({"lambda": 1, "nil_threshold": 0})
+        assert (cfg.lambda_weight, cfg.nil_threshold) == (1.0, 0.0)
+        assert type(cfg.lambda_weight) is float and type(cfg.nil_threshold) is float
 
     def test_from_dict_keeps_base_values_for_missing_keys(self):
         base = LinkerConfig(normalizer="identity", nil_threshold=0.3)
@@ -568,3 +587,114 @@ class TestConfigRejectsMalformedFlags:
     def test_from_dict(self, data):
         with pytest.raises(ConfigError):
             LinkerConfig.from_dict(data)
+
+
+class TestArticleVectorMemo:
+    """Article vectors are memoized on the KB, keyed by stopwords and IDF
+    smoothing; a warm KB must link exactly like a freshly loaded one."""
+
+    @staticmethod
+    def _load(data_dir):
+        return load_kb(data_dir / "mini_kb.jsonl", data_dir / "reference_lists.json")
+
+    @staticmethod
+    def _link_all(kb, lists, cfg, corpus):
+        return [link_document(kb, lists, cfg, doc) for doc in corpus]
+
+    def test_interleaved_keys_match_fresh_kb_and_oracle(self, data_dir, mini_corpus):
+        shared, bundled = self._load(data_dir)
+        frequent = sorted(shared.doc_freq, key=lambda t: (-shared.doc_freq[t], t))[:5]
+        extra = replace(bundled, stopwords=bundled.stopwords | frozenset(frequent))
+        runs = [
+            (bundled, LinkerConfig()),
+            (extra, LinkerConfig()),
+            (bundled, LinkerConfig(idf_smoothing=False)),
+            (extra, LinkerConfig(idf_smoothing=False)),
+        ]
+        first = [self._link_all(shared, lists, cfg, mini_corpus) for lists, cfg in runs]
+        assert len(shared.article_vectors) == len(runs)
+        assert first[0] != first[1] and first[0] != first[2]  # each key changes scores
+        for (lists, cfg), got in zip(runs, first):
+            fresh, _ = self._load(data_dir)
+            assert got == self._link_all(fresh, lists, cfg, mini_corpus)
+
+        second = [self._link_all(shared, lists, cfg, mini_corpus) for lists, cfg in runs]
+        assert second == first
+        for (lists, cfg), results in zip(runs, second):
+            for doc, got in zip(mini_corpus, results):
+                expected = oracle_link_document(shared, lists, cfg, doc)
+                assert [r.decision for r in got] == [r.decision for r in expected]
+                for g, e in zip(got, expected):
+                    assert g.score == pytest.approx(e.score, abs=1e-9)
+                    assert [c.entity_id for c in g.ambiguity] == [c.entity_id for c in e.ambiguity]
+
+    def test_memo_is_not_compared_copied_or_saved(self, tmp_path, data_dir, mini_corpus):
+        warm, lists = self._load(data_dir)
+        fresh, _ = self._load(data_dir)
+        self._link_all(warm, lists, LinkerConfig(), mini_corpus)
+        assert warm.article_vectors
+        assert warm == fresh
+        assert replace(warm).article_vectors == {}
+        save_index(warm, lists, tmp_path / "warm.idx")
+        save_index(fresh, lists, tmp_path / "fresh.idx")
+        assert (tmp_path / "warm.idx").read_bytes() == (tmp_path / "fresh.idx").read_bytes()
+
+    def test_each_article_tokenized_at_most_once(self, data_dir, mini_corpus, monkeypatch):
+        kb, lists = self._load(data_dir)
+        articles = {e.article_text for e in kb.entities.values()}
+        calls: Counter[str] = Counter()
+        real_tokenize = linker.tokenize
+
+        def counting_tokenize(text, *args, **kwargs):
+            if text in articles:
+                calls[text] += 1
+            return real_tokenize(text, *args, **kwargs)
+
+        monkeypatch.setattr(linker, "tokenize", counting_tokenize)
+        for _ in range(2):
+            self._link_all(kb, lists, LinkerConfig(), mini_corpus)
+        assert calls
+        assert max(calls.values()) == 1
+
+
+# Graph counts over randomized synthetic link graphs.
+_GRAPH_IDS = [f"G{i}" for i in range(6)]
+
+
+@st.composite
+def graph_scenarios(draw):
+    """A KB whose entities link to random subsets of each other (one-way and
+    mutual links, self-links that the KB drops) and a document whose
+    mentions draw possibly overlapping, possibly empty candidate sets."""
+    ids = _GRAPH_IDS[: draw(st.integers(min_value=1, max_value=len(_GRAPH_IDS)))]
+    records = [entity(i, links=tuple(sorted(draw(st.sets(st.sampled_from(ids)))))) for i in ids]
+    mentions = draw(st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=5))
+    return build_kb(records), dict(enumerate(mentions))
+
+
+# G0 -> G1 one way, G1 <-> G2 mutual, G3 -> G0; G1 is a candidate of two
+# mentions and mention 3 has no candidates.
+_GRAPH_EXAMPLE = (
+    build_kb(
+        [
+            entity("G0", links=("G1",)),
+            entity("G1", links=("G2",)),
+            entity("G2", links=("G1",)),
+            entity("G3", links=("G0",)),
+        ]
+    ),
+    {0: {"G0", "G3"}, 1: {"G1"}, 2: {"G1", "G2"}, 3: set()},
+)
+
+
+@given(graph_scenarios())
+@example(_GRAPH_EXAMPLE)
+@settings(max_examples=300, deadline=None)
+def test_graph_score_matches_exhaustive_enumeration(scenario):
+    kb, doc_candidates = scenario
+    for i, candidates in doc_candidates.items():
+        raw = exhaustive_raw_links(kb, i, doc_candidates)
+        max_raw = max(raw.values(), default=0)
+        for candidate in candidates:
+            expected = raw[candidate] / max_raw if max_raw else 0.0
+            assert graph_score(kb, candidate, i, doc_candidates) == expected
