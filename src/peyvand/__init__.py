@@ -26,7 +26,6 @@ from .kb import (
     NerType,
     PosCategory,
     ReferenceLists,
-    link_exists,
     load_kb,
     load_reference_lists,
     lookup_alias,
@@ -73,7 +72,6 @@ __all__ = [
     "get_normalizer",
     "graph_score",
     "link_document",
-    "link_exists",
     "load_corpus",
     "load_kb",
     "load_predictions",

@@ -1,16 +1,21 @@
 """On-disk index cache: knowledge base plus reference lists in one file.
 
-The format is a magic header line followed by canonical JSON (sorted keys,
-sorted set members), so rebuilding from unchanged inputs is byte-identical.
-The body holds the dump's records keyed by id, the reference lists in the
-lists file's shape and the article document frequencies; records and
-lists are read back by the dump's and the lists file's own parsers, so a
-malformed body fails the same way a malformed input does. A version bump
-in the header invalidates old caches loudly instead of misreading them.
+The format is a magic header line followed by JSON lines: the metadata
+(normalizer, dropped-link count, record count and the reference lists in
+the lists file's shape), then the article document frequencies, then one
+dump record per line, sorted by id. Keys and set members are sorted, so
+rebuilding from unchanged inputs is byte-identical. The records are read
+back by the dump's own record loop (`kb.read_records`) and the lists by
+the lists file's parser, so a malformed or repeated record fails the way
+it does in a dump, naming its line. The record count makes a file cut off
+at a line boundary fail instead of loading part of the knowledge base. A
+version bump in the header invalidates old caches loudly instead of
+misreading them.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -19,17 +24,18 @@ from .kb import (
     KnowledgeBase,
     ReferenceLists,
     build_kb,
+    json_lines,
     lists_to_obj,
-    parse_record,
     parse_reference_lists,
+    read_records,
     record_to_obj,
 )
 from .textnorm import get_normalizer
 
 MAGIC = b"#peyvand-index"
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 _HEADER = MAGIC + b":v%d\n" % CACHE_VERSION
-_BODY_KEYS = {"doc_freq", "dropped_links", "entities", "lists", "normalizer"}
+_META_KEYS = {"dropped_links", "lists", "normalizer", "records"}
 
 
 class CacheError(PeyvandError):
@@ -44,60 +50,61 @@ class CacheVersionMismatch(CacheError):
         )
 
 
+def _corrupt(path: str | Path, line: int, reason: str) -> CacheError:
+    return CacheError(f"{path}:{line}: corrupt index cache: {reason}")
+
+
+def _line(obj: object) -> bytes:
+    text = json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return text.encode("utf-8") + b"\n"
+
+
 def save_index(kb: KnowledgeBase, lists: ReferenceLists, path: str | Path) -> None:
-    payload = {
+    meta = {
         "normalizer": kb.normalizer,
         "dropped_links": kb.dropped_links,
-        "doc_freq": kb.doc_freq,
-        "entities": {e.id: record_to_obj(e) for e in kb.entities.values()},
         "lists": lists_to_obj(lists),
+        "records": len(kb.entities),
     }
-    body = json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    Path(path).write_bytes(_HEADER + body.encode("utf-8") + b"\n")
+    with open(path, "wb") as fh:
+        fh.write(_HEADER + _line(meta) + _line(kb.doc_freq))
+        fh.writelines(_line(record_to_obj(kb.entities[i])) for i in sorted(kb.entities))
 
 
 def load_index(path: str | Path) -> tuple[KnowledgeBase, ReferenceLists]:
-    raw = Path(path).read_bytes()
-    header, _, body = raw.partition(b"\n")
-    if not header.startswith(MAGIC + b":"):
-        raise CacheError(f"{path}: not an index cache (bad magic header)")
-    version = header[len(MAGIC) + 1 :].decode("ascii", "replace")
-    if version != f"v{CACHE_VERSION}":
-        raise CacheVersionMismatch(path, version)
-    try:
-        payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CacheError(f"{path}: corrupt index cache: {exc}") from exc
+    with open(path, "rb") as fh:
+        header = fh.readline().rstrip(b"\n")
+        if not header.startswith(MAGIC + b":"):
+            raise CacheError(f"{path}: not an index cache (bad magic header)")
+        version = header[len(MAGIC) + 1 :].decode("ascii", "replace")
+        if version != f"v{CACHE_VERSION}":
+            raise CacheVersionMismatch(path, version)
 
-    def corrupt(reason: str) -> CacheError:
-        return CacheError(f"{path}: corrupt index cache: {reason}")
+        lines = json_lines(enumerate(fh, start=2), path, _corrupt)
+        head = list(itertools.islice(lines, 2))
+        if len(head) < 2:
+            raise CacheError(f"{path}: corrupt index cache: it ends before the doc_freq line")
+        (meta_line, meta), (freq_line, frequencies) = head
+        if not isinstance(meta, dict) or meta.keys() != _META_KEYS:
+            keys = sorted(_META_KEYS)
+            raise _corrupt(path, meta_line, f"metadata must be an object with the keys {keys}")
+        normalizer = meta["normalizer"]
+        try:
+            get_normalizer(normalizer)
+        except (TypeError, ValueError):
+            raise _corrupt(path, meta_line, f"unknown normalizer {normalizer!r}") from None
+        dropped, count = meta["dropped_links"], meta["records"]
+        if type(dropped) is not int or type(count) is not int or min(dropped, count) < 0:
+            raise _corrupt(path, meta_line, "dropped_links and records must be integers >= 0")
+        if not isinstance(frequencies, dict) or not all(
+            type(n) is int and n >= 0 for n in frequencies.values()
+        ):
+            raise _corrupt(path, freq_line, "doc_freq must map terms to non-negative integers")
+        lists = parse_reference_lists(meta["lists"], path, normalizer)
+        parsed = read_records(lines, path)
+    if len(parsed) != count:
+        raise CacheError(f"{path}: corrupt index cache: {len(parsed)} records, not {count}")
 
-    if not isinstance(payload, dict) or payload.keys() != _BODY_KEYS:
-        raise corrupt(f"the body must be an object with the keys {sorted(_BODY_KEYS)}")
-    normalizer = payload["normalizer"]
-    try:
-        get_normalizer(normalizer)
-    except (TypeError, ValueError):
-        raise corrupt(f"unknown normalizer {normalizer!r}") from None
-    dropped = payload["dropped_links"]
-    if type(dropped) is not int or dropped < 0:
-        raise corrupt("dropped_links must be a non-negative integer")
-    frequencies = payload["doc_freq"]
-    if not isinstance(frequencies, dict) or not all(
-        type(n) is int and n >= 0 for n in frequencies.values()
-    ):
-        raise corrupt("doc_freq must map terms to non-negative integers")
-    entities = payload["entities"]
-    if not isinstance(entities, dict):
-        raise corrupt("entities must map ids to records")
-
-    lists = parse_reference_lists(payload["lists"], path, normalizer)
-    parsed = []
-    for entity_id, obj in entities.items():
-        if not isinstance(obj, dict):
-            raise corrupt(f"entity {entity_id!r} is not a record")
-        obj["id"] = entity_id
-        parsed.append(parse_record(obj, path, None))
     kb = build_kb(parsed, normalizer, frequencies)
     kb.dropped_links = dropped
     return kb, lists

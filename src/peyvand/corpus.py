@@ -128,7 +128,7 @@ def _parse_mention(obj: object, path: str | Path, line_no: int) -> Mention:
     for key in ("start", "end", "surface"):
         if key not in obj:
             raise MalformedDocument(path, line_no, f"mention missing key {key!r}")
-    if not isinstance(obj["start"], int) or not isinstance(obj["end"], int):
+    if type(obj["start"]) is not int or type(obj["end"]) is not int:
         raise MalformedDocument(path, line_no, "mention offsets must be integers")
     if not isinstance(obj["surface"], str):
         raise MalformedDocument(path, line_no, "mention surface must be a string")
@@ -233,10 +233,10 @@ def _parse_prediction(obj: object, path: str | Path, line_no: int) -> PredictedM
     prediction, score, ambiguity = obj["prediction"], obj["score"], obj["ambiguity"]
     if prediction is not None and not isinstance(prediction, str):
         raise MalformedDocument(path, line_no, "prediction must be an entity id or null")
-    if not isinstance(score, (int, float)):
+    if type(score) not in (int, float):
         raise MalformedDocument(path, line_no, "score must be a number")
     if not isinstance(ambiguity, list) or not all(
-        isinstance(c, dict) and isinstance(c.get("id"), str) and isinstance(c.get("score"), (int, float))
+        isinstance(c, dict) and isinstance(c.get("id"), str) and type(c.get("score")) in (int, float)
         for c in ambiguity
     ):
         raise MalformedDocument(path, line_no, "ambiguity must be an array of {id, score} objects")

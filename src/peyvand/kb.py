@@ -37,12 +37,6 @@ class DuplicateEntityId(PeyvandError):
         self.entity_id = entity_id
 
 
-class UnknownEntity(PeyvandError):
-    def __init__(self, entity_id: str):
-        super().__init__(f"unknown entity id {entity_id!r}")
-        self.entity_id = entity_id
-
-
 class NerType(str, Enum):
     PER = "PER"
     LOC = "LOC"
@@ -113,46 +107,51 @@ class KnowledgeBase:
     ] = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-def read_json_lines(
-    path: str | Path, error: Callable[[str | Path, int, str], PeyvandError]
+ErrorFactory = Callable[[str | Path, int, str], PeyvandError]
+
+
+def decode_json(data: bytes, path: str | Path, line_no: int, error: ErrorFactory) -> object:
+    """The JSON value of `data`, UTF-8 text that starts on line `line_no` of
+    `path`. Every input file is decoded here. Bytes that are not UTF-8
+    (reported by their offset in `data`), invalid JSON, nesting too deep to
+    decode, integers too long to convert and the constants NaN and Infinity
+    raise `error(path, line, reason)`."""
+    try:
+        return _DECODER.decode(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = line_no + data.count(b"\n", 0, exc.start)
+        raise error(path, line, f"not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+    except json.JSONDecodeError as exc:
+        raise error(path, line_no + exc.lineno - 1, f"invalid JSON: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        raise error(path, line_no, f"invalid JSON: {exc}") from exc
+
+
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"{name} is not allowed")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def json_lines(
+    numbered: Iterable[tuple[int, bytes]], path: str | Path, error: ErrorFactory
 ) -> Iterator[tuple[int, object]]:
-    """Line number and decoded value of each non-blank line of a JSON-lines
-    file; a line that is not UTF-8 JSON raises `error(path, line, reason)`."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise error(path, line_no, f"invalid JSON: {exc.msg}") from exc
-                yield line_no, obj
-    except UnicodeDecodeError as exc:
-        raise error(path, *utf8_failure(path)) from exc
+    """Line number and decoded value of each non-blank numbered line."""
+    for line_no, line in numbered:
+        if line.strip():
+            yield line_no, decode_json(line, path, line_no, error)
 
 
-def utf8_failure(path: str | Path) -> tuple[int, str]:
-    """Line and reason for the first bytes of `path` that are not UTF-8,
-    once decoding it has raised `UnicodeDecodeError`. The text decoder
-    reports offsets within its read buffer, so the file is read again."""
-    data = Path(path).read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        return line, f"not valid UTF-8 ({exc.reason} at byte {exc.start})"
-    return 1, "not valid UTF-8"  # the file changed after the failed read
+def read_json_lines(path: str | Path, error: ErrorFactory) -> Iterator[tuple[int, object]]:
+    """Line number and decoded value of each non-blank line of a JSON-lines file."""
+    with open(path, "rb") as fh:
+        yield from json_lines(enumerate(fh, start=1), path, error)
 
 
 def load_reference_lists(path: str | Path, normalizer: str = "persian") -> ReferenceLists:
     """Load and validate a reference-lists file."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except UnicodeDecodeError as exc:
-        raise MalformedRecord(path, *utf8_failure(path)) from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(path, None, f"invalid JSON: {exc}") from exc
+    data = decode_json(Path(path).read_bytes(), path, 1, MalformedRecord)
     return parse_reference_lists(data, path, normalizer)
 
 
@@ -228,9 +227,7 @@ def lists_to_obj(lists: ReferenceLists) -> dict:
 _RECORD_KEYS = ("id", "label", "variants", "class", "ner_type", "pos", "article", "links")
 
 
-def parse_record(
-    obj: object, path: str | Path, line_no: int | None
-) -> tuple[EntityRecord, list[str]]:
+def parse_record(obj: object, path: str | Path, line_no: int) -> tuple[EntityRecord, list[str]]:
     """Validate one dump record; returns it with its out-links unresolved,
     and the links as written so `build_kb` can count the ones it drops."""
     if not isinstance(obj, dict):
@@ -280,8 +277,9 @@ def parse_record(
 
 
 def record_to_obj(record: EntityRecord) -> dict:
-    """The dump-line shape of a record, sorted and without its id."""
+    """The dump-line shape of a record, with its sets sorted."""
     return {
+        "id": record.id,
         "label": record.canonical_label,
         "variants": sorted(record.variant_labels),
         "class": record.kb_class,
@@ -342,6 +340,20 @@ def build_kb(
     )
 
 
+def read_records(
+    lines: Iterable[tuple[int, object]], path: str | Path
+) -> Collection[tuple[EntityRecord, list[str]]]:
+    """`parse_record` each numbered dump line, in order; a repeated id
+    raises `DuplicateEntityId` naming the line that repeats it."""
+    parsed: dict[str, tuple[EntityRecord, list[str]]] = {}
+    for line_no, obj in lines:
+        record, links = parse_record(obj, path, line_no)
+        if record.id in parsed:
+            raise DuplicateEntityId(path, line_no, record.id)
+        parsed[record.id] = (record, links)
+    return parsed.values()
+
+
 def load_kb(
     dump_path: str | Path,
     lists_path: str | Path,
@@ -349,27 +361,12 @@ def load_kb(
 ) -> tuple[KnowledgeBase, ReferenceLists]:
     """Load a dump and its reference lists and build all indexes."""
     lists = load_reference_lists(lists_path, normalizer)
-    raw: dict[str, tuple[EntityRecord, list[str]]] = {}
-    for line_no, obj in read_json_lines(dump_path, MalformedRecord):
-        record, links = parse_record(obj, dump_path, line_no)
-        if record.id in raw:
-            raise DuplicateEntityId(dump_path, line_no, record.id)
-        raw[record.id] = (record, links)
-
-    frequencies = doc_freq((record for record, _ in raw.values()), lists.stopwords, normalizer)
-    return build_kb(raw.values(), normalizer, frequencies), lists
+    parsed = read_records(read_json_lines(dump_path, MalformedRecord), dump_path)
+    frequencies = doc_freq((record for record, _ in parsed), lists.stopwords, normalizer)
+    return build_kb(parsed, normalizer, frequencies), lists
 
 
 def lookup_alias(kb: KnowledgeBase, surface: str) -> frozenset[str]:
     """Entity ids whose canonical or variant label normalizes to `surface`."""
     norm = get_normalizer(kb.normalizer)
     return kb.alias_index.get(norm(surface), frozenset())
-
-
-def link_exists(kb: KnowledgeBase, a: str, b: str) -> bool:
-    """True when either article links to the other (undirected reading)."""
-    if a not in kb.entities:
-        raise UnknownEntity(a)
-    if b not in kb.entities:
-        raise UnknownEntity(b)
-    return b in kb.entities[a].out_links or a in kb.entities[b].out_links

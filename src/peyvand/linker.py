@@ -16,7 +16,6 @@ candidates are kept on a ranked ambiguity list.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from collections import Counter
@@ -32,14 +31,18 @@ from .kb import (
     NerType,
     PosCategory,
     ReferenceLists,
+    decode_json,
     lookup_alias,
-    utf8_failure,
 )
 from .textnorm import Token, content_terms, get_normalizer, tokenize
 
 
 class ConfigError(PeyvandError):
     pass
+
+
+def _config_error(path: str | Path, line: int, reason: str) -> ConfigError:
+    return ConfigError(f"{path}:{line}: {reason}")
 
 
 @dataclass(frozen=True)
@@ -111,13 +114,7 @@ class LinkerConfig:
 
     @classmethod
     def from_file(cls, path: str | Path, base: "LinkerConfig | None" = None) -> "LinkerConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except UnicodeDecodeError as exc:
-            line, reason = utf8_failure(path)
-            raise ConfigError(f"{path}:{line}: {reason}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+        data = decode_json(Path(path).read_bytes(), path, 1, _config_error)
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         return cls.from_dict(data, base)

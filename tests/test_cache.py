@@ -15,8 +15,20 @@ from peyvand.cache import (
     save_index,
 )
 from peyvand.errors import PeyvandError
+from peyvand.kb import DuplicateEntityId, MalformedRecord
 
 from mutations import mutations
+
+
+def _read_lines(path):
+    """The header line of an index and the decoded value of each body line."""
+    header, *body = path.read_bytes().splitlines(keepends=True)
+    return header, [json.loads(line) for line in body]
+
+
+def _write_lines(path, header, values):
+    body = "".join(json.dumps(v, ensure_ascii=False) + "\n" for v in values)
+    path.write_bytes(header + body.encode("utf-8"))
 
 
 class TestIndexCache:
@@ -73,11 +85,44 @@ class TestIndexCache:
     def test_body_holds_dump_records_lists_and_frequencies_only(self, tmp_path, kb, lists):
         path = tmp_path / "kb.idx"
         save_index(kb, lists, path)
-        payload = json.loads(path.read_bytes().partition(b"\n")[2])
-        assert set(payload) == {"doc_freq", "dropped_links", "entities", "lists", "normalizer"}
-        dump_keys = {"label", "variants", "class", "ner_type", "pos", "article", "links", "rare"}
-        assert all(set(record) == dump_keys for record in payload["entities"].values())
-        assert set(payload["lists"]) == {"rare_blocklist", "class_filters", "type_mapping", "stopwords"}
+        _, (meta, frequencies, *records) = _read_lines(path)
+        assert set(meta) == {"dropped_links", "lists", "normalizer", "records"}
+        assert set(meta["lists"]) == {"rare_blocklist", "class_filters", "type_mapping", "stopwords"}
+        assert frequencies == kb.doc_freq
+        dump_keys = {"id", "label", "variants", "class", "ner_type", "pos", "article", "links", "rare"}
+        assert all(set(record) == dump_keys for record in records)
+        assert [record["id"] for record in records] == sorted(kb.entities)
+        assert meta["records"] == len(records)
+
+    def test_duplicate_record_id_names_its_line(self, tmp_path, kb, lists):
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+        header, values = _read_lines(path)
+        _write_lines(path, header, values + [values[2]])
+        with pytest.raises(DuplicateEntityId, match=f"^{path}:{len(values) + 2}: "):
+            load_index(path)
+
+    def test_bad_record_names_its_line(self, tmp_path, kb, lists):
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+        header, values = _read_lines(path)
+        values[5]["ner_type"] = "XX"  # the fourth record, on line 7
+        _write_lines(path, header, values)
+        with pytest.raises(MalformedRecord, match=f"^{path}:7: ner_type 'XX' is invalid"):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "keep,reason",
+        [(1, "ends before the doc_freq line"), (-1, "records, not ")],
+        ids=["after-metadata", "at-a-record-boundary"],
+    )
+    def test_cut_index_raises_cache_error(self, tmp_path, kb, lists, keep, reason):
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+        header, values = _read_lines(path)
+        _write_lines(path, header, values[:keep])
+        with pytest.raises(CacheError, match=reason):
+            load_index(path)
 
     def test_load_tokenizes_no_article(self, tmp_path, kb, lists, monkeypatch):
         path = tmp_path / "kb.idx"
@@ -95,16 +140,15 @@ class TestIndexCache:
 def saved_index(tmp_path_factory, kb, lists):
     path = tmp_path_factory.mktemp("mutated") / "kb.idx"
     save_index(kb, lists, path)
-    header, _, body = path.read_bytes().partition(b"\n")
-    return path, header, json.loads(body)
+    return path, *_read_lines(path)
 
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_any_body_mutation_loads_or_raises_peyvand_error(saved_index, data):
-    path, header, payload = saved_index
-    mutated = data.draw(mutations(payload))
-    path.write_bytes(header + b"\n" + json.dumps(mutated, ensure_ascii=False).encode("utf-8"))
+    """One body line deleted, or one value of one line changed or deleted."""
+    path, header, values = saved_index
+    _write_lines(path, header, data.draw(mutations(values)))
     try:
         load_index(path)
     except PeyvandError:

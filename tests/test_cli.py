@@ -128,12 +128,15 @@ class TestLink:
 
     def test_stale_index_version_exits_one(self, tmp_path, data_dir, index_path, capsys):
         stale = tmp_path / "stale.idx"
-        stale.write_bytes(index_path.read_bytes().replace(b":v%d\n" % CACHE_VERSION, b":v99\n", 1))
-        code = main(["link", "--index", str(stale),
-                     "--corpus", str(data_dir / "mini_corpus.jsonl"),
-                     "--out", str(tmp_path / "p.jsonl")])
-        assert code == 1
-        assert "rebuild" in capsys.readouterr().err
+        for version in (b"v2", b"v99"):
+            header = b":%s\n" % version
+            stale.write_bytes(index_path.read_bytes().replace(b":v%d\n" % CACHE_VERSION, header, 1))
+            code = main(["link", "--index", str(stale),
+                         "--corpus", str(data_dir / "mini_corpus.jsonl"),
+                         "--out", str(tmp_path / "p.jsonl")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert _one_error_line(err) and "rebuild it with `peyvand build-index`" in err
 
 
 class TestEvaluate:
@@ -236,19 +239,43 @@ def _one_error_line(err: str) -> bool:
 
 
 def _rewrite_index_body(src, dest, edit):
-    header, _, body = src.read_bytes().partition(b"\n")
-    payload = json.loads(body)
-    edit(payload)
-    dest.write_bytes(header + b"\n" + json.dumps(payload, ensure_ascii=False).encode("utf-8"))
+    """`edit` the decoded body lines of an index: metadata, doc_freq, records."""
+    header, *body = src.read_bytes().splitlines(keepends=True)
+    values = [json.loads(line) for line in body]
+    edit(values)
+    lines = "".join(json.dumps(v, ensure_ascii=False) + "\n" for v in values)
+    dest.write_bytes(header + lines.encode("utf-8"))
+
+
+def _argv(command, flag, path, tmp_path, data_dir, index_path):
+    """`command` over the bundled inputs, with `path` given for `flag`."""
+    argv = {
+        "build-index": ["--kb", str(data_dir / "mini_kb.jsonl"),
+                        "--lists", str(data_dir / "reference_lists.json"),
+                        "--out", str(tmp_path / "x.idx")],
+        "link": ["--index", str(index_path), "--corpus", str(data_dir / "mini_corpus.jsonl"),
+                 "--out", str(tmp_path / "p.jsonl")],
+        "evaluate": ["--corpus", str(data_dir / "mini_corpus.jsonl"),
+                     "--predictions", str(data_dir / "golden_predictions.jsonl")],
+    }[command]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(path)
+    else:
+        argv += [flag, str(path)]
+    return [command, *argv]
+
+
+_INPUTS = [("build-index", "--kb"), ("build-index", "--lists"), ("link", "--index"),
+           ("link", "--corpus"), ("link", "--config"), ("evaluate", "--predictions")]
 
 
 class TestMalformedInputExitsOne:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda body: body.pop("doc_freq"),
-            lambda body: body.update(entities=list(body["entities"].values())),
-            lambda body: body["entities"]["E01"].update(ner_type="XX"),
+            lambda lines: lines.pop(1),
+            lambda lines: lines.__setitem__(2, list(lines[2].values())),
+            lambda lines: next(r for r in lines[2:] if r["id"] == "E01").update(ner_type="XX"),
         ],
         ids=["missing-doc-freq", "entities-not-an-object", "bad-ner-type"],
     )
@@ -297,23 +324,34 @@ class TestMalformedInputExitsOne:
     def test_undecodable_file(self, tmp_path, data_dir, index_path, capsys, command, flag):
         bad = tmp_path / "bad"
         bad.write_bytes(b"\xff\xfe{}\n")
-        argv = {
-            "build-index": ["--kb", str(data_dir / "mini_kb.jsonl"),
-                            "--lists", str(data_dir / "reference_lists.json"),
-                            "--out", str(tmp_path / "x.idx")],
-            "link": ["--index", str(index_path), "--corpus", str(data_dir / "mini_corpus.jsonl"),
-                     "--out", str(tmp_path / "p.jsonl")],
-            "evaluate": ["--corpus", str(data_dir / "mini_corpus.jsonl"),
-                         "--predictions", str(data_dir / "golden_predictions.jsonl")],
-        }[command]
-        if flag in argv:
-            argv[argv.index(flag) + 1] = str(bad)
-        else:
-            argv += [flag, str(bad)]
-        assert main([command, *argv]) == 1
+        assert main(_argv(command, flag, bad, tmp_path, data_dir, index_path)) == 1
         err = capsys.readouterr().err
         assert _one_error_line(err)
         assert f"{bad}:1: not valid UTF-8" in err
+
+    @pytest.mark.parametrize(
+        "value", ["[" * 200_000, "1" * 5000, "NaN"], ids=["deep-nesting", "long-integer", "nan"]
+    )
+    @pytest.mark.parametrize("command,flag", _INPUTS)
+    def test_undecodable_json_value(
+        self, tmp_path, data_dir, index_path, capsys, command, flag, value
+    ):
+        source = {
+            "--kb": data_dir / "mini_kb.jsonl",
+            "--lists": data_dir / "reference_lists.json",
+            "--index": index_path,
+            "--corpus": data_dir / "mini_corpus.jsonl",
+            "--config": data_dir / "default_config.json",
+            "--predictions": data_dir / "golden_predictions.jsonl",
+        }[flag]
+        bad = tmp_path / "bad"
+        # An extra key in the first object: each loader ignores or rejects
+        # it, but only after the value has been decoded.
+        bad.write_bytes(source.read_bytes().replace(b"{", b'{"x":' + value.encode() + b",", 1))
+        assert main(_argv(command, flag, bad, tmp_path, data_dir, index_path)) == 1
+        err = capsys.readouterr().err
+        assert _one_error_line(err)
+        assert f"{bad}:" in err and "invalid JSON" in err
 
     def test_non_object_prediction_mention(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"

@@ -82,6 +82,13 @@ class TestLoadCorpus:
         with pytest.raises(MalformedDocument):
             load_corpus(path)
 
+    @pytest.mark.parametrize("offsets", [{"start": False, "end": 1}, {"start": 0, "end": True}])
+    def test_boolean_offset_rejected(self, tmp_path, offsets):
+        path = tmp_path / "c.jsonl"
+        path.write_text(_doc_line(mentions=[{**offsets, "surface": "ا"}]), encoding="utf-8")
+        with pytest.raises(MalformedDocument, match="offsets must be integers"):
+            load_corpus(path)
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(_doc_line() + "\n{oops\n", encoding="utf-8")
@@ -208,9 +215,13 @@ class TestLoadPredictions:
             _prediction_line(ambiguity=[5]),
             _prediction_line(score="high"),
             _prediction_line(prediction=7),
+            _prediction_line(score=True),
+            _prediction_line(ambiguity=[{"id": "E2", "score": False}]),
+            _prediction_line(start=False),
         ],
         ids=["mention-not-object", "mentions-not-array", "ambiguity-not-array",
-             "ambiguity-entry-not-object", "score-not-number", "prediction-not-id"],
+             "ambiguity-entry-not-object", "score-not-number", "prediction-not-id",
+             "score-bool", "ambiguity-score-bool", "start-bool"],
     )
     def test_malformed_mention_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "p.jsonl"

@@ -10,10 +10,8 @@ from peyvand.kb import (
     MalformedRecord,
     NerType,
     PosCategory,
-    UnknownEntity,
     build_kb,
     doc_freq,
-    link_exists,
     lists_to_obj,
     load_kb,
     load_reference_lists,
@@ -23,7 +21,7 @@ from peyvand.kb import (
 )
 from peyvand.textnorm import content_terms, normalize, tokenize
 
-from oracles import brute_force_adjacency, brute_force_candidates
+from oracles import brute_force_candidates
 
 
 def _record(entity_id, label, variants=(), links=(), article="", **extra):
@@ -201,39 +199,6 @@ class TestLookupAlias:
         assert lookup_alias(kb, "Foo") == {"E1"}
         assert lookup_alias(kb, "foo") == frozenset()
         assert kb.normalizer == "identity"
-
-
-class TestLinkExists:
-    def test_direct_out_link(self, kb):
-        assert link_exists(kb, "E01", "E02")
-
-    def test_reverse_only_link_counts(self, kb):
-        # E23 links E01; E01 does not link back
-        assert "E23" not in kb.entities["E01"].out_links
-        assert link_exists(kb, "E01", "E23")
-
-    def test_unlinked_pair(self, kb):
-        assert not link_exists(kb, "E24", "E25")
-
-    def test_symmetry_over_all_pairs(self, kb):
-        ids = sorted(kb.entities)
-        for a in ids:
-            for b in ids:
-                assert link_exists(kb, a, b) == link_exists(kb, b, a)
-
-    def test_matches_brute_force_adjacency(self, kb):
-        adjacency = brute_force_adjacency(kb)
-        ids = sorted(kb.entities)
-        for a in ids:
-            for b in ids:
-                if a != b:
-                    assert link_exists(kb, a, b) == (frozenset((a, b)) in adjacency)
-
-    def test_unknown_entity_raises(self, kb):
-        with pytest.raises(UnknownEntity):
-            link_exists(kb, "E01", "E99")
-        with pytest.raises(UnknownEntity):
-            link_exists(kb, "E99", "E01")
 
 
 class TestDocFreq:
