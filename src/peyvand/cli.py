@@ -22,6 +22,7 @@ from .errors import PeyvandError
 from .evaluate import render_report, report_records, score_predictions
 from .kb import load_kb
 from .linker import LinkerConfig, link_document
+from .textnorm import PROFILES
 
 
 @dataclasses.dataclass
@@ -51,20 +52,19 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _load_config(args: argparse.Namespace, base: LinkerConfig = LinkerConfig()) -> LinkerConfig:
-    """The config file over `base`, then the command-line overrides."""
-    cfg = LinkerConfig.from_file(args.config, base) if args.config else base
+def _load_config(args: argparse.Namespace) -> LinkerConfig:
+    """The `link` config file over the defaults, then the command-line overrides."""
+    cfg = LinkerConfig.from_file(args.config) if args.config else LinkerConfig()
     overrides = {}
-    if getattr(args, "lambda_weight", None) is not None:
+    if args.lambda_weight is not None:
         overrides["lambda_weight"] = args.lambda_weight
-    if getattr(args, "nil_threshold", None) is not None:
+    if args.nil_threshold is not None:
         overrides["nil_threshold"] = args.nil_threshold
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def cmd_build_index(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    kb, lists = load_kb(args.kb, args.lists, normalizer=cfg.normalizer)
+    kb, lists = load_kb(args.kb, args.lists, normalizer=args.normalizer)
     if kb.dropped_links:
         print(
             f"warning: dropped {kb.dropped_links} out-link(s) pointing outside the dump",
@@ -83,16 +83,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     kb, lists = load_index(args.index)
     timings["load_index"] = time.perf_counter() - started
-
-    # The index fixes the normalizer; only one a config file sets can differ.
-    cfg = _load_config(args, LinkerConfig(normalizer=kb.normalizer))
-    if cfg.normalizer != kb.normalizer:
-        print(
-            f"warning: config normalizer {cfg.normalizer!r} ignored; the index was "
-            f"built with {kb.normalizer!r}",
-            file=sys.stderr,
-        )
-        cfg = dataclasses.replace(cfg, normalizer=kb.normalizer)
+    cfg = _load_config(args)
     if cfg.lambda_weight > 0 and not lists.stopwords:
         print("warning: context scoring enabled but the stopword list is empty", file=sys.stderr)
 
@@ -115,7 +106,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     manifest = RunManifest(
         tool="peyvand",
         version=__version__,
-        config=cfg.to_dict(),
+        config={**cfg.to_dict(), "normalizer": kb.normalizer},
         inputs=inputs,
         timings_s=timings,
         documents=len(docs),
@@ -186,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", required=True, help="KB dump (JSON lines)")
     p.add_argument("--lists", required=True, help="reference lists file")
     p.add_argument("--out", required=True, help="index cache output path")
-    p.add_argument("--config", help="linker config (only `normalizer` matters here)")
+    p.add_argument("--normalizer", choices=sorted(PROFILES), default="persian",
+                   help="text normalization profile, fixed in the index")
     p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("link", help="link every mention of a corpus")

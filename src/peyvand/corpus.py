@@ -240,10 +240,14 @@ def _parse_prediction(obj: object, path: str | Path, line_no: int) -> PredictedM
         for c in ambiguity
     ):
         raise MalformedDocument(path, line_no, "ambiguity must be an array of {id, score} objects")
-    ranked = tuple(RankedCandidate(c["id"], float(c["score"])) for c in ambiguity)
+    try:
+        ranked = tuple(RankedCandidate(c["id"], float(c["score"])) for c in ambiguity)
+        score = float(score)
+    except OverflowError:
+        raise MalformedDocument(path, line_no, "score too large for a float") from None
     return PredictedMention(
         mention.start, mention.end, mention.surface, NIL if prediction is None else prediction,
-        float(score), ranked, mention.ner_type, mention.pos_tag,
+        score, ranked, mention.ner_type, mention.pos_tag,
     )
 
 

@@ -12,6 +12,7 @@ Reference lists live in a single JSON file with keys `rare_blocklist`,
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -86,14 +87,12 @@ class ReferenceLists:
 
 @dataclass
 class KnowledgeBase:
-    """Immutable after load apart from the `article_vectors` memo; safe for
-    concurrent readers.
+    """Immutable after load apart from the `article_vectors` memo.
 
     `article_vectors` is derived data, not part of the KB: the linker fills
     it on first use with each article's TF-IDF vector and norm, keyed by
     `(stopwords, idf_smoothing)` and then by entity id. It is never saved
-    to the index, and `dataclasses.replace` and `==` ignore it. Concurrent
-    readers may both fill an entry; they store equal values.
+    to the index, and `dataclasses.replace` and `==` ignore it.
     """
 
     entities: dict[str, EntityRecord]
@@ -114,8 +113,8 @@ def decode_json(data: bytes, path: str | Path, line_no: int, error: ErrorFactory
     """The JSON value of `data`, UTF-8 text that starts on line `line_no` of
     `path`. Every input file is decoded here. Bytes that are not UTF-8
     (reported by their offset in `data`), invalid JSON, nesting too deep to
-    decode, integers too long to convert and the constants NaN and Infinity
-    raise `error(path, line, reason)`."""
+    decode, integers too long to convert, the constants NaN and Infinity
+    and floats too large to be finite raise `error(path, line, reason)`."""
     try:
         return _DECODER.decode(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -131,7 +130,14 @@ def _reject_constant(name: str) -> float:
     raise ValueError(f"{name} is not allowed")
 
 
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_reject_constant)
 
 
 def json_lines(

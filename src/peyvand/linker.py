@@ -57,7 +57,6 @@ class LinkerConfig:
     pos_filter: bool = True
     popularity_filter: bool = True
     class_filter: bool = True
-    normalizer: str = "persian"
     context_window: int | None = None
     idf_smoothing: bool = True
 
@@ -71,53 +70,51 @@ class LinkerConfig:
         window = self.context_window
         if window is not None and (type(window) is not int or window < 1):
             raise ConfigError(f"context_window must be a positive integer or null, got {window!r}")
-        get_normalizer(self.normalizer)  # raises on unknown profile
 
     @classmethod
-    def from_dict(cls, data: Mapping, base: "LinkerConfig | None" = None) -> "LinkerConfig":
-        """Keys missing from `data` keep their value in `base` (default: defaults)."""
-        base = base or cls()
-        known = {"lambda", "nil_threshold", "filters", "normalizer", "context_window", "idf_smoothing"}
-        unknown = set(data) - known
+    def from_dict(cls, data: Mapping) -> "LinkerConfig":
+        """Keys missing from `data` take the defaults."""
+        defaults = cls().to_dict()
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         filters = data.get("filters", {})
         if not isinstance(filters, Mapping):
             raise ConfigError(f"filters must be an object, got {filters!r}")
-        bad = set(filters) - {"type", "pos", "popularity", "class"}
+        bad = set(filters) - set(defaults["filters"])
         if bad:
             raise ConfigError(f"unknown filter keys: {sorted(bad)}")
+        values = {**defaults, **data}
+        filters = {**defaults["filters"], **filters}
         flags = {f"filters.{k}": v for k, v in filters.items()}
-        if "idf_smoothing" in data:
-            flags["idf_smoothing"] = data["idf_smoothing"]
+        flags["idf_smoothing"] = values["idf_smoothing"]
         for key, value in flags.items():
             if type(value) is not bool:
                 raise ConfigError(f"{key} must be true or false, got {value!r}")
         for key in ("lambda", "nil_threshold"):
-            value = data.get(key, 0.0)
+            value = values[key]
             if type(value) is bool or not isinstance(value, (int, float)):
                 raise ConfigError(f"{key} must be a number, got {value!r}")
         try:
             return cls(
-                lambda_weight=float(data.get("lambda", base.lambda_weight)),
-                nil_threshold=float(data.get("nil_threshold", base.nil_threshold)),
-                type_filter=filters.get("type", base.type_filter),
-                pos_filter=filters.get("pos", base.pos_filter),
-                popularity_filter=filters.get("popularity", base.popularity_filter),
-                class_filter=filters.get("class", base.class_filter),
-                normalizer=data.get("normalizer", base.normalizer),
-                context_window=data.get("context_window", base.context_window),
-                idf_smoothing=data.get("idf_smoothing", base.idf_smoothing),
+                lambda_weight=float(values["lambda"]),
+                nil_threshold=float(values["nil_threshold"]),
+                type_filter=filters["type"],
+                pos_filter=filters["pos"],
+                popularity_filter=filters["popularity"],
+                class_filter=filters["class"],
+                context_window=values["context_window"],
+                idf_smoothing=values["idf_smoothing"],
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid config value: {exc}") from exc
 
     @classmethod
-    def from_file(cls, path: str | Path, base: "LinkerConfig | None" = None) -> "LinkerConfig":
+    def from_file(cls, path: str | Path) -> "LinkerConfig":
         data = decode_json(Path(path).read_bytes(), path, 1, _config_error)
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data, base)
+        return cls.from_dict(data)
 
     def to_dict(self) -> dict:
         return {
@@ -129,7 +126,6 @@ class LinkerConfig:
                 "popularity": self.popularity_filter,
                 "class": self.class_filter,
             },
-            "normalizer": self.normalizer,
             "context_window": self.context_window,
             "idf_smoothing": self.idf_smoothing,
         }

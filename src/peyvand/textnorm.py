@@ -54,7 +54,7 @@ def identity_normalize(s: str) -> str:
     return s
 
 
-_PROFILES: dict[str, Callable[[str], str]] = {
+PROFILES: dict[str, Callable[[str], str]] = {
     "persian": persian_normalize,
     "identity": identity_normalize,
 }
@@ -62,10 +62,10 @@ _PROFILES: dict[str, Callable[[str], str]] = {
 
 def get_normalizer(name: str) -> Callable[[str], str]:
     try:
-        return _PROFILES[name]
+        return PROFILES[name]
     except KeyError:
         raise ValueError(
-            f"unknown normalizer profile {name!r}; expected one of {sorted(_PROFILES)}"
+            f"unknown normalizer profile {name!r}; expected one of {sorted(PROFILES)}"
         ) from None
 
 

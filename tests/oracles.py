@@ -3,16 +3,18 @@
 Everything here recomputes results the slow, obvious way: candidate sets
 by scanning every entity's labels, cosine over dense numpy vectors built
 from an explicit term-weight table, graph counts by exhaustive pair
-enumeration, and a full re-implementation of the linking pipeline on top
-of those. Only the tokenizer and the data containers are shared with the
-package; no scoring code is.
+enumeration, tokens by scanning characters one at a time, and a full
+re-implementation of the linking pipeline on top of those. Only the
+normalizer profiles and the data containers are shared with the package;
+no tokenizing or scoring code is.
 """
 
 from __future__ import annotations
 
 import math
+import unicodedata
 from collections import Counter
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +26,24 @@ from peyvand.kb import (
     ReferenceLists,
 )
 from peyvand.linker import LinkResult, LinkerConfig, ScoredCandidate
-from peyvand.textnorm import get_normalizer, tokenize
+from peyvand.textnorm import get_normalizer
+
+
+def oracle_tokenize(s: str, norm: Callable[[str], str]) -> list[tuple[str, int, int]]:
+    """`(normalized text, start, end)` of each maximal run of characters
+    that are neither whitespace nor Unicode punctuation (category P*),
+    with offsets into `s`; runs that normalize to "" are dropped."""
+    tokens = []
+    start = None
+    for i, ch in enumerate(s + " "):  # the final space ends the last run
+        if ch.isspace() or unicodedata.category(ch).startswith("P"):
+            text = norm(s[start:i]) if start is not None else ""
+            if text:
+                tokens.append((text, start, i))
+            start = None
+        elif start is None:
+            start = i
+    return tokens
 
 
 def brute_force_candidates(kb: KnowledgeBase, surface: str) -> set[str]:
@@ -137,13 +156,11 @@ def oracle_context_terms(
     doc: Document, mention: Mention, kb: KnowledgeBase, lists: ReferenceLists, window: int | None
 ) -> list[str]:
     norm = get_normalizer(kb.normalizer)
-    tokens = tokenize(doc.text, norm)
     before, after = [], []
-    for token in tokens:
-        overlaps = token.end > mention.start and token.start < mention.end
-        if overlaps:
+    for text, start, end in oracle_tokenize(doc.text, norm):
+        if end > mention.start and start < mention.end:
             continue
-        (before if token.end <= mention.start else after).append(token.text)
+        (before if end <= mention.start else after).append(text)
     if window is not None:
         before = before[-window:]
         after = after[:window]
@@ -152,8 +169,8 @@ def oracle_context_terms(
 
 def oracle_article_terms(entity_id: str, kb: KnowledgeBase, lists: ReferenceLists) -> list[str]:
     norm = get_normalizer(kb.normalizer)
-    tokens = tokenize(kb.entities[entity_id].article_text, norm)
-    return [t.text for t in tokens if t.text not in lists.stopwords]
+    tokens = oracle_tokenize(kb.entities[entity_id].article_text, norm)
+    return [text for text, _, _ in tokens if text not in lists.stopwords]
 
 
 def oracle_link_document(
@@ -162,7 +179,7 @@ def oracle_link_document(
     """Full pipeline recomputed independently (shares only data types)."""
     norm = get_normalizer(kb.normalizer)
     doc_terms = {
-        t.text for t in tokenize(doc.text, norm) if t.text not in lists.stopwords
+        text for text, _, _ in oracle_tokenize(doc.text, norm) if text not in lists.stopwords
     }
     doc_candidates: dict[int, set[str]] = {}
     penalties: dict[int, dict[str, float]] = {}

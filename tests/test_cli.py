@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peyvand.cache import CACHE_VERSION
 from peyvand.cli import main
 from peyvand.corpus import load_predictions
+
+from mutations import byte_edits, mutations
 
 
 def _assert_matches_golden(predictions, data_dir):
@@ -257,12 +263,25 @@ def _argv(command, flag, path, tmp_path, data_dir, index_path):
                  "--out", str(tmp_path / "p.jsonl")],
         "evaluate": ["--corpus", str(data_dir / "mini_corpus.jsonl"),
                      "--predictions", str(data_dir / "golden_predictions.jsonl")],
+        "stats": ["--corpus", str(data_dir / "mini_corpus.jsonl"), "--index", str(index_path)],
     }[command]
     if flag in argv:
         argv[argv.index(flag) + 1] = str(path)
     else:
         argv += [flag, str(path)]
     return [command, *argv]
+
+
+def _source(flag, data_dir, index_path):
+    """The valid file each input flag reads: bundled data or a fresh index."""
+    return {
+        "--kb": data_dir / "mini_kb.jsonl",
+        "--lists": data_dir / "reference_lists.json",
+        "--index": index_path,
+        "--corpus": data_dir / "mini_corpus.jsonl",
+        "--config": data_dir / "default_config.json",
+        "--predictions": data_dir / "golden_predictions.jsonl",
+    }[flag]
 
 
 _INPUTS = [("build-index", "--kb"), ("build-index", "--lists"), ("link", "--index"),
@@ -330,20 +349,15 @@ class TestMalformedInputExitsOne:
         assert f"{bad}:1: not valid UTF-8" in err
 
     @pytest.mark.parametrize(
-        "value", ["[" * 200_000, "1" * 5000, "NaN"], ids=["deep-nesting", "long-integer", "nan"]
+        "value",
+        ["[" * 200_000, "1" * 5000, "NaN", "1e999"],
+        ids=["deep-nesting", "long-integer", "nan", "huge-float"],
     )
     @pytest.mark.parametrize("command,flag", _INPUTS)
     def test_undecodable_json_value(
         self, tmp_path, data_dir, index_path, capsys, command, flag, value
     ):
-        source = {
-            "--kb": data_dir / "mini_kb.jsonl",
-            "--lists": data_dir / "reference_lists.json",
-            "--index": index_path,
-            "--corpus": data_dir / "mini_corpus.jsonl",
-            "--config": data_dir / "default_config.json",
-            "--predictions": data_dir / "golden_predictions.jsonl",
-        }[flag]
+        source = _source(flag, data_dir, index_path)
         bad = tmp_path / "bad"
         # An extra key in the first object: each loader ignores or rejects
         # it, but only after the value has been decoded.
@@ -367,34 +381,90 @@ class TestMalformedInputExitsOne:
         assert f"{pred}:1:" in err
 
 
+def _damaged(data, source):
+    """The bytes of `source` with one byte edited, or with one JSON value
+    changed or deleted at any depth. A JSON-lines file or an index body
+    counts as the list of its lines, so a whole line may go."""
+    raw = source.read_bytes()
+    if data.draw(st.booleans(), label="byte edit"):
+        return data.draw(byte_edits(raw))
+    if source.suffix == ".json":
+        return json.dumps(data.draw(mutations(json.loads(raw))), ensure_ascii=False).encode()
+    lines = raw.splitlines(keepends=True)
+    header = lines.pop(0) if source.suffix == ".idx" else b""
+    values = data.draw(mutations([json.loads(line) for line in lines]))
+    return header + "".join(json.dumps(v, ensure_ascii=False) + "\n" for v in values).encode()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("damaged")
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [*_INPUTS, ("evaluate", "--corpus"), ("stats", "--corpus"), ("stats", "--index")],
+)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_damaged_input_exits_zero_or_one_error_line(
+    workdir, data_dir, index_path, command, flag, data
+):
+    bad = workdir / "bad"
+    bad.write_bytes(_damaged(data, _source(flag, data_dir, index_path)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(_argv(command, flag, bad, workdir, data_dir, index_path))
+    assert code == 0 or (code == 1 and _one_error_line(err.getvalue())), err.getvalue()
+
+
 class TestIndexNormalizer:
     @pytest.fixture(scope="class")
     def identity_index(self, tmp_path_factory, data_dir):
-        root = tmp_path_factory.mktemp("identity")
-        config = root / "cfg.json"
-        config.write_text(json.dumps({"normalizer": "identity"}), encoding="utf-8")
-        path = root / "identity.idx"
+        path = tmp_path_factory.mktemp("identity") / "identity.idx"
         assert main(["build-index", "--kb", str(data_dir / "mini_kb.jsonl"),
                      "--lists", str(data_dir / "reference_lists.json"),
-                     "--out", str(path), "--config", str(config)]) == 0
+                     "--out", str(path), "--normalizer", "identity"]) == 0
         return path
 
     @pytest.mark.parametrize(
-        "config,warns",
-        [(None, False), ({"lambda": 0.4}, False), ({"normalizer": "persian"}, True)],
-        ids=["no-config", "config-without-normalizer", "config-sets-other-normalizer"],
+        "config", [None, {"lambda": 0.4}], ids=["no-config", "config-without-normalizer"]
     )
-    def test_warns_only_when_a_config_file_sets_another_normalizer(
-        self, tmp_path, data_dir, identity_index, capsys, config, warns
+    def test_link_uses_index_normalizer(
+        self, tmp_path, data_dir, identity_index, capsys, config
     ):
         extra = []
         if config is not None:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(config), encoding="utf-8")
             extra = ["--config", str(path)]
-        out = tmp_path / "p.jsonl"
         capsys.readouterr()
-        assert _link(identity_index, data_dir / "mini_corpus.jsonl", out, *extra) == 0
-        assert ("normalizer 'persian' ignored" in capsys.readouterr().err) is warns
+        assert _link(identity_index, data_dir / "mini_corpus.jsonl", tmp_path / "p.jsonl", *extra) == 0
+        assert capsys.readouterr().err == ""
         manifest = json.loads((tmp_path / "p.jsonl.manifest.json").read_text(encoding="utf-8"))
         assert manifest["config"]["normalizer"] == "identity"
+
+    def test_config_that_sets_a_normalizer_exits_one(
+        self, tmp_path, data_dir, identity_index, capsys
+    ):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"normalizer": "identity"}), encoding="utf-8")
+        out = tmp_path / "p.jsonl"
+        capsys.readouterr()
+        assert _link(identity_index, data_dir / "mini_corpus.jsonl", out, "--config", str(path)) == 1
+        err = capsys.readouterr().err
+        assert _one_error_line(err) and "normalizer" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [("--config", "cfg.json"), ("--normalizer", "klingon")],
+        ids=["config", "unknown-normalizer"],
+    )
+    def test_build_index_usage_error_exits_two(self, tmp_path, data_dir, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["build-index", "--kb", str(data_dir / "mini_kb.jsonl"),
+                  "--lists", str(data_dir / "reference_lists.json"),
+                  "--out", str(tmp_path / "x.idx"), *flags])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: peyvand")
+        assert not (tmp_path / "x.idx").exists()

@@ -218,10 +218,13 @@ class TestLoadPredictions:
             _prediction_line(score=True),
             _prediction_line(ambiguity=[{"id": "E2", "score": False}]),
             _prediction_line(start=False),
+            _prediction_line(score=10**400),
+            _prediction_line(ambiguity=[{"id": "E2", "score": -(10**400)}]),
         ],
         ids=["mention-not-object", "mentions-not-array", "ambiguity-not-array",
              "ambiguity-entry-not-object", "score-not-number", "prediction-not-id",
-             "score-bool", "ambiguity-score-bool", "start-bool"],
+             "score-bool", "ambiguity-score-bool", "start-bool", "score-too-large",
+             "ambiguity-score-too-large"],
     )
     def test_malformed_mention_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "p.jsonl"

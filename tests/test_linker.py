@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -71,6 +72,12 @@ class TestConfig:
             LinkerConfig.from_dict({"lamda": 0.5})
         with pytest.raises(ConfigError):
             LinkerConfig.from_dict({"filters": {"typo": True}})
+        with pytest.raises(ConfigError):  # the normalizer is fixed by the index
+            LinkerConfig.from_dict({"normalizer": "persian"})
+
+    def test_bundled_config_is_the_defaults(self, data_dir):
+        bundled = json.loads((data_dir / "default_config.json").read_text(encoding="utf-8"))
+        assert bundled == LinkerConfig().to_dict()
 
 
 class TestGenerateCandidates:
@@ -567,10 +574,9 @@ class TestConfigRejectsInvalidNumbers:
         assert (cfg.lambda_weight, cfg.nil_threshold) == (1.0, 0.0)
         assert type(cfg.lambda_weight) is float and type(cfg.nil_threshold) is float
 
-    def test_from_dict_keeps_base_values_for_missing_keys(self):
-        base = LinkerConfig(normalizer="identity", nil_threshold=0.3)
-        cfg = LinkerConfig.from_dict({"lambda": 0.2}, base)
-        assert (cfg.lambda_weight, cfg.nil_threshold, cfg.normalizer) == (0.2, 0.3, "identity")
+    def test_from_dict_takes_defaults_for_missing_keys(self):
+        assert LinkerConfig.from_dict({"lambda": 0.2}) == LinkerConfig(lambda_weight=0.2)
+        assert LinkerConfig.from_dict({"filters": {"pos": False}}) == LinkerConfig(pos_filter=False)
 
 
 class TestConfigRejectsMalformedFlags:

@@ -21,6 +21,8 @@ from peyvand.textnorm import (
     tokenize,
 )
 
+from oracles import oracle_tokenize
+
 # Mixed alphabet that stresses the Persian rules as well as generic unicode.
 _persianish = st.text(
     alphabet=st.one_of(
@@ -28,6 +30,22 @@ _persianish = st.text(
         st.characters(min_codepoint=0x20, max_codepoint=0x7E),
         st.sampled_from([ZWNJ, TATWEEL, " ", "\t", "\n", "ّ", "ً"]),
     )
+)
+
+# What the tokenizer must split or keep: Persian and Arabic letters, the
+# Arabic kaf/yeh, ZWNJ, tatweel, harakat, a combining mark, ASCII and
+# Arabic punctuation, Unicode spaces, digits and Latin letters.
+_tokenizer_text = st.text(
+    alphabet=st.one_of(
+        st.characters(min_codepoint=0x0621, max_codepoint=0x064A),
+        st.sampled_from("پچژگکیآ" + ARABIC_KAF + ARABIC_YEH + ZWNJ + TATWEEL),
+        st.sampled_from(ARABIC_DIACRITICS + ("\u0301", "\u0670")),
+        st.sampled_from(".,!?;:()-\"'،؛؟٫«»…"),
+        st.sampled_from(" \t\n\u00a0\u2009\u202f\u3000\u2028"),
+        st.sampled_from("0123456789۰۱۲۳۴۵۶۷۸۹"),
+        st.characters(min_codepoint=ord("A"), max_codepoint=ord("z")),
+    ),
+    max_size=40,
 )
 
 
@@ -128,6 +146,12 @@ class TestTokenize:
     def test_identity_profile_tokens_keep_raw_text(self):
         tokens = tokenize("Foo BAR", identity_normalize)
         assert [t.text for t in tokens] == ["Foo", "BAR"]
+
+    @given(_tokenizer_text, st.sampled_from(["persian", "identity"]))
+    @settings(max_examples=300)
+    def test_matches_oracle_tokenizer(self, s, profile):
+        norm = get_normalizer(profile)
+        assert [(t.text, t.start, t.end) for t in tokenize(s, norm)] == oracle_tokenize(s, norm)
 
 
 class TestContentTerms:
