@@ -10,7 +10,6 @@ from .corpus import (
     Document,
     Mention,
     NIL,
-    PredictionDoc,
     corpus_stats,
     load_corpus,
     load_predictions,
@@ -59,7 +58,6 @@ __all__ = [
     "NerType",
     "PeyvandError",
     "PosCategory",
-    "PredictionDoc",
     "ReferenceLists",
     "ScoredCandidate",
     "Token",

@@ -96,15 +96,17 @@ def load_index(path: str | Path) -> tuple[KnowledgeBase, ReferenceLists]:
         dropped, count = meta["dropped_links"], meta["records"]
         if type(dropped) is not int or type(count) is not int or min(dropped, count) < 0:
             raise _corrupt(path, meta_line, "dropped_links and records must be integers >= 0")
-        if not isinstance(frequencies, dict) or not all(
-            type(n) is int and n >= 0 for n in frequencies.values()
-        ):
-            raise _corrupt(path, freq_line, "doc_freq must map terms to non-negative integers")
         lists = parse_reference_lists(meta["lists"], path, normalizer)
         parsed = read_records(lines, path)
     if len(parsed) != count:
         raise CacheError(f"{path}: corrupt index cache: {len(parsed)} records, not {count}")
 
     kb = build_kb(parsed, normalizer, frequencies)
+    # A term occurs in at least one and at most every non-empty article.
+    if not isinstance(frequencies, dict) or not all(
+        type(n) is int and 0 < n <= kb.doc_count for n in frequencies.values()
+    ):
+        reason = f"doc_freq must map terms to integers from 1 to {kb.doc_count}"
+        raise _corrupt(path, freq_line, reason)
     kb.dropped_links = dropped
     return kb, lists

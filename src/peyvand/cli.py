@@ -25,25 +25,6 @@ from .linker import LinkerConfig, link_document
 from .textnorm import PROFILES
 
 
-@dataclasses.dataclass
-class RunManifest:
-    """Reproducibility sidecar written next to every prediction file."""
-
-    tool: str
-    version: str
-    config: dict
-    inputs: dict
-    timings_s: dict
-    documents: int
-    mentions: int
-
-    def write(self, path: Path) -> None:
-        path.write_text(
-            json.dumps(dataclasses.asdict(self), ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
-        )
-
-
 def _sha256(path: str | Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -103,16 +84,19 @@ def cmd_link(args: argparse.Namespace) -> int:
     }
     if args.config:
         inputs["config"] = {"path": str(args.config), "sha256": _sha256(args.config)}
-    manifest = RunManifest(
-        tool="peyvand",
-        version=__version__,
-        config={**cfg.to_dict(), "normalizer": kb.normalizer},
-        inputs=inputs,
-        timings_s=timings,
-        documents=len(docs),
-        mentions=sum(len(d.mentions) for d in docs),
+    # The reproducibility sidecar written next to every prediction file.
+    manifest = {
+        "tool": "peyvand",
+        "version": __version__,
+        "config": {**cfg.to_dict(), "normalizer": kb.normalizer},
+        "inputs": inputs,
+        "timings_s": timings,
+        "documents": len(docs),
+        "mentions": sum(len(d.mentions) for d in docs),
+    }
+    Path(str(args.out) + ".manifest.json").write_text(
+        json.dumps(manifest, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
     )
-    manifest.write(Path(str(args.out) + ".manifest.json"))
     return 0
 
 

@@ -9,7 +9,8 @@ Corpus files are UTF-8 JSON lines:
 `gold` carries three states: an entity id, JSON null for an explicit
 "no KB entry exists" annotation, and an absent key for "not annotated".
 Prediction files share the shape, with `gold` replaced by `prediction`
-plus `score` and `ambiguity`.
+plus `score` and `ambiguity`, and are read by the same document loop under
+the same rules.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence, TYPE_CHECKING
+from typing import Callable, Iterable, Sequence, TYPE_CHECKING
 
 from .errors import PeyvandError
 from .kb import KnowledgeBase, NerType, PosCategory, lookup_alias, read_json_lines
@@ -53,15 +54,15 @@ class MalformedDocument(PeyvandError):
         self.reason = reason
 
 
-class OverlappingMentions(PeyvandError):
-    def __init__(self, doc_id: str):
-        super().__init__(f"document {doc_id!r} has overlapping mentions")
+class OverlappingMentions(MalformedDocument):
+    def __init__(self, path: str | Path, line: int, doc_id: str):
+        super().__init__(path, line, f"document {doc_id!r} has overlapping mentions")
         self.doc_id = doc_id
 
 
-class SpanMismatch(PeyvandError):
-    def __init__(self, doc_id: str, mention_index: int, reason: str):
-        super().__init__(f"document {doc_id!r}, mention {mention_index}: {reason}")
+class SpanMismatch(MalformedDocument):
+    def __init__(self, path: str | Path, line: int, doc_id: str, mention_index: int, reason: str):
+        super().__init__(path, line, f"document {doc_id!r}, mention {mention_index}: {reason}")
         self.doc_id = doc_id
         self.mention_index = mention_index
 
@@ -78,10 +79,12 @@ class Mention:
 
 @dataclass
 class Document:
+    """Mentions are `Mention`s in a corpus, `PredictedMention`s in a prediction file."""
+
     id: str
     category: str
     text: str
-    mentions: list[Mention] = field(default_factory=list)
+    mentions: list[Mention | PredictedMention] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -102,24 +105,16 @@ class PredictedMention:
     pos_tag: PosCategory | None = None
 
 
-@dataclass
-class PredictionDoc:
-    id: str
-    category: str
-    text: str
-    mentions: list[PredictedMention] = field(default_factory=list)
-
-
-def _validate_mentions(doc_id: str, text: str, mentions: Sequence[Mention]) -> None:
-    for i, m in enumerate(mentions):
-        if not (0 <= m.start < m.end <= len(text)):
-            raise SpanMismatch(doc_id, i, f"span [{m.start}, {m.end}) out of bounds")
-        if text[m.start : m.end] != m.surface:
-            raise SpanMismatch(doc_id, i, "surface does not equal the text slice")
-    spans = sorted((m.start, m.end) for m in mentions)
+def _validate_mentions(doc: Document, path: str | Path, line_no: int) -> None:
+    for i, m in enumerate(doc.mentions):
+        if not (0 <= m.start < m.end <= len(doc.text)):
+            raise SpanMismatch(path, line_no, doc.id, i, f"span [{m.start}, {m.end}) out of bounds")
+        if doc.text[m.start : m.end] != m.surface:
+            raise SpanMismatch(path, line_no, doc.id, i, "surface does not equal the text slice")
+    spans = sorted((m.start, m.end) for m in doc.mentions)
     for (_, prev_end), (nxt_start, _) in zip(spans, spans[1:]):
         if nxt_start < prev_end:
-            raise OverlappingMentions(doc_id)
+            raise OverlappingMentions(path, line_no, doc.id)
 
 
 def _parse_mention(obj: object, path: str | Path, line_no: int) -> Mention:
@@ -152,7 +147,12 @@ def _parse_mention(obj: object, path: str | Path, line_no: int) -> Mention:
     return Mention(obj["start"], obj["end"], obj["surface"], ner_type, pos_tag, gold)
 
 
-def load_corpus(path: str | Path) -> list[Document]:
+def _read_documents(
+    path: str | Path,
+    parse_mention: Callable[[object, str | Path, int], Mention | PredictedMention],
+) -> list[Document]:
+    """Every document of a corpus or prediction file, with each mention read by
+    `parse_mention`; a broken rule raises `MalformedDocument` naming the line."""
     docs: list[Document] = []
     seen: set[str] = set()
     for line_no, obj in read_json_lines(path, MalformedDocument):
@@ -171,10 +171,14 @@ def load_corpus(path: str | Path) -> list[Document]:
         seen.add(doc_id)
         if not isinstance(obj["mentions"], list):
             raise MalformedDocument(path, line_no, "mentions must be an array")
-        mentions = [_parse_mention(m, path, line_no) for m in obj["mentions"]]
-        _validate_mentions(doc_id, text, mentions)
+        mentions = [parse_mention(m, path, line_no) for m in obj["mentions"]]
         docs.append(Document(doc_id, category, text, mentions))
+        _validate_mentions(docs[-1], path, line_no)
     return docs
+
+
+def load_corpus(path: str | Path) -> list[Document]:
+    return _read_documents(path, _parse_mention)
 
 
 def _mention_to_obj(m: Mention) -> dict:
@@ -251,17 +255,9 @@ def _parse_prediction(obj: object, path: str | Path, line_no: int) -> PredictedM
     )
 
 
-def load_predictions(path: str | Path) -> list[PredictionDoc]:
-    docs: list[PredictionDoc] = []
-    for line_no, obj in read_json_lines(path, MalformedDocument):
-        if not isinstance(obj, dict) or not isinstance(obj.get("id"), str):
-            raise MalformedDocument(path, line_no, "prediction record needs a string id")
-        raw_mentions = obj.get("mentions", [])
-        if not isinstance(raw_mentions, list):
-            raise MalformedDocument(path, line_no, "mentions must be an array")
-        mentions = [_parse_prediction(m, path, line_no) for m in raw_mentions]
-        docs.append(PredictionDoc(obj["id"], obj.get("category", ""), obj.get("text", ""), mentions))
-    return docs
+def load_predictions(path: str | Path) -> list[Document]:
+    """A prediction file, under the corpus rules; mentions are `PredictedMention`s."""
+    return _read_documents(path, _parse_prediction)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .corpus import Document, PredictionDoc, _Nil
+from .corpus import Document, _Nil
 from .errors import PeyvandError
 
 
@@ -61,10 +61,9 @@ def _row(tp: int, fp: int, fn: int) -> MetricRow:
     return MetricRow(tp, fp, fn, precision, recall, f1(precision, recall))
 
 
-def score_predictions(
-    gold: Sequence[Document], predictions: Sequence[PredictionDoc]
-) -> EvalReport:
-    by_id: dict[str, PredictionDoc] = {}
+def score_predictions(gold: Sequence[Document], predictions: Sequence[Document]) -> EvalReport:
+    """Score `predictions`, whose mentions are `PredictedMention`s, against `gold`."""
+    by_id: dict[str, Document] = {}
     for pred in predictions:
         if pred.id in by_id:
             raise AlignmentError(f"duplicate prediction record for document {pred.id!r}")

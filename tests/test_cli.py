@@ -104,7 +104,9 @@ class TestLink:
         code = main(["link", "--index", str(index_path),
                      "--corpus", str(bad), "--out", str(tmp_path / "p.jsonl")])
         assert code == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert _one_error_line(err) and f"{bad}:1: document 'd', mention 0: span [0, 9)" in err
 
     def test_manifest_written_with_matching_digests(self, tmp_path, data_dir, index_path):
         out = tmp_path / "pred.jsonl"
@@ -196,6 +198,16 @@ class TestEvaluate:
         assert main(["evaluate", "--corpus", str(gold), "--predictions", str(empty)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_prediction_span_names_the_predictions_file(self, tmp_path, data_dir, capsys):
+        gold, pred = self._write_perfect_predictions(tmp_path, data_dir)
+        record = json.loads(pred.read_text(encoding="utf-8"))
+        record["mentions"][0]["end"] = 9
+        pred.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert main(["evaluate", "--corpus", str(gold), "--predictions", str(pred)]) == 1
+        err = capsys.readouterr().err
+        assert _one_error_line(err)
+        assert f"{pred}:1:" in err and "out of bounds" in err
+
 
 class TestStats:
     def test_table_renders_every_statistic(self, data_dir, index_path, capsys):
@@ -217,9 +229,11 @@ class TestStats:
 
 
 def test_module_entry_point_smoke(tmp_path, data_dir):
+    src = str(data_dir.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-m", "peyvand", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0
     assert "peyvand" in result.stdout
@@ -290,19 +304,29 @@ _INPUTS = [("build-index", "--kb"), ("build-index", "--lists"), ("link", "--inde
 
 class TestMalformedInputExitsOne:
     @pytest.mark.parametrize(
-        "edit",
+        "edit, where",
         [
-            lambda lines: lines.pop(1),
-            lambda lines: lines.__setitem__(2, list(lines[2].values())),
-            lambda lines: next(r for r in lines[2:] if r["id"] == "E01").update(ner_type="XX"),
+            (lambda lines: lines.pop(1), ": corrupt index cache: 32 records, not 33"),
+            (lambda lines: lines.__setitem__(2, list(lines[2].values())),
+             ":4: record must be a JSON object"),
+            (lambda lines: next(r for r in lines[2:] if r["id"] == "E01").update(ner_type="XX"),
+             ":4: ner_type 'XX' is invalid"),
+            (lambda lines: lines[1].update(dict.fromkeys(list(lines[1])[::2], 0)),
+             ":3: corrupt index cache: doc_freq"),
+            (lambda lines: lines[1].update(
+                dict.fromkeys(list(lines[1])[::2], sum(1 for r in lines[2:] if r["article"]) + 1)
+            ), ":3: corrupt index cache: doc_freq"),
         ],
-        ids=["missing-doc-freq", "entities-not-an-object", "bad-ner-type"],
+        ids=["missing-doc-freq", "entities-not-an-object", "bad-ner-type", "zero",
+             "above-article-count"],
     )
-    def test_corrupt_index_body(self, tmp_path, data_dir, index_path, capsys, edit):
+    def test_corrupt_index_body(self, tmp_path, data_dir, index_path, capsys, edit, where):
         corrupt = tmp_path / "corrupt.idx"
         _rewrite_index_body(index_path, corrupt, edit)
         assert _link(corrupt, data_dir / "mini_corpus.jsonl", tmp_path / "p.jsonl") == 1
-        assert _one_error_line(capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert _one_error_line(err)
+        assert err.startswith(f"error: {corrupt}{where}")
 
     @pytest.mark.parametrize(
         "flags",
@@ -374,7 +398,8 @@ class TestMalformedInputExitsOne:
                                                   "gold": "E01"}]},
                                    ensure_ascii=False) + "\n", encoding="utf-8")
         pred = tmp_path / "pred.jsonl"
-        pred.write_text(json.dumps({"id": "d1", "mentions": [5]}) + "\n", encoding="utf-8")
+        pred.write_text(json.dumps({"id": "d1", "category": "x", "text": "الف", "mentions": [5]},
+                                   ensure_ascii=False) + "\n", encoding="utf-8")
         assert main(["evaluate", "--corpus", str(gold), "--predictions", str(pred)]) == 1
         err = capsys.readouterr().err
         assert _one_error_line(err)

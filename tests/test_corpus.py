@@ -17,8 +17,10 @@ from peyvand.corpus import (
     load_predictions,
     save_corpus,
     stats_by_category,
+    write_predictions,
 )
 from peyvand.kb import NerType, PosCategory
+from peyvand.linker import LinkerConfig, link_document
 
 
 def _doc_line(doc_id="d1", category="sport", text="الف ب ج", mentions=None):
@@ -42,24 +44,27 @@ class TestLoadCorpus:
         path.write_text(
             _doc_line(mentions=[{"start": 0, "end": 99, "surface": "الف"}]), encoding="utf-8"
         )
-        with pytest.raises(SpanMismatch):
+        with pytest.raises(SpanMismatch) as err:
             load_corpus(path)
+        assert str(err.value).startswith(f"{path}:1: document 'd1', mention 0: span [0, 99)")
 
     def test_surface_disagreeing_with_slice_is_span_mismatch(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(
             _doc_line(mentions=[{"start": 0, "end": 3, "surface": "چیز دیگر"}]), encoding="utf-8"
         )
-        with pytest.raises(SpanMismatch):
+        with pytest.raises(SpanMismatch) as err:
             load_corpus(path)
+        assert str(err.value).startswith(f"{path}:1:")
 
     def test_inverted_span_is_span_mismatch(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(
             _doc_line(mentions=[{"start": 3, "end": 3, "surface": ""}]), encoding="utf-8"
         )
-        with pytest.raises(SpanMismatch):
+        with pytest.raises(SpanMismatch) as err:
             load_corpus(path)
+        assert str(err.value).startswith(f"{path}:1:")
 
     def test_overlapping_mentions_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -73,8 +78,9 @@ class TestLoadCorpus:
             ),
             encoding="utf-8",
         )
-        with pytest.raises(OverlappingMentions):
+        with pytest.raises(OverlappingMentions) as err:
             load_corpus(path)
+        assert str(err.value) == f"{path}:1: document 'd1' has overlapping mentions"
 
     def test_duplicate_document_id_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -198,6 +204,16 @@ def _prediction_line(**overrides):
                       ensure_ascii=False)
 
 
+def _second_prediction(doc=None, **overrides):
+    """`_prediction_line(**overrides)` as document d2, with the record keys
+    in `doc` replaced, or deleted where the value is None."""
+    record = {**json.loads(_prediction_line(**overrides)), "id": "d2", **(doc or {})}
+    return json.dumps({k: v for k, v in record.items() if v is not None}, ensure_ascii=False)
+
+
+_MENTION = json.loads(_prediction_line())["mentions"][0]
+
+
 class TestLoadPredictions:
     def test_valid_record(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -207,32 +223,69 @@ class TestLoadPredictions:
         assert doc.mentions[0].ambiguity[0].entity_id == "E2"
 
     @pytest.mark.parametrize(
-        "line",
+        "line, reason",
         [
-            json.dumps({"id": "d2", "mentions": [5]}),
-            json.dumps({"id": "d2", "mentions": 5}),
-            _prediction_line(ambiguity={"E2": 0.1}),
-            _prediction_line(ambiguity=[5]),
-            _prediction_line(score="high"),
-            _prediction_line(prediction=7),
-            _prediction_line(score=True),
-            _prediction_line(ambiguity=[{"id": "E2", "score": False}]),
-            _prediction_line(start=False),
-            _prediction_line(score=10**400),
-            _prediction_line(ambiguity=[{"id": "E2", "score": -(10**400)}]),
+            (json.dumps({"id": "d2", "category": "sport", "text": "الف ب", "mentions": [5]}),
+             "mention must be a JSON object"),
+            (json.dumps({"id": "d2", "category": "sport", "text": "الف ب", "mentions": 5}),
+             "mentions must be an array"),
+            (_second_prediction(ambiguity={"E2": 0.1}), "ambiguity must be an array"),
+            (_second_prediction(ambiguity=[5]), "ambiguity must be an array"),
+            (_second_prediction(score="high"), "score must be a number"),
+            (_second_prediction(prediction=7), "prediction must be an entity id or null"),
+            (_second_prediction(score=True), "score must be a number"),
+            (_second_prediction(ambiguity=[{"id": "E2", "score": False}]),
+             "ambiguity must be an array"),
+            (_second_prediction(start=False), "mention offsets must be integers"),
+            (_second_prediction(score=10**400), "score too large for a float"),
+            (_second_prediction(ambiguity=[{"id": "E2", "score": -(10**400)}]),
+             "score too large for a float"),
+            (_prediction_line(), "duplicate document id 'd1'"),
+            (_second_prediction({"id": ""}), "id must be a non-empty string"),
+            (_second_prediction({"text": None}), "missing key 'text'"),
+            (_second_prediction({"category": None}), "missing key 'category'"),
+            (_second_prediction(end=99), "out of bounds"),
+            (_second_prediction(surface="ب"), "surface does not equal the text slice"),
+            (_second_prediction({"mentions": [_MENTION, {**_MENTION, "start": 2, "end": 5,
+                                                         "surface": "ف ب"}]}),
+             "overlapping mentions"),
         ],
         ids=["mention-not-object", "mentions-not-array", "ambiguity-not-array",
              "ambiguity-entry-not-object", "score-not-number", "prediction-not-id",
              "score-bool", "ambiguity-score-bool", "start-bool", "score-too-large",
-             "ambiguity-score-too-large"],
+             "ambiguity-score-too-large", "repeated-id", "empty-id", "missing-text",
+             "missing-category", "span-out-of-bounds", "surface-not-slice",
+             "overlapping-mentions"],
     )
-    def test_malformed_mention_names_file_and_line(self, tmp_path, line):
+    def test_malformed_mention_names_file_and_line(self, tmp_path, line, reason):
         path = tmp_path / "p.jsonl"
         path.write_text(_prediction_line() + "\n" + line + "\n", encoding="utf-8")
         with pytest.raises(MalformedDocument) as err:
             load_predictions(path)
         assert err.value.line == 2
         assert str(err.value).startswith(f"{path}:2:")
+        assert reason in err.value.reason
+
+
+class TestPredictionRoundTrip:
+    def test_link_results_survive_write_and_load(self, tmp_path, kb, lists, mini_corpus):
+        results = [link_document(kb, lists, LinkerConfig(), doc) for doc in mini_corpus]
+        path = tmp_path / "p.jsonl"
+        write_predictions(mini_corpus, results, path)
+        loaded = load_predictions(path)
+        assert [(d.id, d.category, d.text) for d in loaded] == [
+            (d.id, d.category, d.text) for d in mini_corpus
+        ]
+        for doc, doc_results, pred in zip(mini_corpus, results, loaded):
+            assert len(pred.mentions) == len(doc.mentions) == len(doc_results)
+            for mention, res, got in zip(doc.mentions, doc_results, pred.mentions):
+                assert (got.start, got.end, got.surface) == (mention.start, mention.end, mention.surface)
+                assert (got.ner_type, got.pos_tag) == (mention.ner_type, mention.pos_tag)
+                assert got.prediction == res.decision
+                assert got.score == res.score
+                assert [(c.entity_id, c.score) for c in got.ambiguity] == [
+                    (c.entity_id, c.combined) for c in res.ambiguity
+                ]
 
 
 def test_corpus_mention_not_an_object_rejected(tmp_path):

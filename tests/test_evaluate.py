@@ -7,7 +7,6 @@ from peyvand.corpus import (
     Mention,
     NIL,
     PredictedMention,
-    PredictionDoc,
 )
 from peyvand.evaluate import (
     AlignmentError,
@@ -85,7 +84,7 @@ def _pair(doc_id, category, gold_values, predicted_values):
         )
     return (
         Document(doc_id, category, text, gold_mentions),
-        PredictionDoc(doc_id, category, text, pred_mentions),
+        Document(doc_id, category, text, pred_mentions),
     )
 
 
@@ -189,7 +188,7 @@ class TestScorePredictions:
 
     def test_alignment_error_on_span_mismatch(self):
         gold, _ = _pair("d1", "sport", ["E1"], ["E1"])
-        pred = PredictionDoc(
+        pred = Document(
             "d1", "sport", gold.text,
             [PredictedMention(0, 2, "ب ", prediction="E1", score=0.5, ambiguity=())],
         )
