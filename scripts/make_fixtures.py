@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "tests"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from peyvand.corpus import NIL, load_corpus, write_predictions
 from peyvand.kb import load_kb

@@ -11,9 +11,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
 from peyvand.cli import main
 
-ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
 
 

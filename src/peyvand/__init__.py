@@ -40,7 +40,7 @@ from .linker import (
     link_document,
     rank_and_select,
 )
-from .textnorm import Token, content_terms, get_normalizer, normalize, tokenize
+from .textnorm import Token, get_normalizer, normalize, tokenize
 
 __version__ = "0.1.0"
 
@@ -61,7 +61,6 @@ __all__ = [
     "ReferenceLists",
     "ScoredCandidate",
     "Token",
-    "content_terms",
     "context_score",
     "corpus_stats",
     "f1",

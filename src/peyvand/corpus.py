@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence, TYPE_CHECKING
 
 from .errors import PeyvandError
 from .kb import KnowledgeBase, NerType, PosCategory, lookup_alias, read_json_lines
-from .textnorm import get_normalizer, tokenize
+from .textnorm import get_normalizer, terms
 
 if TYPE_CHECKING:  # pragma: no cover
     from .linker import LinkResult
@@ -285,7 +285,7 @@ def corpus_stats(docs: Sequence[Document], kb: KnowledgeBase) -> CorpusStats:
     norm = get_normalizer(kb.normalizer)
     documents = len(docs)
     sentences = sum(count_sentences(d.text) for d in docs)
-    words = sum(len(tokenize(d.text, norm)) for d in docs)
+    words = sum(len(terms(d.text, norm)) for d in docs)
     entities = sum(len(d.mentions) for d in docs)
     candidates = sum(
         len(lookup_alias(kb, m.surface)) for d in docs for m in d.mentions

@@ -11,6 +11,7 @@ Reference lists live in a single JSON file with keys `rare_blocklist`,
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import PeyvandError
-from .textnorm import content_terms, get_normalizer, tokenize
+from .textnorm import get_normalizer, terms
 
 
 class MalformedRecord(PeyvandError):
@@ -301,11 +302,13 @@ def doc_freq(
     records: Iterable[EntityRecord], stopwords: frozenset[str], normalizer: str
 ) -> dict[str, int]:
     """Number of non-empty articles each content term occurs in."""
-    norm = get_normalizer(normalizer)
+    # Articles repeat words, so normalize each distinct run once; the memo
+    # lives only as long as this call.
+    norm = functools.cache(get_normalizer(normalizer))
     counts: Counter[str] = Counter()
     for record in records:
         if record.article_text:
-            counts.update(set(content_terms(tokenize(record.article_text, norm), stopwords)))
+            counts.update({t for t in terms(record.article_text, norm) if t not in stopwords})
     return dict(counts)
 
 

@@ -34,7 +34,7 @@ from .kb import (
     decode_json,
     lookup_alias,
 )
-from .textnorm import Token, content_terms, get_normalizer, tokenize
+from .textnorm import Token, get_normalizer, terms, tokenize
 
 
 class ConfigError(PeyvandError):
@@ -305,11 +305,12 @@ class _DocScorer:
         if cached is None:
             # Interned terms share one string per distinct term across all
             # memoized vectors instead of one per article.
-            terms = [
+            article_terms = [
                 sys.intern(t)
-                for t in content_terms(tokenize(entity.article_text, self._norm), self.lists.stopwords)
+                for t in terms(entity.article_text, self._norm)
+                if t not in self.lists.stopwords
             ]
-            vector = _tfidf_vector(terms, self.kb, self.cfg.idf_smoothing)
+            vector = _tfidf_vector(article_terms, self.kb, self.cfg.idf_smoothing)
             cached = self._article_vectors[entity.id] = (vector, _vector_norm(vector))
         return cached
 

@@ -4,13 +4,21 @@ The default profile targets Persian social-media text, where Arabic
 keyboard layouts, stray diacritics and inconsistent ZWNJ usage produce
 many spellings of the same surface form. An identity profile is kept for
 tests and for corpora that need no folding.
+
+Text is split by one `str.translate` table that maps every separator
+(whitespace or Unicode punctuation) to a space. The table is filled on
+first sight of each codepoint, so it holds at most one entry per distinct
+codepoint seen: a few hundred on typical text, and at worst, for an input
+holding every codepoint, 1,114,112 entries in about 74 MiB, of which 848
+are separators.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable
+from typing import Callable
 
 ARABIC_KAF = "ك"
 PERSIAN_KAF = "ک"
@@ -86,6 +94,19 @@ def _is_separator(ch: str) -> bool:
     return ch.isspace() or unicodedata.category(ch).startswith("P")
 
 
+class _SeparatorTable(dict):
+    """Separators map to a space and every other codepoint to itself, as
+    the running Python's `unicodedata` classifies them."""
+
+    def __missing__(self, cp: int) -> int:
+        value = self[cp] = 0x20 if _is_separator(chr(cp)) else cp
+        return value
+
+
+_SEPARATORS = _SeparatorTable()
+_RUN = re.compile("[^ ]+")
+
+
 def tokenize(s: str, normalizer: Callable[[str], str] = persian_normalize) -> list[Token]:
     """Split on whitespace and punctuation.
 
@@ -93,24 +114,18 @@ def tokenize(s: str, normalizer: Callable[[str], str] = persian_normalize) -> li
     Slices that normalize to nothing (bare tatweel runs and the like) are
     dropped, as is punctuation by construction.
     """
+    # The translation is one character for one, so run offsets are offsets into `s`.
     tokens: list[Token] = []
-    start: int | None = None
-    for i, ch in enumerate(s):
-        if _is_separator(ch):
-            if start is not None:
-                text = normalizer(s[start:i])
-                if text:
-                    tokens.append(Token(text, start, i))
-                start = None
-        elif start is None:
-            start = i
-    if start is not None:
-        text = normalizer(s[start:])
+    for run in _RUN.finditer(s.translate(_SEPARATORS)):
+        start, end = run.span()
+        text = normalizer(s[start:end])
         if text:
-            tokens.append(Token(text, start, len(s)))
+            tokens.append(Token(text, start, end))
     return tokens
 
 
-def content_terms(tokens: Iterable[Token], stopwords: Collection[str]) -> list[str]:
-    """Token texts minus stopwords; order and duplicates preserved."""
-    return [t.text for t in tokens if t.text not in stopwords]
+def terms(s: str, normalizer: Callable[[str], str]) -> list[str]:
+    """The texts of `tokenize(s, normalizer)`, without building offsets."""
+    # Every whitespace codepoint is a separator, so `split()` breaks only
+    # at the spaces the table put in.
+    return [t for run in s.translate(_SEPARATORS).split() if (t := normalizer(run))]

@@ -29,14 +29,19 @@ from peyvand.linker import LinkResult, LinkerConfig, ScoredCandidate
 from peyvand.textnorm import get_normalizer
 
 
+def oracle_is_separator(ch: str) -> bool:
+    """Whitespace or Unicode punctuation (category P*)."""
+    return ch.isspace() or unicodedata.category(ch).startswith("P")
+
+
 def oracle_tokenize(s: str, norm: Callable[[str], str]) -> list[tuple[str, int, int]]:
     """`(normalized text, start, end)` of each maximal run of characters
-    that are neither whitespace nor Unicode punctuation (category P*),
-    with offsets into `s`; runs that normalize to "" are dropped."""
+    that are not `oracle_is_separator`, with offsets into `s`; runs that
+    normalize to "" are dropped."""
     tokens = []
     start = None
     for i, ch in enumerate(s + " "):  # the final space ends the last run
-        if ch.isspace() or unicodedata.category(ch).startswith("P"):
+        if oracle_is_separator(ch):
             text = norm(s[start:i]) if start is not None else ""
             if text:
                 tokens.append((text, start, i))

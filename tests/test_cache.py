@@ -128,10 +128,10 @@ class TestIndexCache:
         path = tmp_path / "kb.idx"
         save_index(kb, lists, path)
 
-        def no_tokenize(*args, **kwargs):
+        def no_terms(*args, **kwargs):
             raise AssertionError("load_index tokenized an article")
 
-        monkeypatch.setattr("peyvand.kb.tokenize", no_tokenize)
+        monkeypatch.setattr("peyvand.kb.terms", no_terms)
         kb2, _ = load_index(path)
         assert kb2 == kb
 

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -248,6 +249,24 @@ def test_mini_pipeline_script_matches_golden_fixture(tmp_path, data_dir):
     )
     assert result.returncode == 0, result.stderr
     _assert_matches_golden(tmp_path / "predictions.jsonl", data_dir)
+
+
+def test_make_fixtures_regenerates_data_byte_for_byte(tmp_path, data_dir):
+    # A copy without data/, run with no PYTHONPATH: the script must find the
+    # package on its own and write every bundled file from scratch.
+    root = data_dir.parent
+    for part in ("scripts", "src", "tests"):
+        shutil.copytree(root / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, "scripts/make_fixtures.py"],
+        cwd=tmp_path, capture_output=True, text=True, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    expected = sorted(p.name for p in data_dir.iterdir())
+    assert sorted(p.name for p in (tmp_path / "data").iterdir()) == expected
+    for name in expected:
+        assert (tmp_path / "data" / name).read_bytes() == (data_dir / name).read_bytes(), name
 
 
 def _link(index, corpus, out, *extra):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import functools
+import gc
 import json
 import random
+import types
+import weakref
 
 import pytest
 
@@ -19,9 +23,10 @@ from peyvand.kb import (
     parse_record,
     parse_reference_lists,
 )
-from peyvand.textnorm import content_terms, normalize, tokenize
+from peyvand import textnorm
+from peyvand.textnorm import normalize
 
-from oracles import brute_force_candidates
+from oracles import brute_force_candidates, oracle_tokenize
 
 
 def _record(entity_id, label, variants=(), links=(), article="", **extra):
@@ -213,13 +218,33 @@ class TestDocFreq:
             for entity in kb.entities.values():
                 if not entity.article_text:
                     continue
-                tokens = tokenize(entity.article_text)
-                if term in set(content_terms(tokens, lists.stopwords)):
+                tokens = oracle_tokenize(entity.article_text, normalize)
+                if term in {text for text, _, _ in tokens if text not in lists.stopwords}:
                     count += 1
             assert kb.doc_freq[term] == count
 
     def test_stopwords_excluded_from_doc_freq(self, kb, lists):
         assert not (set(kb.doc_freq) & lists.stopwords)
+
+    def test_doc_freq_leaves_no_normalize_memo(self, kb, lists, monkeypatch):
+        memos = []
+        real_cache = functools.cache
+
+        def spy_cache(fn):
+            memo = real_cache(fn)
+            memos.append(weakref.ref(memo))
+            return memo
+
+        monkeypatch.setattr(functools, "cache", spy_cache)
+        assert doc_freq(kb.entities.values(), lists.stopwords, "persian") == kb.doc_freq
+        gc.collect()
+        assert all(ref() is None for ref in memos)
+        assert textnorm.PROFILES == {
+            "persian": textnorm.persian_normalize,
+            "identity": textnorm.identity_normalize,
+        }
+        assert all(type(fn) is types.FunctionType for fn in textnorm.PROFILES.values())
+        assert textnorm.normalize is textnorm.persian_normalize
 
 
 def test_enums_round_trip():

@@ -649,14 +649,14 @@ class TestArticleVectorMemo:
         kb, lists = self._load(data_dir)
         articles = {e.article_text for e in kb.entities.values()}
         calls: Counter[str] = Counter()
-        real_tokenize = linker.tokenize
+        real_terms = linker.terms
 
-        def counting_tokenize(text, *args, **kwargs):
+        def counting_terms(text, *args, **kwargs):
             if text in articles:
                 calls[text] += 1
-            return real_tokenize(text, *args, **kwargs)
+            return real_terms(text, *args, **kwargs)
 
-        monkeypatch.setattr(linker, "tokenize", counting_tokenize)
+        monkeypatch.setattr(linker, "terms", counting_terms)
         for _ in range(2):
             self._link_all(kb, lists, LinkerConfig(), mini_corpus)
         assert calls

@@ -14,14 +14,15 @@ from peyvand.textnorm import (
     TATWEEL,
     ZWNJ,
     Token,
-    content_terms,
+    _SeparatorTable,
     get_normalizer,
     identity_normalize,
     normalize,
+    terms,
     tokenize,
 )
 
-from oracles import oracle_tokenize
+from oracles import oracle_is_separator, oracle_tokenize
 
 # Mixed alphabet that stresses the Persian rules as well as generic unicode.
 _persianish = st.text(
@@ -154,26 +155,16 @@ class TestTokenize:
         assert [(t.text, t.start, t.end) for t in tokenize(s, norm)] == oracle_tokenize(s, norm)
 
 
-class TestContentTerms:
-    def test_all_stopwords(self):
-        tokens = tokenize("و در به")
-        assert content_terms(tokens, {"و", "در", "به"}) == []
+    @given(_tokenizer_text, st.sampled_from(["persian", "identity"]))
+    @settings(max_examples=300)
+    def test_terms_match_oracle_tokenizer(self, s, profile):
+        norm = get_normalizer(profile)
+        assert terms(s, norm) == [text for text, _, _ in oracle_tokenize(s, norm)]
 
-    def test_no_stopwords_is_identity_on_texts(self):
-        tokens = tokenize("یک دو سه")
-        assert content_terms(tokens, frozenset()) == [t.text for t in tokens]
-
-    def test_duplicates_and_order_preserved(self):
-        tokens = tokenize("الف ب الف ج")
-        assert content_terms(tokens, {"ب"}) == ["الف", "الف", "ج"]
-
-    @given(st.text(), st.sets(st.text(min_size=1, max_size=3)))
-    @settings(max_examples=200)
-    def test_output_is_subsequence_of_inputs(self, text, stopwords):
-        tokens = tokenize(text)
-        terms = content_terms(tokens, stopwords)
-        # brute-force membership filter as the oracle
-        assert terms == [t.text for t in tokens if t.text not in stopwords]
-        texts = [t.text for t in tokens]
-        it = iter(texts)
-        assert all(term in it for term in terms)  # subsequence check
+    def test_separator_table_matches_oracle_on_every_codepoint(self):
+        # A fresh table, so the module's own stays as small as its inputs.
+        everything = "".join(map(chr, range(0x110000)))
+        translated = everything.translate(_SeparatorTable())
+        assert len(translated) == len(everything)
+        for ch, out in zip(everything, translated):
+            assert out == (" " if oracle_is_separator(ch) else ch), hex(ord(ch))
