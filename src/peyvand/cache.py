@@ -97,11 +97,11 @@ def load_index(path: str | Path) -> tuple[KnowledgeBase, ReferenceLists]:
         if type(dropped) is not int or type(count) is not int or min(dropped, count) < 0:
             raise _corrupt(path, meta_line, "dropped_links and records must be integers >= 0")
         lists = parse_reference_lists(meta["lists"], path, normalizer)
-        parsed = read_records(lines, path)
-    if len(parsed) != count:
-        raise CacheError(f"{path}: corrupt index cache: {len(parsed)} records, not {count}")
+        records = read_records(lines, path)
+    if len(records) != count:
+        raise CacheError(f"{path}: corrupt index cache: {len(records)} records, not {count}")
 
-    kb = build_kb(parsed, normalizer, frequencies)
+    kb = build_kb(records, normalizer, frequencies)
     # A term occurs in at least one and at most every non-empty article.
     if not isinstance(frequencies, dict) or not all(
         type(n) is int and 0 < n <= kb.doc_count for n in frequencies.values()

@@ -92,8 +92,8 @@ class KnowledgeBase:
 
     `article_vectors` is derived data, not part of the KB: the linker fills
     it on first use with each article's TF-IDF vector and norm, keyed by
-    `(stopwords, idf_smoothing)` and then by entity id. It is never saved
-    to the index, and `dataclasses.replace` and `==` ignore it.
+    the stopwords and then by entity id. It is never saved to the index,
+    and `dataclasses.replace` and `==` ignore it.
     """
 
     entities: dict[str, EntityRecord]
@@ -102,9 +102,9 @@ class KnowledgeBase:
     doc_freq: dict[str, int]
     normalizer: str = "persian"
     dropped_links: int = 0
-    article_vectors: dict[
-        tuple[frozenset[str], bool], dict[str, tuple[dict[str, float], float]]
-    ] = field(default_factory=dict, init=False, repr=False, compare=False)
+    article_vectors: dict[frozenset[str], dict[str, tuple[dict[str, float], float]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 ErrorFactory = Callable[[str | Path, int, str], PeyvandError]
@@ -234,9 +234,8 @@ def lists_to_obj(lists: ReferenceLists) -> dict:
 _RECORD_KEYS = ("id", "label", "variants", "class", "ner_type", "pos", "article", "links")
 
 
-def parse_record(obj: object, path: str | Path, line_no: int) -> tuple[EntityRecord, list[str]]:
-    """Validate one dump record; returns it with its out-links unresolved,
-    and the links as written so `build_kb` can count the ones it drops."""
+def parse_record(obj: object, path: str | Path, line_no: int) -> EntityRecord:
+    """Validate one dump record; returns it with its out-links unresolved."""
     if not isinstance(obj, dict):
         raise MalformedRecord(path, line_no, "record must be a JSON object")
     for key in _RECORD_KEYS:
@@ -269,7 +268,7 @@ def parse_record(obj: object, path: str | Path, line_no: int) -> tuple[EntityRec
     rare = obj.get("rare", False)
     if not isinstance(rare, bool):
         raise MalformedRecord(path, line_no, "rare must be a boolean")
-    record = EntityRecord(
+    return EntityRecord(
         id=entity_id,
         canonical_label=label,
         variant_labels=frozenset(variants),
@@ -280,7 +279,6 @@ def parse_record(obj: object, path: str | Path, line_no: int) -> tuple[EntityRec
         out_links=frozenset(links),  # resolved by `build_kb`
         rare=rare,
     )
-    return record, links
 
 
 def record_to_obj(record: EntityRecord) -> dict:
@@ -313,7 +311,7 @@ def doc_freq(
 
 
 def build_kb(
-    parsed: Collection[tuple[EntityRecord, list[str]]],
+    records: Collection[EntityRecord],
     normalizer: str,
     frequencies: dict[str, int],
 ) -> KnowledgeBase:
@@ -321,15 +319,16 @@ def build_kb(
 
     Out-links that point outside the records (or back at the entity
     itself) are dropped and counted on `KnowledgeBase.dropped_links`; an
-    incomplete dump subset is not an error.
+    incomplete dump subset is not an error. A link repeated in the dump
+    is one out-link.
     """
     norm = get_normalizer(normalizer)
-    ids = {record.id for record, _ in parsed}
+    ids = {record.id for record in records}
     entities: dict[str, EntityRecord] = {}
     dropped = 0
-    for record, links in parsed:
-        resolved = frozenset(l for l in links if l in ids and l != record.id)
-        dropped += len(links) - len(resolved)
+    for record in records:
+        resolved = frozenset(l for l in record.out_links if l in ids and l != record.id)
+        dropped += len(record.out_links) - len(resolved)
         if resolved != record.out_links:
             record = replace(record, out_links=resolved)
         entities[record.id] = record
@@ -349,18 +348,16 @@ def build_kb(
     )
 
 
-def read_records(
-    lines: Iterable[tuple[int, object]], path: str | Path
-) -> Collection[tuple[EntityRecord, list[str]]]:
+def read_records(lines: Iterable[tuple[int, object]], path: str | Path) -> Collection[EntityRecord]:
     """`parse_record` each numbered dump line, in order; a repeated id
     raises `DuplicateEntityId` naming the line that repeats it."""
-    parsed: dict[str, tuple[EntityRecord, list[str]]] = {}
+    records: dict[str, EntityRecord] = {}
     for line_no, obj in lines:
-        record, links = parse_record(obj, path, line_no)
-        if record.id in parsed:
+        record = parse_record(obj, path, line_no)
+        if record.id in records:
             raise DuplicateEntityId(path, line_no, record.id)
-        parsed[record.id] = (record, links)
-    return parsed.values()
+        records[record.id] = record
+    return records.values()
 
 
 def load_kb(
@@ -370,9 +367,9 @@ def load_kb(
 ) -> tuple[KnowledgeBase, ReferenceLists]:
     """Load a dump and its reference lists and build all indexes."""
     lists = load_reference_lists(lists_path, normalizer)
-    parsed = read_records(read_json_lines(dump_path, MalformedRecord), dump_path)
-    frequencies = doc_freq((record for record, _ in parsed), lists.stopwords, normalizer)
-    return build_kb(parsed, normalizer, frequencies), lists
+    records = read_records(read_json_lines(dump_path, MalformedRecord), dump_path)
+    frequencies = doc_freq(records, lists.stopwords, normalizer)
+    return build_kb(records, normalizer, frequencies), lists
 
 
 def lookup_alias(kb: KnowledgeBase, surface: str) -> frozenset[str]:

@@ -6,12 +6,12 @@ evidence), then scores each surviving candidate with
 
     combined = penalty * (lambda * context + (1 - lambda) * graph)
 
-where `context` is the TF-IDF cosine between the document text around the
-mention and the candidate's article, and `graph` is the min-max-normalized
-count of distinct candidates of the document's other mentions whose
-articles link to the candidate (either direction). The top candidate wins
-unless its combined score falls below the NIL threshold; rejected
-candidates are kept on a ranked ambiguity list.
+where `context` is the TF-IDF cosine between the candidate's article and
+the whole document minus the tokens that touch the mention, and `graph`
+is the min-max-normalized count of distinct candidates of the document's
+other mentions whose articles link to the candidate (either direction).
+The top candidate wins unless its combined score falls below the NIL
+threshold; rejected candidates are kept on a ranked ambiguity list.
 """
 
 from __future__ import annotations
@@ -47,9 +47,7 @@ def _config_error(path: str | Path, line: int, reason: str) -> ConfigError:
 
 @dataclass(frozen=True)
 class LinkerConfig:
-    """Pipeline knobs. `lambda_weight` mixes context against graph score;
-    `context_window` limits the context to that many tokens on each side
-    of the mention (None means the whole document)."""
+    """Pipeline knobs. `lambda_weight` mixes context against graph score."""
 
     lambda_weight: float = 0.5
     nil_threshold: float = 0.05
@@ -57,8 +55,6 @@ class LinkerConfig:
     pos_filter: bool = True
     popularity_filter: bool = True
     class_filter: bool = True
-    context_window: int | None = None
-    idf_smoothing: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lambda_weight <= 1.0:
@@ -67,9 +63,6 @@ class LinkerConfig:
             raise ConfigError(
                 f"nil_threshold must be finite and non-negative, got {self.nil_threshold}"
             )
-        window = self.context_window
-        if window is not None and (type(window) is not int or window < 1):
-            raise ConfigError(f"context_window must be a positive integer or null, got {window!r}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "LinkerConfig":
@@ -86,11 +79,9 @@ class LinkerConfig:
             raise ConfigError(f"unknown filter keys: {sorted(bad)}")
         values = {**defaults, **data}
         filters = {**defaults["filters"], **filters}
-        flags = {f"filters.{k}": v for k, v in filters.items()}
-        flags["idf_smoothing"] = values["idf_smoothing"]
-        for key, value in flags.items():
+        for key, value in filters.items():
             if type(value) is not bool:
-                raise ConfigError(f"{key} must be true or false, got {value!r}")
+                raise ConfigError(f"filters.{key} must be true or false, got {value!r}")
         for key in ("lambda", "nil_threshold"):
             value = values[key]
             if type(value) is bool or not isinstance(value, (int, float)):
@@ -103,8 +94,6 @@ class LinkerConfig:
                 pos_filter=filters["pos"],
                 popularity_filter=filters["popularity"],
                 class_filter=filters["class"],
-                context_window=values["context_window"],
-                idf_smoothing=values["idf_smoothing"],
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid config value: {exc}") from exc
@@ -126,8 +115,6 @@ class LinkerConfig:
                 "popularity": self.popularity_filter,
                 "class": self.class_filter,
             },
-            "context_window": self.context_window,
-            "idf_smoothing": self.idf_smoothing,
         }
 
 
@@ -169,22 +156,12 @@ def filter_candidates(
     return _DocScorer(kb, lists, cfg, doc).apply_filters(mention, candidates)
 
 
-def _idf(term: str, kb: KnowledgeBase, smoothing: bool) -> float | None:
-    df = kb.doc_freq.get(term, 0)
-    if smoothing:
-        return math.log((1 + kb.doc_count) / (1 + df)) + 1.0
-    if df == 0 or kb.doc_count == 0:
-        return None  # term unseen in the reference collection; drop it
-    return math.log(kb.doc_count / df) + 1.0
-
-
-def _tfidf_vector(terms: Sequence[str], kb: KnowledgeBase, smoothing: bool) -> dict[str, float]:
-    vector: dict[str, float] = {}
-    for term, count in Counter(terms).items():
-        idf = _idf(term, kb, smoothing)
-        if idf is not None:
-            vector[term] = count * idf
-    return vector
+def _tfidf_vector(terms: Sequence[str], kb: KnowledgeBase) -> dict[str, float]:
+    """Raw term count times the smoothed IDF, ln((1 + N) / (1 + df)) + 1."""
+    return {
+        term: count * (math.log((1 + kb.doc_count) / (1 + kb.doc_freq.get(term, 0))) + 1.0)
+        for term, count in Counter(terms).items()
+    }
 
 
 def _vector_norm(vector: Mapping[str, float]) -> float:
@@ -206,16 +183,14 @@ def _context_terms(
     tokens: Sequence[Token],
     mention: Mention,
     stopwords: frozenset[str],
-    window: int | None,
 ) -> list[str]:
-    """Document terms around the mention: every token not touching the
-    mention span, optionally limited to `window` tokens on each side."""
-    before = [t for t in tokens if t.end <= mention.start]
-    after = [t for t in tokens if t.start >= mention.end]
-    if window is not None:
-        before = before[-window:]
-        after = after[:window]
-    return [t.text for t in before + after if t.text not in stopwords]
+    """Document terms around the mention: every token that does not touch
+    the mention span, in document order."""
+    return [
+        t.text
+        for t in tokens
+        if (t.end <= mention.start or t.start >= mention.end) and t.text not in stopwords
+    ]
 
 
 def _graph_scores(
@@ -255,9 +230,7 @@ class _DocScorer:
         self.tokens = tokenize(doc.text, norm)
         self.doc_terms = {t.text for t in self.tokens if t.text not in lists.stopwords}
         self._norm = norm
-        self._article_vectors = kb.article_vectors.setdefault(
-            (lists.stopwords, cfg.idf_smoothing), {}
-        )
+        self._article_vectors = kb.article_vectors.setdefault(lists.stopwords, {})
 
     def apply_filters(
         self, mention: Mention, candidates: frozenset[str] | set[str]
@@ -310,13 +283,13 @@ class _DocScorer:
                 for t in terms(entity.article_text, self._norm)
                 if t not in self.lists.stopwords
             ]
-            vector = _tfidf_vector(article_terms, self.kb, self.cfg.idf_smoothing)
+            vector = _tfidf_vector(article_terms, self.kb)
             cached = self._article_vectors[entity.id] = (vector, _vector_norm(vector))
         return cached
 
     def context_vector(self, mention: Mention) -> tuple[dict[str, float], float]:
-        ctx = _context_terms(self.tokens, mention, self.lists.stopwords, self.cfg.context_window)
-        vector = _tfidf_vector(ctx, self.kb, self.cfg.idf_smoothing)
+        ctx = _context_terms(self.tokens, mention, self.lists.stopwords)
+        vector = _tfidf_vector(ctx, self.kb)
         return vector, _vector_norm(vector)
 
     def context_score(self, mention: Mention, entity: EntityRecord) -> float:
@@ -355,8 +328,6 @@ def context_score(
     doc: Document,
     mention: Mention,
     entity: EntityRecord,
-    window: int | None = None,
-    idf_smoothing: bool = True,
 ) -> float:
     """TF-IDF cosine between the mention's context and the entity article.
 
@@ -364,8 +335,7 @@ def context_score(
     the knowledge base's article collection. Empty context or empty
     article yields 0.
     """
-    cfg = LinkerConfig(context_window=window, idf_smoothing=idf_smoothing)
-    return _DocScorer(kb, lists, cfg, doc).context_score(mention, entity)
+    return _DocScorer(kb, lists, LinkerConfig(), doc).context_score(mention, entity)
 
 
 def graph_score(

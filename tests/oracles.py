@@ -78,7 +78,6 @@ def dense_cosine(
     article_terms: Sequence[str],
     doc_freq: Mapping[str, int],
     doc_count: int,
-    smoothing: bool = True,
 ) -> float:
     """Cosine over dense vectors from an explicit TF-IDF weight table."""
     if not context_terms or not article_terms:
@@ -88,12 +87,7 @@ def dense_cosine(
     art_counts = Counter(article_terms)
 
     def idf(term: str) -> float:
-        df = doc_freq.get(term, 0)
-        if smoothing:
-            return math.log((1 + doc_count) / (1 + df)) + 1.0
-        if df == 0 or doc_count == 0:
-            return 0.0
-        return math.log(doc_count / df) + 1.0
+        return math.log((1 + doc_count) / (1 + doc_freq.get(term, 0))) + 1.0
 
     weights = np.array([idf(t) for t in vocab], dtype=np.float64)
     v1 = np.array([ctx_counts.get(t, 0) for t in vocab], dtype=np.float64) * weights
@@ -158,18 +152,16 @@ def oracle_filter(
 
 
 def oracle_context_terms(
-    doc: Document, mention: Mention, kb: KnowledgeBase, lists: ReferenceLists, window: int | None
+    doc: Document, mention: Mention, kb: KnowledgeBase, lists: ReferenceLists
 ) -> list[str]:
     norm = get_normalizer(kb.normalizer)
-    before, after = [], []
+    context = []
     for text, start, end in oracle_tokenize(doc.text, norm):
         if end > mention.start and start < mention.end:
             continue
-        (before if end <= mention.start else after).append(text)
-    if window is not None:
-        before = before[-window:]
-        after = after[:window]
-    return [t for t in before + after if t not in lists.stopwords]
+        if text not in lists.stopwords:
+            context.append(text)
+    return context
 
 
 def oracle_article_terms(entity_id: str, kb: KnowledgeBase, lists: ReferenceLists) -> list[str]:
@@ -199,11 +191,10 @@ def oracle_link_document(
         scored = []
         for candidate in doc_candidates[i]:
             ctx = dense_cosine(
-                oracle_context_terms(doc, mention, kb, lists, cfg.context_window),
+                oracle_context_terms(doc, mention, kb, lists),
                 oracle_article_terms(candidate, kb, lists),
                 kb.doc_freq,
                 kb.doc_count,
-                cfg.idf_smoothing,
             )
             graph = raw[candidate] / max_raw if max_raw > 0 else 0.0
             penalty = penalties[i][candidate]

@@ -43,11 +43,7 @@ def build_kb(
     normalizer: str = "persian",
 ) -> KnowledgeBase:
     """Index records the same way the loader would, without file round-trips."""
-    return kb.build_kb(
-        [(r, sorted(r.out_links)) for r in records],
-        normalizer,
-        kb.doc_freq(records, stopwords, normalizer),
-    )
+    return kb.build_kb(records, normalizer, kb.doc_freq(records, stopwords, normalizer))
 
 
 def empty_lists(**overrides) -> ReferenceLists:

@@ -89,13 +89,10 @@ def test_c3_cosine_oracle_equivalence():
             context_words = rng.choices(vocab + ["بیرونی"], k=rng.randrange(0, 12))
             text = "هدف " + " ".join(context_words)
             doc = Document("r", "test", text, [Mention(0, 3, "هدف")])
-            smoothing = rng.random() < 0.8
             target = rng.choice(records)
-            got = context_score(
-                kb, lists, doc, doc.mentions[0], kb.entities[target.id], idf_smoothing=smoothing
-            )
+            got = context_score(kb, lists, doc, doc.mentions[0], kb.entities[target.id])
             article_terms = [t.text for t in tokenize(target.article_text)]
-            expected = dense_cosine(context_words, article_terms, kb.doc_freq, kb.doc_count, smoothing)
+            expected = dense_cosine(context_words, article_terms, kb.doc_freq, kb.doc_count)
             assert abs(got - expected) <= 1e-9
             assert 0.0 <= got <= 1.0
             checked += 1

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peyvand.cache import CACHE_VERSION
+from peyvand.cache import CACHE_VERSION, load_index
 from peyvand.cli import main
 from peyvand.corpus import load_predictions
 
@@ -70,6 +70,26 @@ class TestBuildIndex:
                          "--out", str(out)]) == 0
         digest = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()
         assert digest(first) == digest(second)
+
+    def test_repeated_link_is_not_reported_as_dropped(self, tmp_path, data_dir, capsys):
+        dump = tmp_path / "kb.jsonl"
+        records = [
+            {"id": "E01", "label": "یک", "variants": [], "class": "city", "ner_type": "LOC",
+             "pos": "PROPER_NOUN", "article": "", "links": ["E02", "E02"]},
+            {"id": "E02", "label": "دو", "variants": [], "class": "city", "ner_type": "LOC",
+             "pos": "PROPER_NOUN", "article": "", "links": []},
+        ]
+        dump.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
+                        encoding="utf-8")
+        out = tmp_path / "x.idx"
+        capsys.readouterr()
+        assert main(["build-index", "--kb", str(dump),
+                     "--lists", str(data_dir / "reference_lists.json"),
+                     "--out", str(out)]) == 0
+        assert "warning:" not in capsys.readouterr().err
+        kb, _ = load_index(out)
+        assert kb.dropped_links == 0
+        assert kb.entities["E01"].out_links == frozenset({"E02"})
 
 
 class TestLink:
@@ -357,17 +377,22 @@ class TestMalformedInputExitsOne:
         assert _one_error_line(capsys.readouterr().err)
         assert not out.exists()
 
-    def test_fractional_context_window(self, tmp_path, data_dir, index_path, capsys):
+    def test_removed_config_keys_are_unknown(self, tmp_path, data_dir, index_path, capsys):
+        # Even at their old defaults: the context is always the whole
+        # document and the IDF always smoothed.
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"context_window": 2.5}), encoding="utf-8")
-        code = _link(index_path, data_dir / "mini_corpus.jsonl", tmp_path / "p.jsonl",
-                     "--config", str(config))
-        assert code == 1
-        assert _one_error_line(capsys.readouterr().err)
+        config.write_text(json.dumps({"context_window": None, "idf_smoothing": True}),
+                          encoding="utf-8")
+        out = tmp_path / "p.jsonl"
+        assert _link(index_path, data_dir / "mini_corpus.jsonl", out, "--config", str(config)) == 1
+        assert capsys.readouterr().err == (
+            "error: unknown config keys: ['context_window', 'idf_smoothing']\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "config",
-        [{"filters": 5}, {"idf_smoothing": "false"}, {"nil_threshold": True}],
+        [{"filters": 5}, {"filters": {"type": "false"}}, {"nil_threshold": True}],
         ids=["filters-int", "flag-string", "threshold-bool"],
     )
     def test_malformed_config_flags(self, tmp_path, data_dir, index_path, capsys, config):

@@ -282,7 +282,7 @@ class TestBuildKb:
 
     def test_doc_freq_counts_each_article_once(self):
         records = [
-            parse_record(json.loads(_record(e, e, article=text)), "d", 1)[0]
+            parse_record(json.loads(_record(e, e, article=text)), "d", 1)
             for e, text in (("A", "سیب سیب و"), ("B", "سیب"), ("C", ""))
         ]
         assert doc_freq(records, frozenset({"و"}), "persian") == {"سیب": 2}
