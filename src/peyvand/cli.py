@@ -46,9 +46,12 @@ def _load_config(args: argparse.Namespace) -> LinkerConfig:
 
 def cmd_build_index(args: argparse.Namespace) -> int:
     kb, lists = load_kb(args.kb, args.lists, normalizer=args.normalizer)
-    if kb.dropped_links:
+    missing = kb.dropped_links - kb.self_links
+    if missing:
+        print(f"warning: dropped {missing} out-link(s) pointing outside the dump", file=sys.stderr)
+    if kb.self_links:
         print(
-            f"warning: dropped {kb.dropped_links} out-link(s) pointing outside the dump",
+            f"warning: dropped {kb.self_links} self-link(s) from an entity to itself",
             file=sys.stderr,
         )
     save_index(kb, lists, args.out)

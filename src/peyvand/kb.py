@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import PeyvandError
-from .textnorm import get_normalizer, terms
+from .textnorm import NormalForms, get_normalizer, terms
 
 
 class MalformedRecord(PeyvandError):
@@ -86,14 +86,41 @@ class ReferenceLists:
     stopwords: frozenset[str]
 
 
+class IdfTable(dict):
+    """Smoothed IDF by document frequency over `doc_count` articles,
+    ln((1 + N) / (1 + df)) + 1, computed on first use of each df."""
+
+    def __init__(self, doc_count: int):
+        super().__init__()
+        self.doc_count = doc_count
+
+    def __missing__(self, df: int) -> float:
+        value = self[df] = math.log((1 + self.doc_count) / (1 + df)) + 1.0
+        return value
+
+
 @dataclass
 class KnowledgeBase:
-    """Immutable after load apart from the `article_vectors` memo.
+    """Immutable after load apart from three memos that the linker fills
+    on first use.
 
-    `article_vectors` is derived data, not part of the KB: the linker fills
-    it on first use with each article's TF-IDF vector and norm, keyed by
-    the stopwords and then by entity id. It is never saved to the index,
-    and `dataclasses.replace` and `==` ignore it.
+    - `normal_forms` maps each raw article run to its interned normal form.
+      It is bounded by the article vocabulary: document words and aliases
+      do not go through it.
+    - `idf` maps a document frequency to its IDF weight. It is bounded by
+      the distinct df values, at most `doc_count + 1` of them.
+    - `article_vectors` holds each article's TF-IDF vector and norm, keyed
+      by the stopwords and then by entity id. It is bounded by the
+      entities.
+
+    The memos are derived data, not part of the KB: they are never saved
+    to the index, `==` ignores them and `dataclasses.replace` starts them
+    empty.
+
+    `dropped_links` counts the out-links that `build_kb` dropped, and
+    `self_links` how many of those pointed back at their own entity. The
+    index keeps the sum alone, so a loaded KB reads 0 self-links, and `==`
+    ignores them.
     """
 
     entities: dict[str, EntityRecord]
@@ -102,9 +129,16 @@ class KnowledgeBase:
     doc_freq: dict[str, int]
     normalizer: str = "persian"
     dropped_links: int = 0
+    self_links: int = field(default=0, compare=False)
+    normal_forms: NormalForms = field(init=False, repr=False, compare=False)
+    idf: IdfTable = field(init=False, repr=False, compare=False)
     article_vectors: dict[frozenset[str], dict[str, tuple[dict[str, float], float]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        self.normal_forms = NormalForms(get_normalizer(self.normalizer))
+        self.idf = IdfTable(self.doc_count)
 
 
 ErrorFactory = Callable[[str | Path, int, str], PeyvandError]
@@ -317,18 +351,19 @@ def build_kb(
 ) -> KnowledgeBase:
     """Build a knowledge base from `parse_record` output and `doc_freq`.
 
-    Out-links that point outside the records (or back at the entity
-    itself) are dropped and counted on `KnowledgeBase.dropped_links`; an
-    incomplete dump subset is not an error. A link repeated in the dump
-    is one out-link.
+    Out-links that point outside the records or back at the entity
+    itself are dropped and counted on `KnowledgeBase.dropped_links`, the
+    latter also on `self_links`; an incomplete dump subset is not an
+    error. A link repeated in the dump is one out-link.
     """
     norm = get_normalizer(normalizer)
     ids = {record.id for record in records}
     entities: dict[str, EntityRecord] = {}
-    dropped = 0
+    dropped = self_links = 0
     for record in records:
         resolved = frozenset(l for l in record.out_links if l in ids and l != record.id)
         dropped += len(record.out_links) - len(resolved)
+        self_links += record.id in record.out_links
         if resolved != record.out_links:
             record = replace(record, out_links=resolved)
         entities[record.id] = record
@@ -345,6 +380,7 @@ def build_kb(
         doc_freq=frequencies,
         normalizer=normalizer,
         dropped_links=dropped,
+        self_links=self_links,
     )
 
 

@@ -17,7 +17,6 @@ threshold; rejected candidates are kept on a ranked ambiguity list.
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -157,11 +156,10 @@ def filter_candidates(
 
 
 def _tfidf_vector(terms: Sequence[str], kb: KnowledgeBase) -> dict[str, float]:
-    """Raw term count times the smoothed IDF, ln((1 + N) / (1 + df)) + 1."""
-    return {
-        term: count * (math.log((1 + kb.doc_count) / (1 + kb.doc_freq.get(term, 0))) + 1.0)
-        for term, count in Counter(terms).items()
-    }
+    """Raw term count times the smoothed IDF, ln((1 + N) / (1 + df)) + 1,
+    which `kb.idf` holds by document frequency."""
+    idf, doc_freq = kb.idf, kb.doc_freq
+    return {term: count * idf[doc_freq.get(term, 0)] for term, count in Counter(terms).items()}
 
 
 def _vector_norm(vector: Mapping[str, float]) -> float:
@@ -226,10 +224,8 @@ class _DocScorer:
         self.lists = lists
         self.cfg = cfg
         self.doc = doc
-        norm = get_normalizer(kb.normalizer)
-        self.tokens = tokenize(doc.text, norm)
+        self.tokens = tokenize(doc.text, get_normalizer(kb.normalizer))
         self.doc_terms = {t.text for t in self.tokens if t.text not in lists.stopwords}
-        self._norm = norm
         self._article_vectors = kb.article_vectors.setdefault(lists.stopwords, {})
 
     def apply_filters(
@@ -276,12 +272,9 @@ class _DocScorer:
         """The article's TF-IDF vector and norm, built once per KB."""
         cached = self._article_vectors.get(entity.id)
         if cached is None:
-            # Interned terms share one string per distinct term across all
-            # memoized vectors instead of one per article.
+            normal = self.kb.normal_forms.__getitem__
             article_terms = [
-                sys.intern(t)
-                for t in terms(entity.article_text, self._norm)
-                if t not in self.lists.stopwords
+                t for t in terms(entity.article_text, normal) if t not in self.lists.stopwords
             ]
             vector = _tfidf_vector(article_terms, self.kb)
             cached = self._article_vectors[entity.id] = (vector, _vector_norm(vector))

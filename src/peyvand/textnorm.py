@@ -16,6 +16,7 @@ are separators.
 from __future__ import annotations
 
 import re
+import sys
 import unicodedata
 from dataclasses import dataclass
 from typing import Callable
@@ -122,6 +123,22 @@ def tokenize(s: str, normalizer: Callable[[str], str] = persian_normalize) -> li
         if text:
             tokens.append(Token(text, start, end))
     return tokens
+
+
+class NormalForms(dict):
+    """Memo of a normalizer profile: each raw run maps to its normal form,
+    interned, so that all the vectors built from it share one string per
+    distinct term. A run that is already normal is stored under that
+    interned string too, so key and value are one object."""
+
+    def __init__(self, profile: Callable[[str], str]):
+        super().__init__()
+        self.profile = profile
+
+    def __missing__(self, run: str) -> str:
+        form = sys.intern(self.profile(run))
+        self[form if form == run else run] = form
+        return form
 
 
 def terms(s: str, normalizer: Callable[[str], str]) -> list[str]:

@@ -71,25 +71,56 @@ class TestBuildIndex:
         digest = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()
         assert digest(first) == digest(second)
 
-    def test_repeated_link_is_not_reported_as_dropped(self, tmp_path, data_dir, capsys):
+    @staticmethod
+    def _build_two_entities(tmp_path, data_dir, links):
+        """`build-index` over two entities, E01 with `links`; returns the
+        exit code, stderr and the index path."""
         dump = tmp_path / "kb.jsonl"
         records = [
             {"id": "E01", "label": "یک", "variants": [], "class": "city", "ner_type": "LOC",
-             "pos": "PROPER_NOUN", "article": "", "links": ["E02", "E02"]},
+             "pos": "PROPER_NOUN", "article": "", "links": links},
             {"id": "E02", "label": "دو", "variants": [], "class": "city", "ner_type": "LOC",
              "pos": "PROPER_NOUN", "article": "", "links": []},
         ]
         dump.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records),
                         encoding="utf-8")
         out = tmp_path / "x.idx"
-        capsys.readouterr()
-        assert main(["build-index", "--kb", str(dump),
-                     "--lists", str(data_dir / "reference_lists.json"),
-                     "--out", str(out)]) == 0
-        assert "warning:" not in capsys.readouterr().err
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["build-index", "--kb", str(dump),
+                         "--lists", str(data_dir / "reference_lists.json"),
+                         "--out", str(out)])
+        return code, err.getvalue(), out
+
+    def test_repeated_link_is_not_reported_as_dropped(self, tmp_path, data_dir):
+        code, err, out = self._build_two_entities(tmp_path, data_dir, ["E02", "E02"])
+        assert code == 0
+        assert "warning:" not in err
         kb, _ = load_index(out)
         assert kb.dropped_links == 0
         assert kb.entities["E01"].out_links == frozenset({"E02"})
+
+    @pytest.mark.parametrize(
+        "links, warnings",
+        [
+            (["E02", "E09", "E08"], ["dropped 2 out-link(s) pointing outside the dump"]),
+            (["E01", "E02"], ["dropped 1 self-link(s) from an entity to itself"]),
+            (
+                ["E01", "E09"],
+                ["dropped 1 out-link(s) pointing outside the dump",
+                 "dropped 1 self-link(s) from an entity to itself"],
+            ),
+        ],
+        ids=["missing-id", "self-link", "both"],
+    )
+    def test_each_cause_of_a_dropped_link_warns_apart(self, tmp_path, data_dir, links, warnings):
+        code, err, out = self._build_two_entities(tmp_path, data_dir, links)
+        assert code == 0
+        assert [line for line in err.splitlines() if line.startswith("warning:")] == [
+            f"warning: {w}" for w in warnings
+        ]
+        kb, _ = load_index(out)
+        assert kb.dropped_links == len(set(links) - {"E02"})
 
 
 class TestLink:

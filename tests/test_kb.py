@@ -81,6 +81,7 @@ class TestLoadKb:
         kb, _ = load_kb(dump, lists_file)
         assert kb.entities["E1"].out_links == frozenset({"E2"})
         assert kb.dropped_links == 1
+        assert kb.self_links == 0
 
     def test_self_link_dropped_and_counted(self, tmp_path, lists_file):
         dump = tmp_path / "kb.jsonl"
@@ -88,6 +89,7 @@ class TestLoadKb:
         kb, _ = load_kb(dump, lists_file)
         assert kb.entities["E1"].out_links == frozenset()
         assert kb.dropped_links == 1
+        assert kb.self_links == 1
 
     def test_duplicate_id_rejected(self, tmp_path, lists_file):
         dump = tmp_path / "kb.jsonl"
@@ -277,6 +279,7 @@ class TestBuildKb:
         kb = build_kb(records, "persian", {"متن": 1})
         assert kb.entities["A"].out_links == frozenset({"B"})
         assert kb.dropped_links == 2
+        assert kb.self_links == 1
         assert kb.doc_count == 1
         assert kb.alias_index[normalize("آلفا")] == frozenset({"A", "B"})
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from peyvand import linker
 from peyvand.cache import save_index
 from peyvand.corpus import Document, Mention, NIL
-from peyvand.kb import NerType, PosCategory, load_kb
+from peyvand.kb import KnowledgeBase, NerType, PosCategory, load_kb
 from peyvand.linker import (
     ConfigError,
     LinkerConfig,
@@ -23,7 +24,7 @@ from peyvand.linker import (
     link_document,
     rank_and_select,
 )
-from peyvand.textnorm import tokenize
+from peyvand.textnorm import identity_normalize, tokenize
 
 from oracles import (
     brute_force_candidates,
@@ -595,8 +596,9 @@ class TestConfigRejectsMalformedFlags:
 
 
 class TestArticleVectorMemo:
-    """Article vectors are memoized on the KB, keyed by the stopwords; a
-    warm KB must link exactly like a freshly loaded one."""
+    """Article vectors (keyed by the stopwords), normal forms of article
+    words and IDF weights are memoized on the KB; a warm KB must link
+    exactly like a freshly loaded one."""
 
     @staticmethod
     def _load(data_dir):
@@ -632,9 +634,10 @@ class TestArticleVectorMemo:
         warm, lists = self._load(data_dir)
         fresh, _ = self._load(data_dir)
         self._link_all(warm, lists, LinkerConfig(), mini_corpus)
-        assert warm.article_vectors
+        assert warm.article_vectors and warm.normal_forms and warm.idf
         assert warm == fresh
-        assert replace(warm).article_vectors == {}
+        copy = replace(warm)
+        assert copy.article_vectors == {} and copy.normal_forms == {} and copy.idf == {}
         save_index(warm, lists, tmp_path / "warm.idx")
         save_index(fresh, lists, tmp_path / "fresh.idx")
         assert (tmp_path / "warm.idx").read_bytes() == (tmp_path / "fresh.idx").read_bytes()
@@ -655,6 +658,56 @@ class TestArticleVectorMemo:
             self._link_all(kb, lists, LinkerConfig(), mini_corpus)
         assert calls
         assert max(calls.values()) == 1
+
+    def test_normal_forms_hold_article_runs_only(self, data_dir, mini_corpus, monkeypatch):
+        kb, lists = self._load(data_dir)
+        calls: Counter[str] = Counter()
+        profile = kb.normal_forms.profile
+
+        def counting_profile(run):
+            calls[run] += 1
+            return profile(run)
+
+        monkeypatch.setattr(kb.normal_forms, "profile", counting_profile)
+        word = "زرافه"  # in no article of the mini KB
+        assert not any(word in e.article_text for e in kb.entities.values())
+        first = mini_corpus[0]
+        corpus = [*mini_corpus, replace(first, id="extra", text=f"{first.text} {word}")]
+        for _ in range(2):
+            self._link_all(kb, lists, LinkerConfig(), corpus)
+
+        vectorized = kb.article_vectors[lists.stopwords]
+        article_runs = {
+            t.text
+            for entity_id in vectorized
+            for t in tokenize(kb.entities[entity_id].article_text, identity_normalize)
+        }
+        assert set(kb.normal_forms) == article_runs
+        assert word not in kb.normal_forms
+        assert set(calls) == article_runs
+        assert max(calls.values()) == 1
+
+
+@st.composite
+def idf_cases(draw):
+    """An article count N and a few (df, count) pairs with 0 <= df <= N."""
+    doc_count = draw(st.integers(min_value=0, max_value=10**6))
+    pairs = st.tuples(st.integers(min_value=0, max_value=doc_count), st.integers(1, 50))
+    return doc_count, draw(st.lists(pairs, min_size=1, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(idf_cases())
+def test_idf_table_is_exact(case):
+    """Each term weight equals the smoothed IDF formula bit for bit, and
+    the IDF table holds one entry per distinct df looked up."""
+    doc_count, pairs = case
+    names = [f"t{i}" for i in range(len(pairs))]
+    kb = KnowledgeBase({}, {}, doc_count, {t: df for t, (df, _) in zip(names, pairs) if df})
+    vector = linker._tfidf_vector([t for t, (_, n) in zip(names, pairs) for _ in range(n)], kb)
+    for term, (df, count) in zip(names, pairs):
+        assert vector[term] == count * (math.log((1 + doc_count) / (1 + df)) + 1.0)
+    assert len(kb.idf) == len({df for df, _ in pairs})
 
 
 # Graph counts over randomized synthetic link graphs.
