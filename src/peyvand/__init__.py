@@ -40,7 +40,7 @@ from .linker import (
     link_document,
     rank_and_select,
 )
-from .textnorm import Token, get_normalizer, normalize, tokenize
+from .textnorm import Token, normalize, tokenize
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "f1",
     "filter_candidates",
     "generate_candidates",
-    "get_normalizer",
     "graph_score",
     "link_document",
     "load_corpus",

@@ -1,16 +1,16 @@
 """On-disk index cache: knowledge base plus reference lists in one file.
 
 The format is a magic header line followed by JSON lines: the metadata
-(normalizer, dropped-link count, record count and the reference lists in
-the lists file's shape), then the article document frequencies, then one
-dump record per line, sorted by id. Keys and set members are sorted, so
-rebuilding from unchanged inputs is byte-identical. The records are read
-back by the dump's own record loop (`kb.read_records`) and the lists by
-the lists file's parser, so a malformed or repeated record fails the way
-it does in a dump, naming its line. The record count makes a file cut off
-at a line boundary fail instead of loading part of the knowledge base. A
-version bump in the header invalidates old caches loudly instead of
-misreading them.
+(record count and the reference lists in the lists file's shape), then
+the article document frequencies, then one dump record per line, sorted
+by id. Keys and set members are sorted, so rebuilding from unchanged
+inputs is byte-identical. The records are read back by the dump's own
+record loop (`kb.read_records`) and the lists by the lists file's
+parser, so a malformed or repeated record fails the way it does in a
+dump, naming its line. The record count makes a file cut off at a line
+boundary fail instead of loading part of the knowledge base. A version
+bump in the header invalidates old caches loudly instead of misreading
+them.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ from .kb import (
     read_records,
     record_to_obj,
 )
-from .textnorm import get_normalizer
 
 MAGIC = b"#peyvand-index"
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 _HEADER = MAGIC + b":v%d\n" % CACHE_VERSION
-_META_KEYS = {"dropped_links", "lists", "normalizer", "records"}
+_META_KEYS = {"lists", "records"}
 
 
 class CacheError(PeyvandError):
@@ -60,12 +59,7 @@ def _line(obj: object) -> bytes:
 
 
 def save_index(kb: KnowledgeBase, lists: ReferenceLists, path: str | Path) -> None:
-    meta = {
-        "normalizer": kb.normalizer,
-        "dropped_links": kb.dropped_links,
-        "lists": lists_to_obj(lists),
-        "records": len(kb.entities),
-    }
+    meta = {"lists": lists_to_obj(lists), "records": len(kb.entities)}
     with open(path, "wb") as fh:
         fh.write(_HEADER + _line(meta) + _line(kb.doc_freq))
         fh.writelines(_line(record_to_obj(kb.entities[i])) for i in sorted(kb.entities))
@@ -88,25 +82,19 @@ def load_index(path: str | Path) -> tuple[KnowledgeBase, ReferenceLists]:
         if not isinstance(meta, dict) or meta.keys() != _META_KEYS:
             keys = sorted(_META_KEYS)
             raise _corrupt(path, meta_line, f"metadata must be an object with the keys {keys}")
-        normalizer = meta["normalizer"]
-        try:
-            get_normalizer(normalizer)
-        except (TypeError, ValueError):
-            raise _corrupt(path, meta_line, f"unknown normalizer {normalizer!r}") from None
-        dropped, count = meta["dropped_links"], meta["records"]
-        if type(dropped) is not int or type(count) is not int or min(dropped, count) < 0:
-            raise _corrupt(path, meta_line, "dropped_links and records must be integers >= 0")
-        lists = parse_reference_lists(meta["lists"], path, normalizer)
+        count = meta["records"]
+        if type(count) is not int or count < 0:
+            raise _corrupt(path, meta_line, "records must be an integer >= 0")
+        lists = parse_reference_lists(meta["lists"], path)
         records = read_records(lines, path)
     if len(records) != count:
         raise CacheError(f"{path}: corrupt index cache: {len(records)} records, not {count}")
 
-    kb = build_kb(records, normalizer, frequencies)
+    kb = build_kb(records, frequencies)
     # A term occurs in at least one and at most every non-empty article.
     if not isinstance(frequencies, dict) or not all(
         type(n) is int and 0 < n <= kb.doc_count for n in frequencies.values()
     ):
         reason = f"doc_freq must map terms to integers from 1 to {kb.doc_count}"
         raise _corrupt(path, freq_line, reason)
-    kb.dropped_links = dropped
     return kb, lists

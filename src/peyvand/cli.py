@@ -22,7 +22,6 @@ from .errors import PeyvandError
 from .evaluate import render_report, report_records, score_predictions
 from .kb import load_kb
 from .linker import LinkerConfig, link_document
-from .textnorm import PROFILES
 
 
 def _sha256(path: str | Path) -> str:
@@ -45,7 +44,7 @@ def _load_config(args: argparse.Namespace) -> LinkerConfig:
 
 
 def cmd_build_index(args: argparse.Namespace) -> int:
-    kb, lists = load_kb(args.kb, args.lists, normalizer=args.normalizer)
+    kb, lists = load_kb(args.kb, args.lists)
     missing = kb.dropped_links - kb.self_links
     if missing:
         print(f"warning: dropped {missing} out-link(s) pointing outside the dump", file=sys.stderr)
@@ -91,7 +90,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     manifest = {
         "tool": "peyvand",
         "version": __version__,
-        "config": {**cfg.to_dict(), "normalizer": kb.normalizer},
+        "config": cfg.to_dict(),
         "inputs": inputs,
         "timings_s": timings,
         "documents": len(docs),
@@ -164,8 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kb", required=True, help="KB dump (JSON lines)")
     p.add_argument("--lists", required=True, help="reference lists file")
     p.add_argument("--out", required=True, help="index cache output path")
-    p.add_argument("--normalizer", choices=sorted(PROFILES), default="persian",
-                   help="text normalization profile, fixed in the index")
     p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("link", help="link every mention of a corpus")

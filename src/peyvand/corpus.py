@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence, TYPE_CHECKING
 
 from .errors import PeyvandError
 from .kb import KnowledgeBase, NerType, PosCategory, lookup_alias, read_json_lines
-from .textnorm import get_normalizer, terms
+from .textnorm import persian_normalize, terms
 
 if TYPE_CHECKING:  # pragma: no cover
     from .linker import LinkResult
@@ -282,10 +282,9 @@ def count_sentences(text: str) -> int:
 
 def corpus_stats(docs: Sequence[Document], kb: KnowledgeBase) -> CorpusStats:
     """Dataset-level counts; candidates are pre-filter alias matches."""
-    norm = get_normalizer(kb.normalizer)
     documents = len(docs)
     sentences = sum(count_sentences(d.text) for d in docs)
-    words = sum(len(terms(d.text, norm)) for d in docs)
+    words = sum(len(terms(d.text, persian_normalize)) for d in docs)
     entities = sum(len(d.mentions) for d in docs)
     candidates = sum(
         len(lookup_alias(kb, m.surface)) for d in docs for m in d.mentions

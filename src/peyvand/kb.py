@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator
 
 from .errors import PeyvandError
-from .textnorm import NormalForms, get_normalizer, terms
+from .textnorm import NormalForms, persian_normalize, terms
 
 
 class MalformedRecord(PeyvandError):
@@ -118,26 +118,26 @@ class KnowledgeBase:
     empty.
 
     `dropped_links` counts the out-links that `build_kb` dropped, and
-    `self_links` how many of those pointed back at their own entity. The
-    index keeps the sum alone, so a loaded KB reads 0 self-links, and `==`
-    ignores them.
+    `self_links` how many of those pointed back at their own entity. Both
+    are build-time counts for `build-index`'s warnings: the index keeps
+    neither, so a loaded KB reads 0 for both, and `==` ignores them.
     """
 
     entities: dict[str, EntityRecord]
     alias_index: dict[str, frozenset[str]]
     doc_count: int
     doc_freq: dict[str, int]
-    normalizer: str = "persian"
-    dropped_links: int = 0
+    dropped_links: int = field(default=0, compare=False)
     self_links: int = field(default=0, compare=False)
-    normal_forms: NormalForms = field(init=False, repr=False, compare=False)
+    normal_forms: NormalForms = field(
+        default_factory=NormalForms, init=False, repr=False, compare=False
+    )
     idf: IdfTable = field(init=False, repr=False, compare=False)
     article_vectors: dict[frozenset[str], dict[str, tuple[dict[str, float], float]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        self.normal_forms = NormalForms(get_normalizer(self.normalizer))
         self.idf = IdfTable(self.doc_count)
 
 
@@ -190,19 +190,18 @@ def read_json_lines(path: str | Path, error: ErrorFactory) -> Iterator[tuple[int
         yield from json_lines(enumerate(fh, start=1), path, error)
 
 
-def load_reference_lists(path: str | Path, normalizer: str = "persian") -> ReferenceLists:
+def load_reference_lists(path: str | Path) -> ReferenceLists:
     """Load and validate a reference-lists file."""
     data = decode_json(Path(path).read_bytes(), path, 1, MalformedRecord)
-    return parse_reference_lists(data, path, normalizer)
+    return parse_reference_lists(data, path)
 
 
-def parse_reference_lists(data: object, path: str | Path, normalizer: str) -> ReferenceLists:
+def parse_reference_lists(data: object, path: str | Path) -> ReferenceLists:
     """Validate decoded reference lists; `path` names their source in errors.
 
     Trigger terms and stopwords are stored normalized so membership tests
     against normalized tokens are direct; normalizing is idempotent.
     """
-    norm = get_normalizer(normalizer)
     if not isinstance(data, dict):
         raise MalformedRecord(path, None, "reference lists must be a JSON object")
 
@@ -225,7 +224,9 @@ def parse_reference_lists(data: object, path: str | Path, normalizer: str) -> Re
         triggers = spec["triggers"]
         if not isinstance(triggers, list) or not all(isinstance(t, str) for t in triggers):
             raise MalformedRecord(path, None, f"class_filters[{cls!r}].triggers must be strings")
-        class_filters[cls] = ClassFilter(frozenset(norm(t) for t in triggers), float(penalty))
+        class_filters[cls] = ClassFilter(
+            frozenset(persian_normalize(t) for t in triggers), float(penalty)
+        )
 
     type_mapping: dict[NerType, frozenset[str]] = {}
     raw_mapping = data.get("type_mapping", {})
@@ -248,7 +249,7 @@ def parse_reference_lists(data: object, path: str | Path, normalizer: str) -> Re
         rare_blocklist=frozenset(blocklist),
         class_filters=class_filters,
         type_mapping=type_mapping,
-        stopwords=frozenset(norm(w) for w in stopwords),
+        stopwords=frozenset(persian_normalize(w) for w in stopwords),
     )
 
 
@@ -330,13 +331,11 @@ def record_to_obj(record: EntityRecord) -> dict:
     }
 
 
-def doc_freq(
-    records: Iterable[EntityRecord], stopwords: frozenset[str], normalizer: str
-) -> dict[str, int]:
+def doc_freq(records: Iterable[EntityRecord], stopwords: frozenset[str]) -> dict[str, int]:
     """Number of non-empty articles each content term occurs in."""
     # Articles repeat words, so normalize each distinct run once; the memo
     # lives only as long as this call.
-    norm = functools.cache(get_normalizer(normalizer))
+    norm = functools.cache(persian_normalize)
     counts: Counter[str] = Counter()
     for record in records:
         if record.article_text:
@@ -344,19 +343,15 @@ def doc_freq(
     return dict(counts)
 
 
-def build_kb(
-    records: Collection[EntityRecord],
-    normalizer: str,
-    frequencies: dict[str, int],
-) -> KnowledgeBase:
+def build_kb(records: Collection[EntityRecord], frequencies: dict[str, int]) -> KnowledgeBase:
     """Build a knowledge base from `parse_record` output and `doc_freq`.
 
     Out-links that point outside the records or back at the entity
     itself are dropped and counted on `KnowledgeBase.dropped_links`, the
     latter also on `self_links`; an incomplete dump subset is not an
-    error. A link repeated in the dump is one out-link.
+    error. A link repeated in the dump is one out-link. An alias that
+    normalizes to nothing is not indexed, so no surface can match it.
     """
-    norm = get_normalizer(normalizer)
     ids = {record.id for record in records}
     entities: dict[str, EntityRecord] = {}
     dropped = self_links = 0
@@ -371,14 +366,14 @@ def build_kb(
     alias_sets: dict[str, set[str]] = {}
     for entity in entities.values():
         for alias in {entity.canonical_label, *entity.variant_labels}:
-            alias_sets.setdefault(norm(alias), set()).add(entity.id)
+            if key := persian_normalize(alias):
+                alias_sets.setdefault(key, set()).add(entity.id)
 
     return KnowledgeBase(
         entities=entities,
         alias_index={key: frozenset(members) for key, members in alias_sets.items()},
         doc_count=sum(1 for entity in entities.values() if entity.article_text),
         doc_freq=frequencies,
-        normalizer=normalizer,
         dropped_links=dropped,
         self_links=self_links,
     )
@@ -397,18 +392,14 @@ def read_records(lines: Iterable[tuple[int, object]], path: str | Path) -> Colle
 
 
 def load_kb(
-    dump_path: str | Path,
-    lists_path: str | Path,
-    normalizer: str = "persian",
+    dump_path: str | Path, lists_path: str | Path
 ) -> tuple[KnowledgeBase, ReferenceLists]:
     """Load a dump and its reference lists and build all indexes."""
-    lists = load_reference_lists(lists_path, normalizer)
+    lists = load_reference_lists(lists_path)
     records = read_records(read_json_lines(dump_path, MalformedRecord), dump_path)
-    frequencies = doc_freq(records, lists.stopwords, normalizer)
-    return build_kb(records, normalizer, frequencies), lists
+    return build_kb(records, doc_freq(records, lists.stopwords)), lists
 
 
 def lookup_alias(kb: KnowledgeBase, surface: str) -> frozenset[str]:
     """Entity ids whose canonical or variant label normalizes to `surface`."""
-    norm = get_normalizer(kb.normalizer)
-    return kb.alias_index.get(norm(surface), frozenset())
+    return kb.alias_index.get(persian_normalize(surface), frozenset())

@@ -33,7 +33,7 @@ from .kb import (
     decode_json,
     lookup_alias,
 )
-from .textnorm import Token, get_normalizer, terms, tokenize
+from .textnorm import Token, terms, tokenize
 
 
 class ConfigError(PeyvandError):
@@ -224,7 +224,7 @@ class _DocScorer:
         self.lists = lists
         self.cfg = cfg
         self.doc = doc
-        self.tokens = tokenize(doc.text, get_normalizer(kb.normalizer))
+        self.tokens = tokenize(doc.text)
         self.doc_terms = {t.text for t in self.tokens if t.text not in lists.stopwords}
         self._article_vectors = kb.article_vectors.setdefault(lists.stopwords, {})
 

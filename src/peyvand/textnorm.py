@@ -1,9 +1,9 @@
 """Deterministic text normalization and tokenization.
 
-The default profile targets Persian social-media text, where Arabic
-keyboard layouts, stray diacritics and inconsistent ZWNJ usage produce
-many spellings of the same surface form. An identity profile is kept for
-tests and for corpora that need no folding.
+One normalizer, `persian_normalize`, serves every alias key, reference
+list entry, document token and article term. It targets Persian
+social-media text, where Arabic keyboard layouts, stray diacritics and
+inconsistent ZWNJ usage produce many spellings of the same surface form.
 
 Text is split by one `str.translate` table that maps every separator
 (whitespace or Unicode punctuation) to a space. The table is filled on
@@ -59,26 +59,7 @@ def persian_normalize(s: str) -> str:
     return unicodedata.normalize("NFC", s)
 
 
-def identity_normalize(s: str) -> str:
-    return s
-
-
-PROFILES: dict[str, Callable[[str], str]] = {
-    "persian": persian_normalize,
-    "identity": identity_normalize,
-}
-
-
-def get_normalizer(name: str) -> Callable[[str], str]:
-    try:
-        return PROFILES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown normalizer profile {name!r}; expected one of {sorted(PROFILES)}"
-        ) from None
-
-
-#: Default profile, used wherever no explicit choice is made.
+#: The public name of the one normalizer.
 normalize = persian_normalize
 
 
@@ -108,7 +89,7 @@ _SEPARATORS = _SeparatorTable()
 _RUN = re.compile("[^ ]+")
 
 
-def tokenize(s: str, normalizer: Callable[[str], str] = persian_normalize) -> list[Token]:
+def tokenize(s: str) -> list[Token]:
     """Split on whitespace and punctuation.
 
     Offsets refer to the original string; `text` is the normalized slice.
@@ -119,30 +100,27 @@ def tokenize(s: str, normalizer: Callable[[str], str] = persian_normalize) -> li
     tokens: list[Token] = []
     for run in _RUN.finditer(s.translate(_SEPARATORS)):
         start, end = run.span()
-        text = normalizer(s[start:end])
+        text = persian_normalize(s[start:end])
         if text:
             tokens.append(Token(text, start, end))
     return tokens
 
 
 class NormalForms(dict):
-    """Memo of a normalizer profile: each raw run maps to its normal form,
+    """Memo of `persian_normalize`: each raw run maps to its normal form,
     interned, so that all the vectors built from it share one string per
     distinct term. A run that is already normal is stored under that
     interned string too, so key and value are one object."""
 
-    def __init__(self, profile: Callable[[str], str]):
-        super().__init__()
-        self.profile = profile
-
     def __missing__(self, run: str) -> str:
-        form = sys.intern(self.profile(run))
+        form = sys.intern(persian_normalize(run))
         self[form if form == run else run] = form
         return form
 
 
 def terms(s: str, normalizer: Callable[[str], str]) -> list[str]:
-    """The texts of `tokenize(s, normalizer)`, without building offsets."""
+    """The texts of `tokenize(s)`, without building offsets, with each run
+    normalized by `normalizer`: `persian_normalize` or a memo of it."""
     # Every whitespace codepoint is a separator, so `split()` breaks only
     # at the spaces the table put in.
     return [t for run in s.translate(_SEPARATORS).split() if (t := normalizer(run))]

@@ -5,8 +5,8 @@ by scanning every entity's labels, cosine over dense numpy vectors built
 from an explicit term-weight table, graph counts by exhaustive pair
 enumeration, tokens by scanning characters one at a time, and a full
 re-implementation of the linking pipeline on top of those. Only the
-normalizer profiles and the data containers are shared with the package;
-no tokenizing or scoring code is.
+normalizer and the data containers are shared with the package; no
+tokenizing or scoring code is.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from peyvand.kb import (
     ReferenceLists,
 )
 from peyvand.linker import LinkResult, LinkerConfig, ScoredCandidate
-from peyvand.textnorm import get_normalizer
+from peyvand.textnorm import persian_normalize
 
 
 def oracle_is_separator(ch: str) -> bool:
@@ -52,13 +52,15 @@ def oracle_tokenize(s: str, norm: Callable[[str], str]) -> list[tuple[str, int, 
 
 
 def brute_force_candidates(kb: KnowledgeBase, surface: str) -> set[str]:
-    """Scan every entity's canonical and variant labels directly."""
-    norm = get_normalizer(kb.normalizer)
-    key = norm(surface)
+    """Scan every entity's canonical and variant labels directly; a surface
+    that normalizes to nothing matches no label."""
+    key = persian_normalize(surface)
+    if not key:
+        return set()
     found = set()
     for entity in kb.entities.values():
         labels = {entity.canonical_label, *entity.variant_labels}
-        if any(norm(label) == key for label in labels):
+        if any(persian_normalize(label) == key for label in labels):
             found.add(entity.id)
     return found
 
@@ -154,9 +156,8 @@ def oracle_filter(
 def oracle_context_terms(
     doc: Document, mention: Mention, kb: KnowledgeBase, lists: ReferenceLists
 ) -> list[str]:
-    norm = get_normalizer(kb.normalizer)
     context = []
-    for text, start, end in oracle_tokenize(doc.text, norm):
+    for text, start, end in oracle_tokenize(doc.text, persian_normalize):
         if end > mention.start and start < mention.end:
             continue
         if text not in lists.stopwords:
@@ -165,8 +166,7 @@ def oracle_context_terms(
 
 
 def oracle_article_terms(entity_id: str, kb: KnowledgeBase, lists: ReferenceLists) -> list[str]:
-    norm = get_normalizer(kb.normalizer)
-    tokens = oracle_tokenize(kb.entities[entity_id].article_text, norm)
+    tokens = oracle_tokenize(kb.entities[entity_id].article_text, persian_normalize)
     return [text for text, _, _ in tokens if text not in lists.stopwords]
 
 
@@ -174,9 +174,10 @@ def oracle_link_document(
     kb: KnowledgeBase, lists: ReferenceLists, cfg: LinkerConfig, doc: Document
 ) -> list[LinkResult]:
     """Full pipeline recomputed independently (shares only data types)."""
-    norm = get_normalizer(kb.normalizer)
     doc_terms = {
-        text for text, _, _ in oracle_tokenize(doc.text, norm) if text not in lists.stopwords
+        text
+        for text, _, _ in oracle_tokenize(doc.text, persian_normalize)
+        if text not in lists.stopwords
     }
     doc_candidates: dict[int, set[str]] = {}
     penalties: dict[int, dict[str, float]] = {}

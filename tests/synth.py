@@ -37,13 +37,9 @@ def entity(
     )
 
 
-def build_kb(
-    records: list[EntityRecord],
-    stopwords: frozenset[str] = frozenset(),
-    normalizer: str = "persian",
-) -> KnowledgeBase:
+def build_kb(records: list[EntityRecord], stopwords: frozenset[str] = frozenset()) -> KnowledgeBase:
     """Index records the same way the loader would, without file round-trips."""
-    return kb.build_kb(records, normalizer, kb.doc_freq(records, stopwords, normalizer))
+    return kb.build_kb(records, kb.doc_freq(records, stopwords))
 
 
 def empty_lists(**overrides) -> ReferenceLists:

@@ -40,9 +40,8 @@ class TestIndexCache:
         assert kb2.alias_index == kb.alias_index
         assert kb2.doc_count == kb.doc_count
         assert kb2.doc_freq == kb.doc_freq
-        assert kb2.normalizer == kb.normalizer
-        assert kb2.dropped_links == kb.dropped_links
         assert lists2 == lists
+        assert kb2.dropped_links == kb2.self_links == 0  # build-time counts, not saved
 
     def test_rebuild_is_byte_identical(self, tmp_path, kb, lists):
         first = tmp_path / "a.idx"
@@ -82,11 +81,20 @@ class TestIndexCache:
         with pytest.raises(CacheVersionMismatch, match="rebuild it with `peyvand build-index`"):
             load_index(path)
 
+    def test_v3_index_demands_rebuild(self, tmp_path, kb, lists):
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+        _, (meta, *rest) = _read_lines(path)
+        v3_meta = {**meta, "normalizer": "persian", "dropped_links": 0}
+        _write_lines(path, MAGIC + b":v3\n", [v3_meta, *rest])
+        with pytest.raises(CacheVersionMismatch, match="rebuild it with `peyvand build-index`"):
+            load_index(path)
+
     def test_body_holds_dump_records_lists_and_frequencies_only(self, tmp_path, kb, lists):
         path = tmp_path / "kb.idx"
         save_index(kb, lists, path)
         _, (meta, frequencies, *records) = _read_lines(path)
-        assert set(meta) == {"dropped_links", "lists", "normalizer", "records"}
+        assert set(meta) == {"lists", "records"}
         assert set(meta["lists"]) == {"rare_blocklist", "class_filters", "type_mapping", "stopwords"}
         assert frequencies == kb.doc_freq
         dump_keys = {"id", "label", "variants", "class", "ner_type", "pos", "article", "links", "rare"}

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from peyvand.cache import CACHE_VERSION, load_index
 from peyvand.cli import main
 from peyvand.corpus import load_predictions
+from peyvand.linker import LinkerConfig
 
 from mutations import byte_edits, mutations
 
@@ -97,7 +98,6 @@ class TestBuildIndex:
         assert code == 0
         assert "warning:" not in err
         kb, _ = load_index(out)
-        assert kb.dropped_links == 0
         assert kb.entities["E01"].out_links == frozenset({"E02"})
 
     @pytest.mark.parametrize(
@@ -114,13 +114,11 @@ class TestBuildIndex:
         ids=["missing-id", "self-link", "both"],
     )
     def test_each_cause_of_a_dropped_link_warns_apart(self, tmp_path, data_dir, links, warnings):
-        code, err, out = self._build_two_entities(tmp_path, data_dir, links)
+        code, err, _ = self._build_two_entities(tmp_path, data_dir, links)
         assert code == 0
         assert [line for line in err.splitlines() if line.startswith("warning:")] == [
             f"warning: {w}" for w in warnings
         ]
-        kb, _ = load_index(out)
-        assert kb.dropped_links == len(set(links) - {"E02"})
 
 
 class TestLink:
@@ -169,6 +167,7 @@ class TestLink:
         assert manifest["tool"] == "peyvand"
         assert manifest["documents"] == 12
         assert manifest["mentions"] == 24
+        assert manifest["config"] == LinkerConfig().to_dict()
         assert set(manifest["timings_s"]) == {"load_index", "link", "write"}
         for name, path in (("index", index_path), ("corpus", corpus)):
             recomputed = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -519,45 +518,20 @@ def test_damaged_input_exits_zero_or_one_error_line(
 
 
 class TestIndexNormalizer:
-    @pytest.fixture(scope="class")
-    def identity_index(self, tmp_path_factory, data_dir):
-        path = tmp_path_factory.mktemp("identity") / "identity.idx"
-        assert main(["build-index", "--kb", str(data_dir / "mini_kb.jsonl"),
-                     "--lists", str(data_dir / "reference_lists.json"),
-                     "--out", str(path), "--normalizer", "identity"]) == 0
-        return path
+    """The normalizer is fixed: neither a config key nor a flag sets it."""
 
-    @pytest.mark.parametrize(
-        "config", [None, {"lambda": 0.4}], ids=["no-config", "config-without-normalizer"]
-    )
-    def test_link_uses_index_normalizer(
-        self, tmp_path, data_dir, identity_index, capsys, config
-    ):
-        extra = []
-        if config is not None:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(config), encoding="utf-8")
-            extra = ["--config", str(path)]
-        capsys.readouterr()
-        assert _link(identity_index, data_dir / "mini_corpus.jsonl", tmp_path / "p.jsonl", *extra) == 0
-        assert capsys.readouterr().err == ""
-        manifest = json.loads((tmp_path / "p.jsonl.manifest.json").read_text(encoding="utf-8"))
-        assert manifest["config"]["normalizer"] == "identity"
-
-    def test_config_that_sets_a_normalizer_exits_one(
-        self, tmp_path, data_dir, identity_index, capsys
-    ):
+    def test_config_that_sets_a_normalizer_exits_one(self, tmp_path, data_dir, index_path, capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"normalizer": "identity"}), encoding="utf-8")
+        path.write_text(json.dumps({"normalizer": "persian"}), encoding="utf-8")
         out = tmp_path / "p.jsonl"
         capsys.readouterr()
-        assert _link(identity_index, data_dir / "mini_corpus.jsonl", out, "--config", str(path)) == 1
+        assert _link(index_path, data_dir / "mini_corpus.jsonl", out, "--config", str(path)) == 1
         err = capsys.readouterr().err
         assert _one_error_line(err) and "normalizer" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "flags", [("--config", "cfg.json"), ("--normalizer", "klingon")],
+        "flags", [("--config", "cfg.json"), ("--normalizer", "persian")],
         ids=["config", "unknown-normalizer"],
     )
     def test_build_index_usage_error_exits_two(self, tmp_path, data_dir, capsys, flags):

@@ -199,13 +199,14 @@ class TestLookupAlias:
         for ids in kb.alias_index.values():
             assert ids <= set(kb.entities)
 
-    def test_identity_profile_keeps_exact_keys(self, tmp_path, lists_file):
+    def test_alias_that_normalizes_to_nothing_is_not_indexed(self, tmp_path, lists_file):
         dump = tmp_path / "kb.jsonl"
-        dump.write_text(_record("E1", "Foo", ["Bar"]) + "\n", encoding="utf-8")
-        kb, _ = load_kb(dump, lists_file, normalizer="identity")
-        assert lookup_alias(kb, "Foo") == {"E1"}
-        assert lookup_alias(kb, "foo") == frozenset()
-        assert kb.normalizer == "identity"
+        dump.write_text(_record("E1", "ـ", ["یک"]) + "\n", encoding="utf-8")  # a bare tatweel
+        kb, _ = load_kb(dump, lists_file)
+        assert "" not in kb.alias_index
+        for surface in ("ـ", "", " "):
+            assert lookup_alias(kb, surface) == frozenset() == brute_force_candidates(kb, surface)
+        assert lookup_alias(kb, "یک") == {"E1"}
 
 
 class TestDocFreq:
@@ -238,14 +239,10 @@ class TestDocFreq:
             return memo
 
         monkeypatch.setattr(functools, "cache", spy_cache)
-        assert doc_freq(kb.entities.values(), lists.stopwords, "persian") == kb.doc_freq
+        assert doc_freq(kb.entities.values(), lists.stopwords) == kb.doc_freq
         gc.collect()
         assert all(ref() is None for ref in memos)
-        assert textnorm.PROFILES == {
-            "persian": textnorm.persian_normalize,
-            "identity": textnorm.identity_normalize,
-        }
-        assert all(type(fn) is types.FunctionType for fn in textnorm.PROFILES.values())
+        assert type(textnorm.persian_normalize) is types.FunctionType
         assert textnorm.normalize is textnorm.persian_normalize
 
 
@@ -267,7 +264,7 @@ class TestReferenceListsShape:
             load_reference_lists(path)
 
     def test_serialized_lists_parse_back_unchanged(self, lists):
-        assert parse_reference_lists(lists_to_obj(lists), "lists", "persian") == lists
+        assert parse_reference_lists(lists_to_obj(lists), "lists") == lists
 
 
 class TestBuildKb:
@@ -276,7 +273,7 @@ class TestBuildKb:
             parse_record(json.loads(_record("A", "آلفا", links=("B", "A", "Z"), article="متن")), "d", 1),
             parse_record(json.loads(_record("B", "بتا", ["آلفا"])), "d", 2),
         ]
-        kb = build_kb(records, "persian", {"متن": 1})
+        kb = build_kb(records, {"متن": 1})
         assert kb.entities["A"].out_links == frozenset({"B"})
         assert kb.dropped_links == 2
         assert kb.self_links == 1
@@ -288,4 +285,4 @@ class TestBuildKb:
             parse_record(json.loads(_record(e, e, article=text)), "d", 1)
             for e, text in (("A", "سیب سیب و"), ("B", "سیب"), ("C", ""))
         ]
-        assert doc_freq(records, frozenset({"و"}), "persian") == {"سیب": 2}
+        assert doc_freq(records, frozenset({"و"})) == {"سیب": 2}

@@ -24,7 +24,7 @@ from peyvand.linker import (
     link_document,
     rank_and_select,
 )
-from peyvand.textnorm import identity_normalize, tokenize
+from peyvand.textnorm import NormalForms, terms, tokenize
 
 from oracles import (
     brute_force_candidates,
@@ -662,13 +662,13 @@ class TestArticleVectorMemo:
     def test_normal_forms_hold_article_runs_only(self, data_dir, mini_corpus, monkeypatch):
         kb, lists = self._load(data_dir)
         calls: Counter[str] = Counter()
-        profile = kb.normal_forms.profile
+        missing = NormalForms.__missing__
 
-        def counting_profile(run):
+        def counting_missing(memo, run):
             calls[run] += 1
-            return profile(run)
+            return missing(memo, run)
 
-        monkeypatch.setattr(kb.normal_forms, "profile", counting_profile)
+        monkeypatch.setattr(NormalForms, "__missing__", counting_missing)
         word = "زرافه"  # in no article of the mini KB
         assert not any(word in e.article_text for e in kb.entities.values())
         first = mini_corpus[0]
@@ -678,9 +678,9 @@ class TestArticleVectorMemo:
 
         vectorized = kb.article_vectors[lists.stopwords]
         article_runs = {
-            t.text
+            run
             for entity_id in vectorized
-            for t in tokenize(kb.entities[entity_id].article_text, identity_normalize)
+            for run in terms(kb.entities[entity_id].article_text, lambda run: run)
         }
         assert set(kb.normal_forms) == article_runs
         assert word not in kb.normal_forms

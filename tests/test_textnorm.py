@@ -15,9 +15,8 @@ from peyvand.textnorm import (
     ZWNJ,
     Token,
     _SeparatorTable,
-    get_normalizer,
-    identity_normalize,
     normalize,
+    persian_normalize,
     terms,
     tokenize,
 )
@@ -94,18 +93,6 @@ class TestNormalize:
             once = normalize(s)
             assert normalize(once) == once
 
-    def test_identity_profile_is_identity(self):
-        assert identity_normalize("  Foo‌Bar ") == "  Foo‌Bar "
-        assert get_normalizer("identity") is identity_normalize
-
-    def test_unknown_profile_rejected(self):
-        try:
-            get_normalizer("klingon")
-        except ValueError as exc:
-            assert "klingon" in str(exc)
-        else:
-            raise AssertionError("expected ValueError")
-
 
 class TestTokenize:
     def test_punctuation_dropped_offsets_kept(self):
@@ -144,21 +131,17 @@ class TestTokenize:
             previous_end = token.end
             assert normalize(s[token.start : token.end]) == token.text
 
-    def test_identity_profile_tokens_keep_raw_text(self):
-        tokens = tokenize("Foo BAR", identity_normalize)
-        assert [t.text for t in tokens] == ["Foo", "BAR"]
-
-    @given(_tokenizer_text, st.sampled_from(["persian", "identity"]))
+    @given(_tokenizer_text)
     @settings(max_examples=300)
-    def test_matches_oracle_tokenizer(self, s, profile):
-        norm = get_normalizer(profile)
-        assert [(t.text, t.start, t.end) for t in tokenize(s, norm)] == oracle_tokenize(s, norm)
+    def test_matches_oracle_tokenizer(self, s):
+        tokens = [(t.text, t.start, t.end) for t in tokenize(s)]
+        assert tokens == oracle_tokenize(s, persian_normalize)
 
 
-    @given(_tokenizer_text, st.sampled_from(["persian", "identity"]))
+    # The raw runs as well: the separator table alone decides where terms split.
+    @given(_tokenizer_text, st.sampled_from([persian_normalize, lambda run: run]))
     @settings(max_examples=300)
-    def test_terms_match_oracle_tokenizer(self, s, profile):
-        norm = get_normalizer(profile)
+    def test_terms_match_oracle_tokenizer(self, s, norm):
         assert terms(s, norm) == [text for text, _, _ in oracle_tokenize(s, norm)]
 
     def test_separator_table_matches_oracle_on_every_codepoint(self):
