@@ -22,6 +22,7 @@ from pathlib import Path
 from .errors import PeyvandError
 from .kb import (
     KnowledgeBase,
+    MalformedRecord,
     ReferenceLists,
     build_kb,
     json_lines,
@@ -85,7 +86,10 @@ def load_index(path: str | Path) -> tuple[KnowledgeBase, ReferenceLists]:
         count = meta["records"]
         if type(count) is not int or count < 0:
             raise _corrupt(path, meta_line, "records must be an integer >= 0")
-        lists = parse_reference_lists(meta["lists"], path)
+        try:
+            lists = parse_reference_lists(meta["lists"], path)
+        except MalformedRecord as exc:
+            raise _corrupt(path, meta_line, exc.reason) from None
         records = read_records(lines, path)
     if len(records) != count:
         raise CacheError(f"{path}: corrupt index cache: {len(records)} records, not {count}")

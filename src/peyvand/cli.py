@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -32,17 +33,6 @@ def _sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _load_config(args: argparse.Namespace) -> LinkerConfig:
-    """The `link` config file over the defaults, then the command-line overrides."""
-    cfg = LinkerConfig.from_file(args.config) if args.config else LinkerConfig()
-    overrides = {}
-    if args.lambda_weight is not None:
-        overrides["lambda_weight"] = args.lambda_weight
-    if args.nil_threshold is not None:
-        overrides["nil_threshold"] = args.nil_threshold
-    return dataclasses.replace(cfg, **overrides) if overrides else cfg
-
-
 def cmd_build_index(args: argparse.Namespace) -> int:
     kb, lists = load_kb(args.kb, args.lists)
     missing = kb.dropped_links - kb.self_links
@@ -62,15 +52,16 @@ def cmd_build_index(args: argparse.Namespace) -> int:
 
 
 def cmd_link(args: argparse.Namespace) -> int:
+    # The config and corpus first: their errors should not wait for the index load.
+    cfg = LinkerConfig.from_file(args.config) if args.config else LinkerConfig()
+    docs = load_corpus(args.corpus)
+
     timings: dict[str, float] = {}
     started = time.perf_counter()
     kb, lists = load_index(args.index)
     timings["load_index"] = time.perf_counter() - started
-    cfg = _load_config(args)
     if cfg.lambda_weight > 0 and not lists.stopwords:
         print("warning: context scoring enabled but the stopword list is empty", file=sys.stderr)
-
-    docs = load_corpus(args.corpus)
 
     started = time.perf_counter()
     results = [link_document(kb, lists, cfg, doc) for doc in docs]
@@ -170,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True, help="annotated corpus (JSON lines)")
     p.add_argument("--out", required=True, help="prediction file output path")
     p.add_argument("--config", help="linker config file")
-    p.add_argument("--lambda", dest="lambda_weight", type=float, help="context/graph mix weight")
-    p.add_argument("--nil-threshold", type=float, help="NIL abstention threshold")
     p.set_defaults(func=cmd_link)
 
     p = sub.add_parser("evaluate", help="score predictions against gold annotations")
@@ -191,9 +180,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse an `--out`, or the `link` manifest, that resolves to an input file."""
+    names = ("kb", "lists", "index", "corpus", "config", "predictions")
+    inputs = {os.path.realpath(p): name for name in names if (p := getattr(args, name, None))}
+    outputs = [args.out, f"{args.out}.manifest.json"] if args.command == "link" else [args.out]
+    for out in filter(None, outputs):
+        if name := inputs.get(os.path.realpath(out)):
+            raise PeyvandError(f"{out}: refusing to overwrite the --{name} input")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except PeyvandError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,6 @@ Reference lists live in a single JSON file with keys `rare_blocklist`,
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from collections import Counter
@@ -335,11 +334,11 @@ def doc_freq(records: Iterable[EntityRecord], stopwords: frozenset[str]) -> dict
     """Number of non-empty articles each content term occurs in."""
     # Articles repeat words, so normalize each distinct run once; the memo
     # lives only as long as this call.
-    norm = functools.cache(persian_normalize)
+    normal = NormalForms().__getitem__
     counts: Counter[str] = Counter()
     for record in records:
         if record.article_text:
-            counts.update({t for t in terms(record.article_text, norm) if t not in stopwords})
+            counts.update({t for t in terms(record.article_text, normal) if t not in stopwords})
     return dict(counts)
 
 

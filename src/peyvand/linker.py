@@ -1,8 +1,8 @@
 """The linking pipeline: candidates, filters, scoring, NIL abstention.
 
 For every mention the pipeline looks up candidates in the alias index,
-applies the four heuristic filters (type, POS, popularity, class-specific
-evidence), then scores each surviving candidate with
+applies the heuristic filters of `FILTERS` that the config turns on (type,
+POS, popularity, class-specific evidence), then scores each survivor with
 
     combined = penalty * (lambda * context + (1 - lambda) * graph)
 
@@ -36,6 +36,10 @@ from .kb import (
 from .textnorm import Token, terms, tokenize
 
 
+# The heuristic filters in the order they run and in the config's key order.
+FILTERS = ("type", "pos", "popularity", "class")
+
+
 class ConfigError(PeyvandError):
     pass
 
@@ -46,14 +50,12 @@ def _config_error(path: str | Path, line: int, reason: str) -> ConfigError:
 
 @dataclass(frozen=True)
 class LinkerConfig:
-    """Pipeline knobs. `lambda_weight` mixes context against graph score."""
+    """Pipeline knobs. `lambda_weight` mixes context against graph score;
+    `filters` names the filters of `FILTERS` that run."""
 
     lambda_weight: float = 0.5
     nil_threshold: float = 0.05
-    type_filter: bool = True
-    pos_filter: bool = True
-    popularity_filter: bool = True
-    class_filter: bool = True
+    filters: frozenset[str] = frozenset(FILTERS)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.lambda_weight <= 1.0:
@@ -62,6 +64,9 @@ class LinkerConfig:
             raise ConfigError(
                 f"nil_threshold must be finite and non-negative, got {self.nil_threshold}"
             )
+        unknown = set(self.filters).difference(FILTERS)
+        if unknown:
+            raise ConfigError(f"unknown filter keys: {sorted(unknown)}")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "LinkerConfig":
@@ -73,11 +78,10 @@ class LinkerConfig:
         filters = data.get("filters", {})
         if not isinstance(filters, Mapping):
             raise ConfigError(f"filters must be an object, got {filters!r}")
-        bad = set(filters) - set(defaults["filters"])
+        bad = set(filters).difference(FILTERS)
         if bad:
             raise ConfigError(f"unknown filter keys: {sorted(bad)}")
         values = {**defaults, **data}
-        filters = {**defaults["filters"], **filters}
         for key, value in filters.items():
             if type(value) is not bool:
                 raise ConfigError(f"filters.{key} must be true or false, got {value!r}")
@@ -89,10 +93,7 @@ class LinkerConfig:
             return cls(
                 lambda_weight=float(values["lambda"]),
                 nil_threshold=float(values["nil_threshold"]),
-                type_filter=filters["type"],
-                pos_filter=filters["pos"],
-                popularity_filter=filters["popularity"],
-                class_filter=filters["class"],
+                filters=frozenset(name for name in FILTERS if filters.get(name, True)),
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"invalid config value: {exc}") from exc
@@ -108,12 +109,7 @@ class LinkerConfig:
         return {
             "lambda": self.lambda_weight,
             "nil_threshold": self.nil_threshold,
-            "filters": {
-                "type": self.type_filter,
-                "pos": self.pos_filter,
-                "popularity": self.popularity_filter,
-                "class": self.class_filter,
-            },
+            "filters": {name: name in self.filters for name in FILTERS},
         }
 
 
@@ -236,13 +232,13 @@ class _DocScorer:
 
         # Type check: only when the mention carries a usable type and the
         # mapping has an opinion about it.
-        if cfg.type_filter and mention.ner_type not in (None, NerType.UNKNOWN):
+        if "type" in cfg.filters and mention.ner_type not in (None, NerType.UNKNOWN):
             allowed = lists.type_mapping.get(mention.ner_type)
             if allowed is not None:
                 kept = {c for c in kept if kb.entities[c].kb_class in allowed}
 
         # POS check: UNKNOWN on either side keeps the candidate.
-        if cfg.pos_filter and mention.pos_tag not in (None, PosCategory.UNKNOWN):
+        if "pos" in cfg.filters and mention.pos_tag not in (None, PosCategory.UNKNOWN):
             kept = {
                 c
                 for c in kept
@@ -251,7 +247,7 @@ class _DocScorer:
 
         # Popularity: the manually curated rare list, whether shipped as a
         # blocklist or as per-record flags in the dump.
-        if cfg.popularity_filter:
+        if "popularity" in cfg.filters:
             kept = {
                 c for c in kept if c not in lists.rare_blocklist and not kb.entities[c].rare
             }
@@ -260,7 +256,7 @@ class _DocScorer:
 
         # Class-specific evidence: generic names (artwork titles and the like)
         # keep their full rate only when a trigger term appears in the document.
-        if cfg.class_filter:
+        if "class" in cfg.filters:
             for c in kept:
                 class_filter = lists.class_filters.get(kb.entities[c].kb_class)
                 if class_filter is not None and not (class_filter.triggers & self.doc_terms):

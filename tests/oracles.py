@@ -133,20 +133,20 @@ def oracle_filter(
     kept = set()
     for candidate in candidates:
         record = kb.entities[candidate]
-        if cfg.type_filter and mention.ner_type is not None and mention.ner_type != NerType.UNKNOWN:
+        if "type" in cfg.filters and mention.ner_type is not None and mention.ner_type != NerType.UNKNOWN:
             if mention.ner_type in lists.type_mapping:
                 if record.kb_class not in lists.type_mapping[mention.ner_type]:
                     continue
-        if cfg.pos_filter and mention.pos_tag is not None and mention.pos_tag != PosCategory.UNKNOWN:
+        if "pos" in cfg.filters and mention.pos_tag is not None and mention.pos_tag != PosCategory.UNKNOWN:
             if record.pos_category != PosCategory.UNKNOWN and record.pos_category != mention.pos_tag:
                 continue
-        if cfg.popularity_filter and (candidate in lists.rare_blocklist or record.rare):
+        if "popularity" in cfg.filters and (candidate in lists.rare_blocklist or record.rare):
             continue
         kept.add(candidate)
     penalties = {}
     for candidate in kept:
         penalties[candidate] = 1.0
-        if cfg.class_filter:
+        if "class" in cfg.filters:
             class_filter = lists.class_filters.get(kb.entities[candidate].kb_class)
             if class_filter is not None and len(class_filter.triggers & doc_terms) == 0:
                 penalties[candidate] = class_filter.penalty

@@ -24,7 +24,7 @@ from peyvand.cli import main
 from peyvand.corpus import Document, Mention, corpus_stats
 from peyvand.evaluate import f1
 from peyvand.kb import NerType, PosCategory, lookup_alias
-from peyvand.linker import LinkerConfig, context_score, filter_candidates, generate_candidates, graph_score, link_document
+from peyvand.linker import FILTERS, LinkerConfig, context_score, filter_candidates, generate_candidates, graph_score, link_document
 from peyvand.textnorm import ZWNJ, normalize, tokenize
 
 from oracles import dense_cosine, exhaustive_raw_links
@@ -149,9 +149,7 @@ def test_c6_filter_contractiveness_randomized(kb, lists):
     with criterion("C6 filter contractiveness (1000 randomized cases)"):
         rng = random.Random(14020518)
         surfaces = sorted(kb.alias_index) + ["بدون برخورد", "ناشناس"]
-        all_off = LinkerConfig(
-            type_filter=False, pos_filter=False, popularity_filter=False, class_filter=False
-        )
+        all_off = LinkerConfig(filters=frozenset())
         for _ in range(1000):
             surface = rng.choice(surfaces)
             filler = rng.choice(["در متن", "در فیلم و سینما", "در شهر", ""])
@@ -164,12 +162,7 @@ def test_c6_filter_contractiveness_randomized(kb, lists):
                 pos_tag=rng.choice([None, *PosCategory]),
             )
             doc = Document("r", "test", text, [mention])
-            cfg = LinkerConfig(
-                type_filter=rng.random() < 0.5,
-                pos_filter=rng.random() < 0.5,
-                popularity_filter=rng.random() < 0.5,
-                class_filter=rng.random() < 0.5,
-            )
+            cfg = LinkerConfig(filters=frozenset(f for f in FILTERS if rng.random() < 0.5))
             candidates = generate_candidates(kb, mention)
             kept, penalties = filter_candidates(kb, lists, cfg, doc, mention, candidates)
             assert kept <= set(candidates)

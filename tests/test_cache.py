@@ -119,6 +119,16 @@ class TestIndexCache:
         with pytest.raises(MalformedRecord, match=f"^{path}:7: ner_type 'XX' is invalid"):
             load_index(path)
 
+    def test_bad_lists_name_the_metadata_line(self, tmp_path, kb, lists):
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+        header, values = _read_lines(path)
+        values[0]["lists"]["class_filters"] = []
+        _write_lines(path, header, values)
+        reason = "corrupt index cache: class_filters must be an object"
+        with pytest.raises(CacheError, match=f"^{path}:2: {reason}$"):
+            load_index(path)
+
     @pytest.mark.parametrize(
         "keep,reason",
         [(1, "ends before the doc_freq line"), (-1, "records, not ")],

@@ -130,10 +130,12 @@ class TestLink:
         _assert_matches_golden(out, data_dir)
 
     def test_nil_threshold_above_one_makes_everything_nil(self, tmp_path, data_dir, index_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"nil_threshold": 1.1}), encoding="utf-8")
         out = tmp_path / "pred.jsonl"
         assert main(["link", "--index", str(index_path),
                      "--corpus", str(data_dir / "mini_corpus.jsonl"),
-                     "--out", str(out), "--nil-threshold", "1.1"]) == 0
+                     "--out", str(out), "--config", str(config)]) == 0
         for doc in load_predictions(out):
             for mention in doc.mentions:
                 assert not isinstance(mention.prediction, str)
@@ -173,17 +175,23 @@ class TestLink:
             recomputed = hashlib.sha256(path.read_bytes()).hexdigest()
             assert manifest["inputs"][name]["sha256"] == recomputed
 
-    def test_cli_flags_override_config_file(self, tmp_path, data_dir, index_path):
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"lambda": 0.9, "nil_threshold": 0.4}), encoding="utf-8")
+    def test_lambda_flag_is_a_usage_error(self, tmp_path, data_dir, index_path, capsys):
         out = tmp_path / "pred.jsonl"
-        assert main(["link", "--index", str(index_path),
-                     "--corpus", str(data_dir / "mini_corpus.jsonl"),
-                     "--out", str(out), "--config", str(config),
-                     "--lambda", "0.25"]) == 0
-        manifest = json.loads((tmp_path / "pred.jsonl.manifest.json").read_text(encoding="utf-8"))
-        assert manifest["config"]["lambda"] == 0.25  # flag wins
-        assert manifest["config"]["nil_threshold"] == 0.4  # file kept
+        with pytest.raises(SystemExit) as exc:
+            _link(index_path, data_dir / "mini_corpus.jsonl", out, "--lambda", "0.5")
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: peyvand")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--corpus"])
+    def test_config_and_corpus_are_read_before_the_index(self, tmp_path, data_dir, capsys, flag):
+        corrupt = tmp_path / "corrupt.idx"
+        corrupt.write_bytes(b"not an index\n")
+        bad = tmp_path / "bad.json"
+        bad.write_text("{oops\n", encoding="utf-8")
+        assert main(_argv("link", flag, bad, tmp_path, data_dir, corrupt)) == 1
+        err = capsys.readouterr().err
+        assert _one_error_line(err) and err.startswith(f"error: {bad}:1: ")
 
     def test_stale_index_version_exits_one(self, tmp_path, data_dir, index_path, capsys):
         stale = tmp_path / "stale.idx"
@@ -397,16 +405,6 @@ class TestMalformedInputExitsOne:
         assert _one_error_line(err)
         assert err.startswith(f"error: {corrupt}{where}")
 
-    @pytest.mark.parametrize(
-        "flags",
-        [("--nil-threshold", "nan"), ("--nil-threshold", "inf"), ("--lambda", "nan")],
-    )
-    def test_non_finite_number_flag(self, tmp_path, data_dir, index_path, capsys, flags):
-        out = tmp_path / "p.jsonl"
-        assert _link(index_path, data_dir / "mini_corpus.jsonl", out, *flags) == 1
-        assert _one_error_line(capsys.readouterr().err)
-        assert not out.exists()
-
     def test_removed_config_keys_are_unknown(self, tmp_path, data_dir, index_path, capsys):
         # Even at their old defaults: the context is always the whole
         # document and the IDF always smoothed.
@@ -422,8 +420,8 @@ class TestMalformedInputExitsOne:
 
     @pytest.mark.parametrize(
         "config",
-        [{"filters": 5}, {"filters": {"type": "false"}}, {"nil_threshold": True}],
-        ids=["filters-int", "flag-string", "threshold-bool"],
+        [{"filters": 5}, {"filters": {"type": "false"}}, {"nil_threshold": True}, {"lambda": 1.5}],
+        ids=["filters-int", "flag-string", "threshold-bool", "lambda-above-one"],
     )
     def test_malformed_config_flags(self, tmp_path, data_dir, index_path, capsys, config):
         path = tmp_path / "cfg.json"
@@ -478,6 +476,26 @@ class TestMalformedInputExitsOne:
         err = capsys.readouterr().err
         assert _one_error_line(err)
         assert f"{pred}:1:" in err
+
+
+@pytest.mark.parametrize(
+    "command,flag,suffix",
+    [("build-index", "--kb", ""), ("link", "--corpus", ""), ("link", "--config", ".manifest.json"),
+     ("evaluate", "--corpus", ""), ("stats", "--index", "")],
+    ids=["build-index", "link", "link-manifest", "evaluate", "stats"],
+)
+def test_out_that_names_an_input_exits_one_and_writes_nothing(
+    tmp_path, data_dir, index_path, capsys, command, flag, suffix
+):
+    # `link` also writes `<out>.manifest.json`; the last `--out` wins.
+    out = os.path.join(tmp_path, ".", "input")
+    source = tmp_path / f"input{suffix}"
+    shutil.copyfile(_source(flag, data_dir, index_path), source)
+    before = source.read_bytes()
+    assert main([*_argv(command, flag, source, tmp_path, data_dir, index_path), "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: {out}{suffix}: refusing to overwrite the {flag} input\n"
+    assert source.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [source]
 
 
 def _damaged(data, source):

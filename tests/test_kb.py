@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import functools
 import gc
 import json
 import random
@@ -231,17 +230,16 @@ class TestDocFreq:
 
     def test_doc_freq_leaves_no_normalize_memo(self, kb, lists, monkeypatch):
         memos = []
-        real_cache = functools.cache
 
-        def spy_cache(fn):
-            memo = real_cache(fn)
-            memos.append(weakref.ref(memo))
-            return memo
+        class SpyForms(textnorm.NormalForms):
+            def __init__(self):
+                super().__init__()
+                memos.append(weakref.ref(self))
 
-        monkeypatch.setattr(functools, "cache", spy_cache)
+        monkeypatch.setattr("peyvand.kb.NormalForms", SpyForms)
         assert doc_freq(kb.entities.values(), lists.stopwords) == kb.doc_freq
         gc.collect()
-        assert all(ref() is None for ref in memos)
+        assert len(memos) == 1 and memos[0]() is None
         assert type(textnorm.persian_normalize) is types.FunctionType
         assert textnorm.normalize is textnorm.persian_normalize
 

@@ -15,6 +15,7 @@ from peyvand.cache import save_index
 from peyvand.corpus import Document, Mention, NIL
 from peyvand.kb import KnowledgeBase, NerType, PosCategory, load_kb
 from peyvand.linker import (
+    FILTERS,
     ConfigError,
     LinkerConfig,
     context_score,
@@ -51,7 +52,7 @@ class TestConfig:
         cfg = LinkerConfig()
         assert cfg.lambda_weight == 0.5
         assert cfg.nil_threshold == 0.05
-        assert cfg.type_filter and cfg.pos_filter and cfg.popularity_filter and cfg.class_filter
+        assert cfg.filters == {"type", "pos", "popularity", "class"}
 
     def test_lambda_bounds_enforced(self):
         with pytest.raises(ConfigError):
@@ -65,7 +66,9 @@ class TestConfig:
             LinkerConfig(nil_threshold=-0.01)
 
     def test_from_dict_round_trip(self):
-        cfg = LinkerConfig(lambda_weight=0.7, nil_threshold=0.2, pos_filter=False, class_filter=False)
+        cfg = LinkerConfig(
+            lambda_weight=0.7, nil_threshold=0.2, filters=frozenset({"type", "popularity"})
+        )
         assert LinkerConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_unknown_keys_rejected(self):
@@ -80,6 +83,10 @@ class TestConfig:
             LinkerConfig.from_dict({"context_window": None})
         with pytest.raises(ConfigError, match="unknown config keys"):
             LinkerConfig.from_dict({"idf_smoothing": True})
+
+    def test_unknown_filter_name_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown filter keys: \['typo'\]"):
+            LinkerConfig(filters=frozenset({"typo"}))
 
     def test_bundled_config_is_the_defaults(self, data_dir):
         bundled = json.loads((data_dir / "default_config.json").read_text(encoding="utf-8"))
@@ -108,7 +115,7 @@ class TestGenerateCandidates:
 
 class TestFilters:
     def test_all_filters_disabled_is_identity_with_unit_penalties(self, kb, lists, mini_corpus):
-        cfg = LinkerConfig(type_filter=False, pos_filter=False, popularity_filter=False, class_filter=False)
+        cfg = LinkerConfig(filters=frozenset())
         doc = mini_corpus[1]  # d02
         mention = doc.mentions[0]
         candidates = generate_candidates(kb, mention)
@@ -192,12 +199,7 @@ class TestFilters:
             doc = doc_of(text, mention_at(text, surface,
                                           ner_type=rng.choice([None, *NerType]),
                                           pos_tag=rng.choice([None, *PosCategory])))
-            cfg = LinkerConfig(
-                type_filter=rng.random() < 0.5,
-                pos_filter=rng.random() < 0.5,
-                popularity_filter=rng.random() < 0.5,
-                class_filter=rng.random() < 0.5,
-            )
+            cfg = LinkerConfig(filters=frozenset(f for f in FILTERS if rng.random() < 0.5))
             mention = doc.mentions[0]
             candidates = generate_candidates(kb, mention)
             kept, penalties = filter_candidates(kb, lists, cfg, doc, mention, candidates)
@@ -371,7 +373,7 @@ class TestRankAndSelect:
     def test_nil_keeps_all_candidates_in_ambiguity(self, kb, lists):
         text = "شهریار"
         doc = doc_of(text, mention_at(text, "شهریار"))
-        cfg = LinkerConfig(nil_threshold=1.1, popularity_filter=False)
+        cfg = LinkerConfig(nil_threshold=1.1, filters=frozenset(FILTERS) - {"popularity"})
         result = link_document(kb, lists, cfg, doc)[0]
         assert result.decision is NIL
         assert [c.entity_id for c in result.ambiguity] == ["E10", "E32", "E33"]
@@ -429,7 +431,9 @@ class TestLinkDocument:
         assert full.decision == pure_context.decision == "E06"
 
     def test_graph_normalization_preserves_argmax_at_lambda_zero(self, kb, lists, mini_corpus):
-        cfg = LinkerConfig(lambda_weight=0.0, nil_threshold=0.0, class_filter=False)
+        cfg = LinkerConfig(
+            lambda_weight=0.0, nil_threshold=0.0, filters=frozenset(FILTERS) - {"class"}
+        )
         for doc in mini_corpus:
             doc_candidates = {}
             for i, mention in enumerate(doc.mentions):
@@ -452,7 +456,7 @@ class TestLinkDocument:
             mention_at(text, "پاریس"),
             mention_at(text, "ایران"),
         )
-        cfg = LinkerConfig(popularity_filter=False)
+        cfg = LinkerConfig(filters=frozenset(FILTERS) - {"popularity"})
         result = link_document(kb, lists, cfg, doc)[0]
         assert result.decision == "E31"
         assert result.score == pytest.approx(0.5)
@@ -496,12 +500,7 @@ def filter_scenarios(draw):
         class_filters={"film": ClassFilter(frozenset({"فیلم"}), 0.5)},
         type_mapping={NerType.LOC: frozenset({"city"}), NerType.ORG: frozenset({"club"})},
     )
-    cfg = LinkerConfig(
-        type_filter=draw(_flags),
-        pos_filter=draw(_flags),
-        popularity_filter=draw(_flags),
-        class_filter=draw(_flags),
-    )
+    cfg = LinkerConfig(filters=frozenset(f for f in FILTERS if draw(_flags)))
     with_trigger = draw(_flags)
     text = "نام در فیلم" if with_trigger else "نام در متن"
     doc = doc_of(
@@ -530,7 +529,7 @@ def test_filters_are_contractive(scenario):
     relaxed, unit = filter_candidates(
         kb,
         lists,
-        LinkerConfig(type_filter=False, pos_filter=False, popularity_filter=False, class_filter=False),
+        LinkerConfig(filters=frozenset()),
         doc,
         mention,
         candidates,
@@ -577,7 +576,9 @@ class TestConfigRejectsInvalidNumbers:
 
     def test_from_dict_takes_defaults_for_missing_keys(self):
         assert LinkerConfig.from_dict({"lambda": 0.2}) == LinkerConfig(lambda_weight=0.2)
-        assert LinkerConfig.from_dict({"filters": {"pos": False}}) == LinkerConfig(pos_filter=False)
+        assert LinkerConfig.from_dict({"filters": {"pos": False}}) == LinkerConfig(
+            filters=frozenset(FILTERS) - {"pos"}
+        )
 
 
 class TestConfigRejectsMalformedFlags:
