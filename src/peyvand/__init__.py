@@ -40,7 +40,7 @@ from .linker import (
     link_document,
     rank_and_select,
 )
-from .textnorm import Token, normalize, tokenize
+from .textnorm import normalize, tokenize
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "PosCategory",
     "ReferenceLists",
     "ScoredCandidate",
-    "Token",
     "context_score",
     "corpus_stats",
     "f1",

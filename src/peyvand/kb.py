@@ -195,6 +195,9 @@ def load_reference_lists(path: str | Path) -> ReferenceLists:
     return parse_reference_lists(data, path)
 
 
+_LISTS_KEYS = ("rare_blocklist", "class_filters", "type_mapping", "stopwords")
+
+
 def parse_reference_lists(data: object, path: str | Path) -> ReferenceLists:
     """Validate decoded reference lists; `path` names their source in errors.
 
@@ -203,6 +206,9 @@ def parse_reference_lists(data: object, path: str | Path) -> ReferenceLists:
     """
     if not isinstance(data, dict):
         raise MalformedRecord(path, None, "reference lists must be a JSON object")
+    unknown = sorted(set(data).difference(_LISTS_KEYS))
+    if unknown:
+        raise MalformedRecord(path, None, f"unknown reference list keys: {unknown}")
 
     blocklist = data.get("rare_blocklist", [])
     if not isinstance(blocklist, list) or not all(isinstance(x, str) for x in blocklist):
@@ -215,6 +221,9 @@ def parse_reference_lists(data: object, path: str | Path) -> ReferenceLists:
     for cls, spec in raw_filters.items():
         if not isinstance(spec, dict) or "triggers" not in spec or "penalty" not in spec:
             raise MalformedRecord(path, None, f"class_filters[{cls!r}] needs triggers and penalty")
+        unknown = sorted(set(spec).difference(("triggers", "penalty")))
+        if unknown:
+            raise MalformedRecord(path, None, f"class_filters[{cls!r}] has unknown keys: {unknown}")
         penalty = spec["penalty"]
         if not isinstance(penalty, (int, float)) or not 0.0 < penalty < 1.0:
             raise MalformedRecord(

@@ -33,7 +33,7 @@ from .kb import (
     decode_json,
     lookup_alias,
 )
-from .textnorm import Token, terms, tokenize
+from .textnorm import terms, tokenize
 
 
 # The heuristic filters in the order they run and in the config's key order.
@@ -71,6 +71,8 @@ class LinkerConfig:
     @classmethod
     def from_dict(cls, data: Mapping) -> "LinkerConfig":
         """Keys missing from `data` take the defaults."""
+        if not isinstance(data, Mapping):
+            raise ConfigError("config must be a JSON object")
         defaults = cls().to_dict()
         unknown = set(data) - set(defaults)
         if unknown:
@@ -100,10 +102,12 @@ class LinkerConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LinkerConfig":
+        """Load a config file; every error it raises names the file."""
         data = decode_json(Path(path).read_bytes(), path, 1, _config_error)
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+        try:
+            return cls.from_dict(data)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
 
     def to_dict(self) -> dict:
         return {
@@ -167,24 +171,8 @@ def _cosine(a: Mapping[str, float], norm_a: float, b: Mapping[str, float], norm_
         return 0.0
     if len(b) < len(a):
         a, b, norm_a, norm_b = b, a, norm_b, norm_a
-    dot = sum(w * b[t] for t, w in a.items() if t in b)
-    if dot == 0.0:
-        return 0.0
-    return dot / (norm_a * norm_b)
-
-
-def _context_terms(
-    tokens: Sequence[Token],
-    mention: Mention,
-    stopwords: frozenset[str],
-) -> list[str]:
-    """Document terms around the mention: every token that does not touch
-    the mention span, in document order."""
-    return [
-        t.text
-        for t in tokens
-        if (t.end <= mention.start or t.start >= mention.end) and t.text not in stopwords
-    ]
+    # Weights are counts times IDFs of at least 1, so both norms are >= 1.
+    return sum(w * b[t] for t, w in a.items() if t in b) / (norm_a * norm_b)
 
 
 def _graph_scores(
@@ -207,7 +195,9 @@ def _graph_scores(
 
 class _DocScorer:
     """Shared per-document state so the text is tokenized once per
-    `link_document` call; article vectors live on the KB's memo."""
+    `link_document` call, into the `(text, start, end)` tuples of
+    `tokenize`. `context_vector` is the one context path; article vectors
+    live on the KB's memo."""
 
     def __init__(
         self,
@@ -221,7 +211,7 @@ class _DocScorer:
         self.cfg = cfg
         self.doc = doc
         self.tokens = tokenize(doc.text)
-        self.doc_terms = {t.text for t in self.tokens if t.text not in lists.stopwords}
+        self.doc_terms = {t for t, _, _ in self.tokens if t not in lists.stopwords}
         self._article_vectors = kb.article_vectors.setdefault(lists.stopwords, {})
 
     def apply_filters(
@@ -277,12 +267,13 @@ class _DocScorer:
         return cached
 
     def context_vector(self, mention: Mention) -> tuple[dict[str, float], float]:
-        ctx = _context_terms(self.tokens, mention, self.lists.stopwords)
+        """The TF-IDF vector and norm of the document terms around the
+        mention: every token that does not touch the mention span, in
+        document order."""
+        start, end, stopwords = mention.start, mention.end, self.lists.stopwords
+        ctx = [t for t, s, e in self.tokens if (e <= start or s >= end) and t not in stopwords]
         vector = _tfidf_vector(ctx, self.kb)
         return vector, _vector_norm(vector)
-
-    def context_score(self, mention: Mention, entity: EntityRecord) -> float:
-        return _cosine(*self.context_vector(mention), *self.article_vector(entity))
 
     def rank(
         self,
@@ -324,7 +315,8 @@ def context_score(
     the knowledge base's article collection. Empty context or empty
     article yields 0.
     """
-    return _DocScorer(kb, lists, LinkerConfig(), doc).context_score(mention, entity)
+    scorer = _DocScorer(kb, lists, LinkerConfig(), doc)
+    return _cosine(*scorer.context_vector(mention), *scorer.article_vector(entity))
 
 
 def graph_score(

@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 import sys
 import unicodedata
-from dataclasses import dataclass
 from typing import Callable
 
 ARABIC_KAF = "ك"
@@ -63,15 +62,6 @@ def persian_normalize(s: str) -> str:
 normalize = persian_normalize
 
 
-@dataclass(frozen=True)
-class Token:
-    """A normalized token with offsets into the original string."""
-
-    text: str
-    start: int
-    end: int
-
-
 def _is_separator(ch: str) -> bool:
     return ch.isspace() or unicodedata.category(ch).startswith("P")
 
@@ -89,20 +79,20 @@ _SEPARATORS = _SeparatorTable()
 _RUN = re.compile("[^ ]+")
 
 
-def tokenize(s: str) -> list[Token]:
-    """Split on whitespace and punctuation.
+def tokenize(s: str) -> list[tuple[str, int, int]]:
+    """Split on whitespace and punctuation into `(text, start, end)` tuples.
 
-    Offsets refer to the original string; `text` is the normalized slice.
+    `start` and `end` are offsets into `s`; `text` is the normalized slice.
     Slices that normalize to nothing (bare tatweel runs and the like) are
     dropped, as is punctuation by construction.
     """
     # The translation is one character for one, so run offsets are offsets into `s`.
-    tokens: list[Token] = []
+    tokens = []
     for run in _RUN.finditer(s.translate(_SEPARATORS)):
         start, end = run.span()
         text = persian_normalize(s[start:end])
         if text:
-            tokens.append(Token(text, start, end))
+            tokens.append((text, start, end))
     return tokens
 
 

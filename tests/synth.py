@@ -1,6 +1,9 @@
-"""Small in-memory knowledge bases for targeted scoring tests."""
+"""Small in-memory knowledge bases for targeted scoring tests, and the
+text strategy shared by the tokenizer properties."""
 
 from __future__ import annotations
+
+from hypothesis import strategies as st
 
 from peyvand import kb
 from peyvand.kb import (
@@ -10,6 +13,23 @@ from peyvand.kb import (
     NerType,
     PosCategory,
     ReferenceLists,
+)
+from peyvand.textnorm import ARABIC_DIACRITICS, ARABIC_KAF, ARABIC_YEH, TATWEEL, ZWNJ
+
+# What the tokenizer must split or keep: Persian and Arabic letters, the
+# Arabic kaf/yeh, ZWNJ, tatweel, harakat, a combining mark, ASCII and
+# Arabic punctuation, Unicode spaces, digits and Latin letters.
+tokenizer_text = st.text(
+    alphabet=st.one_of(
+        st.characters(min_codepoint=0x0621, max_codepoint=0x064A),
+        st.sampled_from("پچژگکیآ" + ARABIC_KAF + ARABIC_YEH + ZWNJ + TATWEEL),
+        st.sampled_from(ARABIC_DIACRITICS + ("\u0301", "\u0670")),
+        st.sampled_from(".,!?;:()-\"'،؛؟٫«»…"),
+        st.sampled_from(" \t\n\u00a0\u2009\u202f\u3000\u2028"),
+        st.sampled_from("0123456789۰۱۲۳۴۵۶۷۸۹"),
+        st.characters(min_codepoint=ord("A"), max_codepoint=ord("z")),
+    ),
+    max_size=40,
 )
 
 
@@ -53,4 +73,4 @@ def empty_lists(**overrides) -> ReferenceLists:
     return ReferenceLists(**base)
 
 
-__all__ = ["ClassFilter", "build_kb", "empty_lists", "entity"]
+__all__ = ["ClassFilter", "build_kb", "empty_lists", "entity", "tokenizer_text"]

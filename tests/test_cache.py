@@ -129,6 +129,16 @@ class TestIndexCache:
         with pytest.raises(CacheError, match=f"^{path}:2: {reason}$"):
             load_index(path)
 
+    def test_unknown_lists_key_names_the_metadata_line(self, tmp_path, kb, lists):
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+        header, values = _read_lines(path)
+        values[0]["lists"]["rare_blocklst"] = values[0]["lists"].pop("rare_blocklist")
+        _write_lines(path, header, values)
+        reason = r"corrupt index cache: unknown reference list keys: \['rare_blocklst'\]"
+        with pytest.raises(CacheError, match=f"^{path}:2: {reason}$"):
+            load_index(path)
+
     @pytest.mark.parametrize(
         "keep,reason",
         [(1, "ends before the doc_freq line"), (-1, "records, not ")],

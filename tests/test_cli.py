@@ -62,6 +62,20 @@ class TestBuildIndex:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_misspelled_lists_key_exits_one_and_names_it(self, tmp_path, data_dir, capsys):
+        lists = tmp_path / "lists.json"
+        data = json.loads((data_dir / "reference_lists.json").read_text(encoding="utf-8"))
+        data["rare_blocklst"] = data.pop("rare_blocklist")
+        lists.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        out = tmp_path / "x.idx"
+        code = main(["build-index", "--kb", str(data_dir / "mini_kb.jsonl"),
+                     "--lists", str(lists), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {lists}: unknown reference list keys: ['rare_blocklst']\n"
+        )
+        assert not out.exists()
+
     def test_rebuild_without_input_changes_is_byte_identical(self, tmp_path, data_dir):
         first = tmp_path / "a.idx"
         second = tmp_path / "b.idx"
@@ -414,7 +428,7 @@ class TestMalformedInputExitsOne:
         out = tmp_path / "p.jsonl"
         assert _link(index_path, data_dir / "mini_corpus.jsonl", out, "--config", str(config)) == 1
         assert capsys.readouterr().err == (
-            "error: unknown config keys: ['context_window', 'idf_smoothing']\n"
+            f"error: {config}: unknown config keys: ['context_window', 'idf_smoothing']\n"
         )
         assert not out.exists()
 

@@ -261,6 +261,24 @@ class TestReferenceListsShape:
         with pytest.raises(MalformedRecord):
             load_reference_lists(path)
 
+    def test_unknown_top_level_keys_rejected(self, tmp_path):
+        path = tmp_path / "lists.json"
+        path.write_text(json.dumps({"stopwords": [], "rare_blocklst": [], "extra": 1}),
+                        encoding="utf-8")
+        with pytest.raises(
+            MalformedRecord, match=rf"^{path}: unknown reference list keys: \['extra', 'rare_blocklst'\]$"
+        ):
+            load_reference_lists(path)
+
+    def test_unknown_class_filter_keys_rejected(self, tmp_path):
+        path = tmp_path / "lists.json"
+        spec = {"triggers": ["x"], "penalty": 0.5, "weight": 2}
+        path.write_text(json.dumps({"class_filters": {"film": spec}}), encoding="utf-8")
+        with pytest.raises(
+            MalformedRecord, match=rf"^{path}: class_filters\['film'\] has unknown keys: \['weight'\]$"
+        ):
+            load_reference_lists(path)
+
     def test_serialized_lists_parse_back_unchanged(self, lists):
         assert parse_reference_lists(lists_to_obj(lists), "lists") == lists
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -33,9 +34,10 @@ from oracles import (
     exhaustive_raw_links,
     oracle_article_terms,
     oracle_context_terms,
+    oracle_is_separator,
     oracle_link_document,
 )
-from synth import ClassFilter, build_kb, empty_lists, entity
+from synth import ClassFilter, build_kb, empty_lists, entity, tokenizer_text
 
 
 def doc_of(text: str, *mentions: Mention, doc_id: str = "t1", category: str = "test") -> Document:
@@ -45,6 +47,26 @@ def doc_of(text: str, *mentions: Mention, doc_id: str = "t1", category: str = "t
 def mention_at(text: str, surface: str, **kwargs) -> Mention:
     start = text.index(surface)
     return Mention(start, start + len(surface), surface, **kwargs)
+
+
+@st.composite
+def text_and_span(draw) -> tuple[str, int, int]:
+    """A non-empty text over the tokenizer alphabet and a span [a, b),
+    a < b, drawn anywhere, inside one run of word characters, inside one
+    run of separators, from the start or to the end of the text."""
+    text = draw(tokenizer_text.filter(bool))
+    runs: dict[bool, list[tuple[int, int]]] = {True: [], False: []}
+    i = 0
+    for is_separator, group in itertools.groupby(text, oracle_is_separator):
+        j = i + len(list(group))
+        runs[is_separator].append((i, j))
+        i = j
+    kind = draw(st.sampled_from(["anywhere", "in-token", "on-separators", "at-start", "at-end"]))
+    within = {"in-token": runs[False], "on-separators": runs[True]}.get(kind)
+    lo, hi = draw(st.sampled_from(within)) if within else (0, len(text))
+    a = 0 if kind == "at-start" else draw(st.integers(lo, hi - 1))
+    b = len(text) if kind == "at-end" else draw(st.integers(a + 1, hi))
+    return text, a, b
 
 
 class TestConfig:
@@ -70,6 +92,24 @@ class TestConfig:
             lambda_weight=0.7, nil_threshold=0.2, filters=frozenset({"type", "popularity"})
         )
         assert LinkerConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b'{"lamda": 0.5}', ": unknown config keys: ['lamda']"),
+            (b"[0.5]", ": config must be a JSON object"),
+            (b'{"lambda": 1.5}', ": lambda must lie in [0, 1], got 1.5"),
+            (b'{"lambda": }', ":1: invalid JSON: "),
+        ],
+        ids=["unknown-key", "not-an-object", "out-of-range", "undecodable"],
+    )
+    def test_file_errors_name_the_file_once(self, tmp_path, content, reason):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError) as info:
+            LinkerConfig.from_file(path)
+        assert str(info.value).startswith(f"{path}{reason}")
+        assert str(info.value).count(str(path)) == 1
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -203,7 +243,7 @@ class TestFilters:
             mention = doc.mentions[0]
             candidates = generate_candidates(kb, mention)
             kept, penalties = filter_candidates(kb, lists, cfg, doc, mention, candidates)
-            doc_terms = {t.text for t in tokenize(text) if t.text not in lists.stopwords}
+            doc_terms = {t for t, _, _ in tokenize(text) if t not in lists.stopwords}
             oracle_kept, oracle_penalties = oracle_filter(kb, lists, cfg, mention, candidates, doc_terms)
             assert kept == oracle_kept
             assert penalties == oracle_penalties
@@ -279,6 +319,26 @@ class TestContextScore:
             _COSINE_KB.doc_count,
         )
         assert score == pytest.approx(oracle, abs=1e-9)
+
+    @given(text_and_span(), tokenizer_text, st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_context_excludes_exactly_the_tokens_the_span_touches(self, drawn, other, data):
+        text, a, b = drawn
+        words = sorted({t for t, _, _ in tokenize(text)})
+        stopwords = frozenset(data.draw(st.lists(st.sampled_from(words)))) if words else frozenset()
+        lists = empty_lists(stopwords=stopwords)
+        kb = build_kb([entity("A", article=text), entity("B", article=other)], stopwords)
+        doc = doc_of(text, Mention(a, b, text[a:b]))
+        mention = doc.mentions[0]
+        context = oracle_context_terms(doc, mention, kb, lists)
+        vector, _ = linker._DocScorer(kb, lists, LinkerConfig(), doc).context_vector(mention)
+        assert list(vector.items()) == list(linker._tfidf_vector(context, kb).items())
+        for entity_id in ("A", "B"):
+            score = context_score(kb, lists, doc, mention, kb.entities[entity_id])
+            oracle = dense_cosine(
+                context, oracle_article_terms(entity_id, kb, lists), kb.doc_freq, kb.doc_count
+            )
+            assert abs(score - oracle) <= 1e-9
 
     def test_bag_of_words_permutation_invariance(self):
         lists = empty_lists()

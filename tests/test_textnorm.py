@@ -13,7 +13,6 @@ from peyvand.textnorm import (
     PERSIAN_YEH,
     TATWEEL,
     ZWNJ,
-    Token,
     _SeparatorTable,
     normalize,
     persian_normalize,
@@ -22,6 +21,7 @@ from peyvand.textnorm import (
 )
 
 from oracles import oracle_is_separator, oracle_tokenize
+from synth import tokenizer_text
 
 # Mixed alphabet that stresses the Persian rules as well as generic unicode.
 _persianish = st.text(
@@ -30,22 +30,6 @@ _persianish = st.text(
         st.characters(min_codepoint=0x20, max_codepoint=0x7E),
         st.sampled_from([ZWNJ, TATWEEL, " ", "\t", "\n", "ّ", "ً"]),
     )
-)
-
-# What the tokenizer must split or keep: Persian and Arabic letters, the
-# Arabic kaf/yeh, ZWNJ, tatweel, harakat, a combining mark, ASCII and
-# Arabic punctuation, Unicode spaces, digits and Latin letters.
-_tokenizer_text = st.text(
-    alphabet=st.one_of(
-        st.characters(min_codepoint=0x0621, max_codepoint=0x064A),
-        st.sampled_from("پچژگکیآ" + ARABIC_KAF + ARABIC_YEH + ZWNJ + TATWEEL),
-        st.sampled_from(ARABIC_DIACRITICS + ("\u0301", "\u0670")),
-        st.sampled_from(".,!?;:()-\"'،؛؟٫«»…"),
-        st.sampled_from(" \t\n\u00a0\u2009\u202f\u3000\u2028"),
-        st.sampled_from("0123456789۰۱۲۳۴۵۶۷۸۹"),
-        st.characters(min_codepoint=ord("A"), max_codepoint=ord("z")),
-    ),
-    max_size=40,
 )
 
 
@@ -97,8 +81,8 @@ class TestNormalize:
 class TestTokenize:
     def test_punctuation_dropped_offsets_kept(self):
         tokens = tokenize("سلام، دنیا")
-        assert [t.text for t in tokens] == ["سلام", "دنیا"]
-        assert [(t.start, t.end) for t in tokens] == [(0, 4), (6, 10)]
+        assert [text for text, _, _ in tokens] == ["سلام", "دنیا"]
+        assert [(start, end) for _, start, end in tokens] == [(0, 4), (6, 10)]
 
     def test_empty_string(self):
         assert tokenize("") == []
@@ -112,34 +96,33 @@ class TestTokenize:
     def test_offsets_reference_original_string(self):
         text = "  Apple، Watch  "
         tokens = tokenize(text)
-        for token in tokens:
-            assert normalize(text[token.start : token.end]) == token.text
+        for token, start, end in tokens:
+            assert normalize(text[start:end]) == token
 
     def test_zwnj_kept_inside_token_span(self):
         text = "می‌رود آمد"
         tokens = tokenize(text)
-        assert tokens[0] == Token("میرود", 0, 6)
-        assert tokens[1].text == "آمد"
+        assert tokens[0] == ("میرود", 0, 6)
+        assert tokens[1][0] == "آمد"
 
     @given(st.text())
     def test_tokens_ordered_nonoverlapping_in_bounds(self, s):
         tokens = tokenize(s)
         previous_end = 0
-        for token in tokens:
-            assert 0 <= token.start < token.end <= len(s)
-            assert token.start >= previous_end
-            previous_end = token.end
-            assert normalize(s[token.start : token.end]) == token.text
+        for token, start, end in tokens:
+            assert 0 <= start < end <= len(s)
+            assert start >= previous_end
+            previous_end = end
+            assert normalize(s[start:end]) == token
 
-    @given(_tokenizer_text)
+    @given(tokenizer_text)
     @settings(max_examples=300)
     def test_matches_oracle_tokenizer(self, s):
-        tokens = [(t.text, t.start, t.end) for t in tokenize(s)]
-        assert tokens == oracle_tokenize(s, persian_normalize)
+        assert tokenize(s) == oracle_tokenize(s, persian_normalize)
 
 
     # The raw runs as well: the separator table alone decides where terms split.
-    @given(_tokenizer_text, st.sampled_from([persian_normalize, lambda run: run]))
+    @given(tokenizer_text, st.sampled_from([persian_normalize, lambda run: run]))
     @settings(max_examples=300)
     def test_terms_match_oracle_tokenizer(self, s, norm):
         assert terms(s, norm) == [text for text, _, _ in oracle_tokenize(s, norm)]
