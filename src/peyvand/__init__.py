@@ -17,7 +17,7 @@ from .corpus import (
     stats_by_category,
     write_predictions,
 )
-from .errors import PeyvandError
+from .errors import InputError, PeyvandError
 from .evaluate import EvalReport, MetricRow, f1, render_report, score_predictions
 from .kb import (
     EntityRecord,
@@ -49,6 +49,7 @@ __all__ = [
     "Document",
     "EntityRecord",
     "EvalReport",
+    "InputError",
     "KnowledgeBase",
     "LinkResult",
     "LinkerConfig",

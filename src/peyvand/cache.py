@@ -7,10 +7,11 @@ by id. Keys and set members are sorted, so rebuilding from unchanged
 inputs is byte-identical. The records are read back by the dump's own
 record loop (`kb.read_records`) and the lists by the lists file's
 parser, so a malformed or repeated record fails the way it does in a
-dump, naming its line. The record count makes a file cut off at a line
-boundary fail instead of loading part of the knowledge base. A version
-bump in the header invalidates old caches loudly instead of misreading
-them.
+dump, naming its line. Every error after the header is an `InputError`
+whose reason starts `corrupt index cache:`. The record count makes a
+file cut off at a line boundary fail instead of loading part of the
+knowledge base. A version bump in the header invalidates old caches
+loudly instead of misreading them.
 """
 
 from __future__ import annotations
@@ -18,14 +19,15 @@ from __future__ import annotations
 import itertools
 import json
 from pathlib import Path
+from typing import BinaryIO
 
-from .errors import PeyvandError
+from .errors import InputError
 from .kb import (
     KnowledgeBase,
-    MalformedRecord,
     ReferenceLists,
     build_kb,
     json_lines,
+    key_error,
     lists_to_obj,
     parse_reference_lists,
     read_records,
@@ -35,23 +37,7 @@ from .kb import (
 MAGIC = b"#peyvand-index"
 CACHE_VERSION = 4
 _HEADER = MAGIC + b":v%d\n" % CACHE_VERSION
-_META_KEYS = {"lists", "records"}
-
-
-class CacheError(PeyvandError):
-    pass
-
-
-class CacheVersionMismatch(CacheError):
-    def __init__(self, path: str | Path, found: str):
-        super().__init__(
-            f"{path}: index cache version {found} does not match v{CACHE_VERSION}; "
-            "rebuild it with `peyvand build-index`"
-        )
-
-
-def _corrupt(path: str | Path, line: int, reason: str) -> CacheError:
-    return CacheError(f"{path}:{line}: corrupt index cache: {reason}")
+_META_KEYS = ("lists", "records")
 
 
 def _line(obj: object) -> bytes:
@@ -70,29 +56,33 @@ def load_index(path: str | Path) -> tuple[KnowledgeBase, ReferenceLists]:
     with open(path, "rb") as fh:
         header = fh.readline().rstrip(b"\n")
         if not header.startswith(MAGIC + b":"):
-            raise CacheError(f"{path}: not an index cache (bad magic header)")
+            raise InputError(path, None, "not an index cache (bad magic header)")
         version = header[len(MAGIC) + 1 :].decode("ascii", "replace")
         if version != f"v{CACHE_VERSION}":
-            raise CacheVersionMismatch(path, version)
-
-        lines = json_lines(enumerate(fh, start=2), path, _corrupt)
-        head = list(itertools.islice(lines, 2))
-        if len(head) < 2:
-            raise CacheError(f"{path}: corrupt index cache: it ends before the doc_freq line")
-        (meta_line, meta), (freq_line, frequencies) = head
-        if not isinstance(meta, dict) or meta.keys() != _META_KEYS:
-            keys = sorted(_META_KEYS)
-            raise _corrupt(path, meta_line, f"metadata must be an object with the keys {keys}")
-        count = meta["records"]
-        if type(count) is not int or count < 0:
-            raise _corrupt(path, meta_line, "records must be an integer >= 0")
+            reason = f"index cache version {version} does not match v{CACHE_VERSION}"
+            raise InputError(path, None, f"{reason}; rebuild it with `peyvand build-index`")
         try:
-            lists = parse_reference_lists(meta["lists"], path)
-        except MalformedRecord as exc:
-            raise _corrupt(path, meta_line, exc.reason) from None
-        records = read_records(lines, path)
+            return _load_body(fh, path)
+        except InputError as exc:
+            raise InputError(path, exc.line, f"corrupt index cache: {exc.reason}") from None
+
+
+def _load_body(fh: BinaryIO, path: str | Path) -> tuple[KnowledgeBase, ReferenceLists]:
+    """The knowledge base and lists of an index whose header `fh` has read."""
+    lines = json_lines(enumerate(fh, start=2), path)
+    head = list(itertools.islice(lines, 2))
+    if len(head) < 2:
+        raise InputError(path, None, "it ends before the doc_freq line")
+    (meta_line, meta), (freq_line, frequencies) = head
+    if reason := key_error(meta, "metadata", _META_KEYS):
+        raise InputError(path, meta_line, reason)
+    count = meta["records"]
+    if type(count) is not int or count < 0:
+        raise InputError(path, meta_line, "records must be an integer >= 0")
+    lists = parse_reference_lists(meta["lists"], path, meta_line)
+    records = read_records(lines, path)
     if len(records) != count:
-        raise CacheError(f"{path}: corrupt index cache: {len(records)} records, not {count}")
+        raise InputError(path, None, f"{len(records)} records, not {count}")
 
     kb = build_kb(records, frequencies)
     # A term occurs in at least one and at most every non-empty article.
@@ -100,5 +90,5 @@ def load_index(path: str | Path) -> tuple[KnowledgeBase, ReferenceLists]:
         type(n) is int and 0 < n <= kb.doc_count for n in frequencies.values()
     ):
         reason = f"doc_freq must map terms to integers from 1 to {kb.doc_count}"
-        raise _corrupt(path, freq_line, reason)
+        raise InputError(path, freq_line, reason)
     return kb, lists

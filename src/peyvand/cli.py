@@ -19,8 +19,8 @@ from pathlib import Path
 from . import __version__
 from .cache import load_index, save_index
 from .corpus import corpus_stats, load_corpus, load_predictions, stats_by_category, write_predictions
-from .errors import PeyvandError
-from .evaluate import render_report, report_records, score_predictions
+from .errors import InputError, PeyvandError
+from .evaluate import AlignmentError, render_report, report_records, score_predictions
 from .kb import load_kb
 from .linker import LinkerConfig, link_document
 
@@ -103,7 +103,10 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     gold = load_corpus(args.corpus)
     predictions = load_predictions(args.predictions)
-    report = score_predictions(gold, predictions)
+    try:
+        report = score_predictions(gold, predictions)
+    except AlignmentError as exc:
+        raise InputError(args.predictions, None, str(exc)) from None
     if args.format == "records":
         _emit(json.dumps(report_records(report), ensure_ascii=False, indent=2), args.out)
     else:

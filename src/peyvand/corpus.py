@@ -10,7 +10,8 @@ Corpus files are UTF-8 JSON lines:
 "no KB entry exists" annotation, and an absent key for "not annotated".
 Prediction files share the shape, with `gold` replaced by `prediction`
 plus `score` and `ambiguity`, and are read by the same document loop under
-the same rules.
+the same rules. A key outside these shapes is an error, and so is any broken
+rule: an `InputError` that names the file and the line.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TYPE_CHECKING
 
-from .errors import PeyvandError
-from .kb import KnowledgeBase, NerType, PosCategory, lookup_alias, read_json_lines
+from .errors import InputError
+from .kb import KnowledgeBase, NerType, PosCategory, key_error, lookup_alias, read_json_lines
 from .textnorm import persian_normalize, terms
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,26 +46,6 @@ class _Nil:
 
 
 NIL = _Nil()
-
-
-class MalformedDocument(PeyvandError):
-    def __init__(self, path: str | Path, line: int, reason: str):
-        super().__init__(f"{path}:{line}: {reason}")
-        self.line = line
-        self.reason = reason
-
-
-class OverlappingMentions(MalformedDocument):
-    def __init__(self, path: str | Path, line: int, doc_id: str):
-        super().__init__(path, line, f"document {doc_id!r} has overlapping mentions")
-        self.doc_id = doc_id
-
-
-class SpanMismatch(MalformedDocument):
-    def __init__(self, path: str | Path, line: int, doc_id: str, mention_index: int, reason: str):
-        super().__init__(path, line, f"document {doc_id!r}, mention {mention_index}: {reason}")
-        self.doc_id = doc_id
-        self.mention_index = mention_index
 
 
 @dataclass(frozen=True)
@@ -108,32 +89,46 @@ class PredictedMention:
 def _validate_mentions(doc: Document, path: str | Path, line_no: int) -> None:
     for i, m in enumerate(doc.mentions):
         if not (0 <= m.start < m.end <= len(doc.text)):
-            raise SpanMismatch(path, line_no, doc.id, i, f"span [{m.start}, {m.end}) out of bounds")
-        if doc.text[m.start : m.end] != m.surface:
-            raise SpanMismatch(path, line_no, doc.id, i, "surface does not equal the text slice")
+            reason = f"span [{m.start}, {m.end}) out of bounds"
+        elif doc.text[m.start : m.end] != m.surface:
+            reason = "surface does not equal the text slice"
+        else:
+            continue
+        raise InputError(path, line_no, f"document {doc.id!r}, mention {i}: {reason}")
     spans = sorted((m.start, m.end) for m in doc.mentions)
     for (_, prev_end), (nxt_start, _) in zip(spans, spans[1:]):
         if nxt_start < prev_end:
-            raise OverlappingMentions(path, line_no, doc.id)
+            raise InputError(path, line_no, f"document {doc.id!r} has overlapping mentions")
 
 
-def _parse_mention(obj: object, path: str | Path, line_no: int) -> Mention:
-    if not isinstance(obj, dict):
-        raise MalformedDocument(path, line_no, "mention must be a JSON object")
-    for key in ("start", "end", "surface"):
-        if key not in obj:
-            raise MalformedDocument(path, line_no, f"mention missing key {key!r}")
+_DOCUMENT_KEYS = ("id", "category", "text", "mentions")
+_MENTION_KEYS = ("start", "end", "surface")
+_CORPUS_MENTION_KEYS = frozenset((*_MENTION_KEYS, "ner_type", "pos", "gold"))
+_PREDICTION_KEYS = (*_MENTION_KEYS, "prediction", "score", "ambiguity")
+_PREDICTION_MENTION_KEYS = frozenset((*_PREDICTION_KEYS, "ner_type", "pos"))
+_RANKED_KEYS = ("id", "score")
+
+
+def _parse_mention(
+    obj: object,
+    path: str | Path,
+    line_no: int,
+    required: tuple[str, ...] = _MENTION_KEYS,
+    allowed: frozenset[str] = _CORPUS_MENTION_KEYS,
+) -> Mention:
+    if reason := key_error(obj, "mention", required, allowed):
+        raise InputError(path, line_no, reason)
     if type(obj["start"]) is not int or type(obj["end"]) is not int:
-        raise MalformedDocument(path, line_no, "mention offsets must be integers")
+        raise InputError(path, line_no, "mention offsets must be integers")
     if not isinstance(obj["surface"], str):
-        raise MalformedDocument(path, line_no, "mention surface must be a string")
+        raise InputError(path, line_no, "mention surface must be a string")
     ner = obj.get("ner_type")
     pos = obj.get("pos")
     try:
         ner_type = NerType(ner) if ner is not None else None
         pos_tag = PosCategory(pos) if pos is not None else None
     except ValueError as exc:
-        raise MalformedDocument(path, line_no, str(exc)) from None
+        raise InputError(path, line_no, str(exc)) from None
     if "gold" in obj:
         raw_gold = obj["gold"]
         if raw_gold is None:
@@ -141,7 +136,7 @@ def _parse_mention(obj: object, path: str | Path, line_no: int) -> Mention:
         elif isinstance(raw_gold, str):
             gold = raw_gold
         else:
-            raise MalformedDocument(path, line_no, "gold must be an entity id or null")
+            raise InputError(path, line_no, "gold must be an entity id or null")
     else:
         gold = None
     return Mention(obj["start"], obj["end"], obj["surface"], ner_type, pos_tag, gold)
@@ -152,25 +147,22 @@ def _read_documents(
     parse_mention: Callable[[object, str | Path, int], Mention | PredictedMention],
 ) -> list[Document]:
     """Every document of a corpus or prediction file, with each mention read by
-    `parse_mention`; a broken rule raises `MalformedDocument` naming the line."""
+    `parse_mention`; a broken rule is an `InputError` naming the line."""
     docs: list[Document] = []
     seen: set[str] = set()
-    for line_no, obj in read_json_lines(path, MalformedDocument):
-        if not isinstance(obj, dict):
-            raise MalformedDocument(path, line_no, "document must be a JSON object")
-        for key in ("id", "category", "text", "mentions"):
-            if key not in obj:
-                raise MalformedDocument(path, line_no, f"missing key {key!r}")
+    for line_no, obj in read_json_lines(path):
+        if reason := key_error(obj, "document", _DOCUMENT_KEYS):
+            raise InputError(path, line_no, reason)
         doc_id, category, text = obj["id"], obj["category"], obj["text"]
         if not isinstance(doc_id, str) or not doc_id:
-            raise MalformedDocument(path, line_no, "id must be a non-empty string")
+            raise InputError(path, line_no, "id must be a non-empty string")
         if not isinstance(category, str) or not isinstance(text, str):
-            raise MalformedDocument(path, line_no, "category and text must be strings")
+            raise InputError(path, line_no, "category and text must be strings")
         if doc_id in seen:
-            raise MalformedDocument(path, line_no, f"duplicate document id {doc_id!r}")
+            raise InputError(path, line_no, f"duplicate document id {doc_id!r}")
         seen.add(doc_id)
         if not isinstance(obj["mentions"], list):
-            raise MalformedDocument(path, line_no, "mentions must be an array")
+            raise InputError(path, line_no, "mentions must be an array")
         mentions = [parse_mention(m, path, line_no) for m in obj["mentions"]]
         docs.append(Document(doc_id, category, text, mentions))
         _validate_mentions(docs[-1], path, line_no)
@@ -230,25 +222,24 @@ def write_predictions(
 
 
 def _parse_prediction(obj: object, path: str | Path, line_no: int) -> PredictedMention:
-    mention = _parse_mention(obj, path, line_no)
-    for key in ("prediction", "score", "ambiguity"):
-        if key not in obj:
-            raise MalformedDocument(path, line_no, f"prediction missing key {key!r}")
+    mention = _parse_mention(obj, path, line_no, _PREDICTION_KEYS, _PREDICTION_MENTION_KEYS)
     prediction, score, ambiguity = obj["prediction"], obj["score"], obj["ambiguity"]
     if prediction is not None and not isinstance(prediction, str):
-        raise MalformedDocument(path, line_no, "prediction must be an entity id or null")
+        raise InputError(path, line_no, "prediction must be an entity id or null")
     if type(score) not in (int, float):
-        raise MalformedDocument(path, line_no, "score must be a number")
-    if not isinstance(ambiguity, list) or not all(
-        isinstance(c, dict) and isinstance(c.get("id"), str) and type(c.get("score")) in (int, float)
-        for c in ambiguity
-    ):
-        raise MalformedDocument(path, line_no, "ambiguity must be an array of {id, score} objects")
+        raise InputError(path, line_no, "score must be a number")
+    if not isinstance(ambiguity, list):
+        raise InputError(path, line_no, "ambiguity must be an array of {id, score} objects")
+    for c in ambiguity:
+        if reason := key_error(c, "ambiguity entry", _RANKED_KEYS):
+            raise InputError(path, line_no, reason)
+        if not isinstance(c["id"], str) or type(c["score"]) not in (int, float):
+            raise InputError(path, line_no, "ambiguity must be an array of {id, score} objects")
     try:
         ranked = tuple(RankedCandidate(c["id"], float(c["score"])) for c in ambiguity)
         score = float(score)
     except OverflowError:
-        raise MalformedDocument(path, line_no, "score too large for a float") from None
+        raise InputError(path, line_no, "score too large for a float") from None
     return PredictedMention(
         mention.start, mention.end, mention.surface, NIL if prediction is None else prediction,
         score, ranked, mention.ner_type, mention.pos_tag,

@@ -7,6 +7,10 @@ A dump is UTF-8 JSON lines, one entity per line:
 
 Reference lists live in a single JSON file with keys `rare_blocklist`,
 `class_filters`, `type_mapping` and `stopwords`.
+
+Every reader in the package decodes its files with `decode_json` and checks
+each object's keys with `key_error`; a key outside the shape is an error.
+A malformed file raises `errors.InputError` naming the file and the line.
 """
 
 from __future__ import annotations
@@ -17,25 +21,10 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Collection, Iterable, Iterator, Sequence
 
-from .errors import PeyvandError
+from .errors import InputError
 from .textnorm import NormalForms, persian_normalize, terms
-
-
-class MalformedRecord(PeyvandError):
-    def __init__(self, path: str | Path, line: int | None, reason: str):
-        where = f"{path}:{line}" if line is not None else str(path)
-        super().__init__(f"{where}: {reason}")
-        self.path = str(path)
-        self.line = line
-        self.reason = reason
-
-
-class DuplicateEntityId(PeyvandError):
-    def __init__(self, path: str | Path, line: int, entity_id: str):
-        super().__init__(f"{path}:{line}: duplicate entity id {entity_id!r}")
-        self.entity_id = entity_id
 
 
 class NerType(str, Enum):
@@ -140,24 +129,21 @@ class KnowledgeBase:
         self.idf = IdfTable(self.doc_count)
 
 
-ErrorFactory = Callable[[str | Path, int, str], PeyvandError]
-
-
-def decode_json(data: bytes, path: str | Path, line_no: int, error: ErrorFactory) -> object:
+def decode_json(data: bytes, path: str | Path, line_no: int) -> object:
     """The JSON value of `data`, UTF-8 text that starts on line `line_no` of
     `path`. Every input file is decoded here. Bytes that are not UTF-8
     (reported by their offset in `data`), invalid JSON, nesting too deep to
     decode, integers too long to convert, the constants NaN and Infinity
-    and floats too large to be finite raise `error(path, line, reason)`."""
+    and floats too large to be finite raise `InputError`."""
     try:
         return _DECODER.decode(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         line = line_no + data.count(b"\n", 0, exc.start)
-        raise error(path, line, f"not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+        raise InputError(path, line, f"not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
-        raise error(path, line_no + exc.lineno - 1, f"invalid JSON: {exc.msg}") from exc
+        raise InputError(path, line_no + exc.lineno - 1, f"invalid JSON: {exc.msg}") from exc
     except (RecursionError, ValueError) as exc:
-        raise error(path, line_no, f"invalid JSON: {exc}") from exc
+        raise InputError(path, line_no, f"invalid JSON: {exc}") from exc
 
 
 def _reject_constant(name: str) -> float:
@@ -175,63 +161,74 @@ _DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_reject_co
 
 
 def json_lines(
-    numbered: Iterable[tuple[int, bytes]], path: str | Path, error: ErrorFactory
+    numbered: Iterable[tuple[int, bytes]], path: str | Path
 ) -> Iterator[tuple[int, object]]:
     """Line number and decoded value of each non-blank numbered line."""
     for line_no, line in numbered:
         if line.strip():
-            yield line_no, decode_json(line, path, line_no, error)
+            yield line_no, decode_json(line, path, line_no)
 
 
-def read_json_lines(path: str | Path, error: ErrorFactory) -> Iterator[tuple[int, object]]:
+def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
     """Line number and decoded value of each non-blank line of a JSON-lines file."""
     with open(path, "rb") as fh:
-        yield from json_lines(enumerate(fh, start=1), path, error)
+        yield from json_lines(enumerate(fh, start=1), path)
+
+
+def key_error(
+    obj: object, what: str, required: Sequence[str], allowed: Collection[str] | None = None
+) -> str | None:
+    """Why `obj`, described as `what`, is not a JSON object that holds every
+    key of `required` and no key outside `allowed` (by default `required`);
+    None when it is. Every reader checks its objects' keys here."""
+    if not isinstance(obj, dict):
+        return f"{what} must be a JSON object"
+    for key in required:
+        if key not in obj:
+            return f"{what} missing key {key!r}"
+    unknown = obj.keys() - (required if allowed is None else allowed)
+    return f"unknown keys in {what}: {sorted(unknown)}" if unknown else None
 
 
 def load_reference_lists(path: str | Path) -> ReferenceLists:
     """Load and validate a reference-lists file."""
-    data = decode_json(Path(path).read_bytes(), path, 1, MalformedRecord)
-    return parse_reference_lists(data, path)
+    return parse_reference_lists(decode_json(Path(path).read_bytes(), path, 1), path)
 
 
 _LISTS_KEYS = ("rare_blocklist", "class_filters", "type_mapping", "stopwords")
+_CLASS_FILTER_KEYS = ("triggers", "penalty")
 
 
-def parse_reference_lists(data: object, path: str | Path) -> ReferenceLists:
-    """Validate decoded reference lists; `path` names their source in errors.
+def parse_reference_lists(
+    data: object, path: str | Path, line: int | None = None
+) -> ReferenceLists:
+    """Validate decoded reference lists; `path` and `line` name their source
+    in errors.
 
     Trigger terms and stopwords are stored normalized so membership tests
     against normalized tokens are direct; normalizing is idempotent.
     """
-    if not isinstance(data, dict):
-        raise MalformedRecord(path, None, "reference lists must be a JSON object")
-    unknown = sorted(set(data).difference(_LISTS_KEYS))
-    if unknown:
-        raise MalformedRecord(path, None, f"unknown reference list keys: {unknown}")
+    if reason := key_error(data, "reference lists", (), _LISTS_KEYS):
+        raise InputError(path, line, reason)
 
     blocklist = data.get("rare_blocklist", [])
     if not isinstance(blocklist, list) or not all(isinstance(x, str) for x in blocklist):
-        raise MalformedRecord(path, None, "rare_blocklist must be an array of entity ids")
+        raise InputError(path, line, "rare_blocklist must be an array of entity ids")
 
     class_filters: dict[str, ClassFilter] = {}
     raw_filters = data.get("class_filters", {})
     if not isinstance(raw_filters, dict):
-        raise MalformedRecord(path, None, "class_filters must be an object")
+        raise InputError(path, line, "class_filters must be an object")
     for cls, spec in raw_filters.items():
-        if not isinstance(spec, dict) or "triggers" not in spec or "penalty" not in spec:
-            raise MalformedRecord(path, None, f"class_filters[{cls!r}] needs triggers and penalty")
-        unknown = sorted(set(spec).difference(("triggers", "penalty")))
-        if unknown:
-            raise MalformedRecord(path, None, f"class_filters[{cls!r}] has unknown keys: {unknown}")
+        if reason := key_error(spec, f"class_filters[{cls!r}]", _CLASS_FILTER_KEYS):
+            raise InputError(path, line, reason)
         penalty = spec["penalty"]
         if not isinstance(penalty, (int, float)) or not 0.0 < penalty < 1.0:
-            raise MalformedRecord(
-                path, None, f"class_filters[{cls!r}].penalty must lie strictly between 0 and 1"
-            )
+            reason = f"class_filters[{cls!r}].penalty must lie strictly between 0 and 1"
+            raise InputError(path, line, reason)
         triggers = spec["triggers"]
         if not isinstance(triggers, list) or not all(isinstance(t, str) for t in triggers):
-            raise MalformedRecord(path, None, f"class_filters[{cls!r}].triggers must be strings")
+            raise InputError(path, line, f"class_filters[{cls!r}].triggers must be strings")
         class_filters[cls] = ClassFilter(
             frozenset(persian_normalize(t) for t in triggers), float(penalty)
         )
@@ -239,19 +236,19 @@ def parse_reference_lists(data: object, path: str | Path) -> ReferenceLists:
     type_mapping: dict[NerType, frozenset[str]] = {}
     raw_mapping = data.get("type_mapping", {})
     if not isinstance(raw_mapping, dict):
-        raise MalformedRecord(path, None, "type_mapping must be an object")
+        raise InputError(path, line, "type_mapping must be an object")
     for key, classes in raw_mapping.items():
         try:
             ner = NerType(key)
         except ValueError:
-            raise MalformedRecord(path, None, f"type_mapping key {key!r} is not a NER type") from None
+            raise InputError(path, line, f"type_mapping key {key!r} is not a NER type") from None
         if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
-            raise MalformedRecord(path, None, f"type_mapping[{key!r}] must be an array of classes")
+            raise InputError(path, line, f"type_mapping[{key!r}] must be an array of classes")
         type_mapping[ner] = frozenset(classes)
 
     stopwords = data.get("stopwords", [])
     if not isinstance(stopwords, list) or not all(isinstance(w, str) for w in stopwords):
-        raise MalformedRecord(path, None, "stopwords must be an array of strings")
+        raise InputError(path, line, "stopwords must be an array of strings")
 
     return ReferenceLists(
         rare_blocklist=frozenset(blocklist),
@@ -275,42 +272,40 @@ def lists_to_obj(lists: ReferenceLists) -> dict:
 
 
 _RECORD_KEYS = ("id", "label", "variants", "class", "ner_type", "pos", "article", "links")
+_RECORD_ALLOWED = frozenset((*_RECORD_KEYS, "rare"))
 
 
 def parse_record(obj: object, path: str | Path, line_no: int) -> EntityRecord:
     """Validate one dump record; returns it with its out-links unresolved."""
-    if not isinstance(obj, dict):
-        raise MalformedRecord(path, line_no, "record must be a JSON object")
-    for key in _RECORD_KEYS:
-        if key not in obj:
-            raise MalformedRecord(path, line_no, f"missing key {key!r}")
+    if reason := key_error(obj, "record", _RECORD_KEYS, _RECORD_ALLOWED):
+        raise InputError(path, line_no, reason)
     entity_id = obj["id"]
     label = obj["label"]
     if not isinstance(entity_id, str) or not entity_id:
-        raise MalformedRecord(path, line_no, "id must be a non-empty string")
+        raise InputError(path, line_no, "id must be a non-empty string")
     if not isinstance(label, str) or not label:
-        raise MalformedRecord(path, line_no, "label must be a non-empty string")
+        raise InputError(path, line_no, "label must be a non-empty string")
     variants = obj["variants"]
     if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
-        raise MalformedRecord(path, line_no, "variants must be an array of strings")
+        raise InputError(path, line_no, "variants must be an array of strings")
     links = obj["links"]
     if not isinstance(links, list) or not all(isinstance(l, str) for l in links):
-        raise MalformedRecord(path, line_no, "links must be an array of entity ids")
+        raise InputError(path, line_no, "links must be an array of entity ids")
     if not isinstance(obj["class"], str):
-        raise MalformedRecord(path, line_no, "class must be a string")
+        raise InputError(path, line_no, "class must be a string")
     if not isinstance(obj["article"], str):
-        raise MalformedRecord(path, line_no, "article must be a string")
+        raise InputError(path, line_no, "article must be a string")
     try:
         ner = NerType(obj["ner_type"])
     except ValueError:
-        raise MalformedRecord(path, line_no, f"ner_type {obj['ner_type']!r} is invalid") from None
+        raise InputError(path, line_no, f"ner_type {obj['ner_type']!r} is invalid") from None
     try:
         pos = PosCategory(obj["pos"])
     except ValueError:
-        raise MalformedRecord(path, line_no, f"pos {obj['pos']!r} is invalid") from None
+        raise InputError(path, line_no, f"pos {obj['pos']!r} is invalid") from None
     rare = obj.get("rare", False)
     if not isinstance(rare, bool):
-        raise MalformedRecord(path, line_no, "rare must be a boolean")
+        raise InputError(path, line_no, "rare must be a boolean")
     return EntityRecord(
         id=entity_id,
         canonical_label=label,
@@ -388,13 +383,13 @@ def build_kb(records: Collection[EntityRecord], frequencies: dict[str, int]) -> 
 
 
 def read_records(lines: Iterable[tuple[int, object]], path: str | Path) -> Collection[EntityRecord]:
-    """`parse_record` each numbered dump line, in order; a repeated id
-    raises `DuplicateEntityId` naming the line that repeats it."""
+    """`parse_record` each numbered dump line, in order; a repeated id is an
+    `InputError` on the line that repeats it."""
     records: dict[str, EntityRecord] = {}
     for line_no, obj in lines:
         record = parse_record(obj, path, line_no)
         if record.id in records:
-            raise DuplicateEntityId(path, line_no, record.id)
+            raise InputError(path, line_no, f"duplicate entity id {record.id!r}")
         records[record.id] = record
     return records.values()
 
@@ -404,7 +399,7 @@ def load_kb(
 ) -> tuple[KnowledgeBase, ReferenceLists]:
     """Load a dump and its reference lists and build all indexes."""
     lists = load_reference_lists(lists_path)
-    records = read_records(read_json_lines(dump_path, MalformedRecord), dump_path)
+    records = read_records(read_json_lines(dump_path), dump_path)
     return build_kb(records, doc_freq(records, lists.stopwords)), lists
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import PeyvandError
+from .errors import InputError, PeyvandError
 from .corpus import Document, Mention, NIL, _Nil
 from .kb import (
     EntityRecord,
@@ -31,6 +31,7 @@ from .kb import (
     PosCategory,
     ReferenceLists,
     decode_json,
+    key_error,
     lookup_alias,
 )
 from .textnorm import terms, tokenize
@@ -41,11 +42,7 @@ FILTERS = ("type", "pos", "popularity", "class")
 
 
 class ConfigError(PeyvandError):
-    pass
-
-
-def _config_error(path: str | Path, line: int, reason: str) -> ConfigError:
-    return ConfigError(f"{path}:{line}: {reason}")
+    """An invalid `LinkerConfig`; `from_file` reports it as an `InputError`."""
 
 
 @dataclass(frozen=True)
@@ -69,20 +66,14 @@ class LinkerConfig:
             raise ConfigError(f"unknown filter keys: {sorted(unknown)}")
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "LinkerConfig":
+    def from_dict(cls, data: object) -> "LinkerConfig":
         """Keys missing from `data` take the defaults."""
-        if not isinstance(data, Mapping):
-            raise ConfigError("config must be a JSON object")
         defaults = cls().to_dict()
-        unknown = set(data) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if reason := key_error(data, "config", (), defaults):
+            raise ConfigError(reason)
         filters = data.get("filters", {})
-        if not isinstance(filters, Mapping):
-            raise ConfigError(f"filters must be an object, got {filters!r}")
-        bad = set(filters).difference(FILTERS)
-        if bad:
-            raise ConfigError(f"unknown filter keys: {sorted(bad)}")
+        if reason := key_error(filters, "filters", (), FILTERS):
+            raise ConfigError(reason)
         values = {**defaults, **data}
         for key, value in filters.items():
             if type(value) is not bool:
@@ -102,12 +93,12 @@ class LinkerConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LinkerConfig":
-        """Load a config file; every error it raises names the file."""
-        data = decode_json(Path(path).read_bytes(), path, 1, _config_error)
+        """Load a config file; every error it raises is an `InputError`."""
+        data = decode_json(Path(path).read_bytes(), path, 1)
         try:
             return cls.from_dict(data)
         except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+            raise InputError(path, None, str(exc)) from None
 
     def to_dict(self) -> dict:
         return {

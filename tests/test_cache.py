@@ -1,21 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peyvand.cache import (
-    CACHE_VERSION,
-    MAGIC,
-    CacheError,
-    CacheVersionMismatch,
-    load_index,
-    save_index,
-)
-from peyvand.errors import PeyvandError
-from peyvand.kb import DuplicateEntityId, MalformedRecord
+from peyvand.cache import CACHE_VERSION, MAGIC, load_index, save_index
+from peyvand.errors import InputError
 
 from mutations import mutations
 
@@ -24,6 +17,13 @@ def _read_lines(path):
     """The header line of an index and the decoded value of each body line."""
     header, *body = path.read_bytes().splitlines(keepends=True)
     return header, [json.loads(line) for line in body]
+
+
+def _stale(path, found):
+    """The exact error of an index whose header has version `found`."""
+    reason = (f"index cache version {found} does not match v{CACHE_VERSION}; "
+              "rebuild it with `peyvand build-index`")
+    return rf"^{re.escape(f'{path}: {reason}')}$"
 
 
 def _write_lines(path, header, values):
@@ -53,7 +53,8 @@ class TestIndexCache:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.idx"
         path.write_bytes(b"not an index\n{}")
-        with pytest.raises(CacheError):
+        reason = "not an index cache (bad magic header)"
+        with pytest.raises(InputError, match=rf"^{re.escape(f'{path}: {reason}')}$"):
             load_index(path)
 
     def test_version_mismatch_demands_rebuild(self, tmp_path, kb, lists):
@@ -62,15 +63,16 @@ class TestIndexCache:
         raw = path.read_bytes()
         stale = raw.replace(b":v%d\n" % CACHE_VERSION, b":v%d\n" % (CACHE_VERSION + 1), 1)
         path.write_bytes(stale)
-        with pytest.raises(CacheVersionMismatch) as err:
+        with pytest.raises(InputError, match=_stale(path, f"v{CACHE_VERSION + 1}")):
             load_index(path)
-        assert "rebuild" in str(err.value)
 
     def test_corrupt_body_rejected(self, tmp_path, kb, lists):
         path = tmp_path / "kb.idx"
         save_index(kb, lists, path)
         path.write_bytes(path.read_bytes()[:-20])
-        with pytest.raises(CacheError):
+        last = len(path.read_bytes().splitlines())
+        prefix = re.escape(f"{path}:{last}: corrupt index cache: ")
+        with pytest.raises(InputError, match=f"^{prefix}"):
             load_index(path)
 
     def test_v1_index_demands_rebuild(self, tmp_path, kb, lists):
@@ -78,7 +80,7 @@ class TestIndexCache:
         save_index(kb, lists, path)
         _, _, body = path.read_bytes().partition(b"\n")
         path.write_bytes(MAGIC + b":v1\n" + body)
-        with pytest.raises(CacheVersionMismatch, match="rebuild it with `peyvand build-index`"):
+        with pytest.raises(InputError, match=_stale(path, "v1")):
             load_index(path)
 
     def test_v3_index_demands_rebuild(self, tmp_path, kb, lists):
@@ -87,7 +89,7 @@ class TestIndexCache:
         _, (meta, *rest) = _read_lines(path)
         v3_meta = {**meta, "normalizer": "persian", "dropped_links": 0}
         _write_lines(path, MAGIC + b":v3\n", [v3_meta, *rest])
-        with pytest.raises(CacheVersionMismatch, match="rebuild it with `peyvand build-index`"):
+        with pytest.raises(InputError, match=_stale(path, "v3")):
             load_index(path)
 
     def test_body_holds_dump_records_lists_and_frequencies_only(self, tmp_path, kb, lists):
@@ -107,7 +109,9 @@ class TestIndexCache:
         save_index(kb, lists, path)
         header, values = _read_lines(path)
         _write_lines(path, header, values + [values[2]])
-        with pytest.raises(DuplicateEntityId, match=f"^{path}:{len(values) + 2}: "):
+        reason = f"corrupt index cache: duplicate entity id {values[2]['id']!r}"
+        message = f"{path}:{len(values) + 2}: {reason}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             load_index(path)
 
     def test_bad_record_names_its_line(self, tmp_path, kb, lists):
@@ -116,7 +120,8 @@ class TestIndexCache:
         header, values = _read_lines(path)
         values[5]["ner_type"] = "XX"  # the fourth record, on line 7
         _write_lines(path, header, values)
-        with pytest.raises(MalformedRecord, match=f"^{path}:7: ner_type 'XX' is invalid"):
+        message = f"{path}:7: corrupt index cache: ner_type 'XX' is invalid"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             load_index(path)
 
     def test_bad_lists_name_the_metadata_line(self, tmp_path, kb, lists):
@@ -125,8 +130,8 @@ class TestIndexCache:
         header, values = _read_lines(path)
         values[0]["lists"]["class_filters"] = []
         _write_lines(path, header, values)
-        reason = "corrupt index cache: class_filters must be an object"
-        with pytest.raises(CacheError, match=f"^{path}:2: {reason}$"):
+        message = f"{path}:2: corrupt index cache: class_filters must be an object"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             load_index(path)
 
     def test_unknown_lists_key_names_the_metadata_line(self, tmp_path, kb, lists):
@@ -135,13 +140,24 @@ class TestIndexCache:
         header, values = _read_lines(path)
         values[0]["lists"]["rare_blocklst"] = values[0]["lists"].pop("rare_blocklist")
         _write_lines(path, header, values)
-        reason = r"corrupt index cache: unknown reference list keys: \['rare_blocklst'\]"
-        with pytest.raises(CacheError, match=f"^{path}:2: {reason}$"):
+        reason = "corrupt index cache: unknown keys in reference lists: ['rare_blocklst']"
+        message = f"{path}:2: {reason}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_index(path)
+
+    def test_unknown_metadata_key_names_the_metadata_line(self, tmp_path, kb, lists):
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+        header, values = _read_lines(path)
+        values[0]["normalizer"] = "persian"
+        _write_lines(path, header, values)
+        message = f"{path}:2: corrupt index cache: unknown keys in metadata: ['normalizer']"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             load_index(path)
 
     @pytest.mark.parametrize(
         "keep,reason",
-        [(1, "ends before the doc_freq line"), (-1, "records, not ")],
+        [(1, "it ends before the doc_freq line"), (-1, "{} records, not {}")],
         ids=["after-metadata", "at-a-record-boundary"],
     )
     def test_cut_index_raises_cache_error(self, tmp_path, kb, lists, keep, reason):
@@ -149,7 +165,8 @@ class TestIndexCache:
         save_index(kb, lists, path)
         header, values = _read_lines(path)
         _write_lines(path, header, values[:keep])
-        with pytest.raises(CacheError, match=reason):
+        reason = f"corrupt index cache: {reason.format(len(kb.entities) - 1, len(kb.entities))}"
+        with pytest.raises(InputError, match=rf"^{re.escape(f'{path}: {reason}')}$"):
             load_index(path)
 
     def test_load_tokenizes_no_article(self, tmp_path, kb, lists, monkeypatch):
@@ -174,10 +191,14 @@ def saved_index(tmp_path_factory, kb, lists):
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_any_body_mutation_loads_or_raises_peyvand_error(saved_index, data):
-    """One body line deleted, or one value of one line changed or deleted."""
+    """One body line deleted, or one value of one line changed or deleted:
+    the index loads, or fails with an `InputError` that names it and a line
+    of its body, or no line."""
     path, header, values = saved_index
     _write_lines(path, header, data.draw(mutations(values)))
     try:
         load_index(path)
-    except PeyvandError:
-        pass
+    except InputError as exc:
+        where = path if exc.line is None else f"{path}:{exc.line}"
+        assert str(exc).startswith(f"{where}: corrupt index cache: ")
+        assert exc.line is None or 2 <= exc.line <= len(path.read_bytes().splitlines())

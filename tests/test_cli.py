@@ -72,7 +72,7 @@ class TestBuildIndex:
                      "--lists", str(lists), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == (
-            f"error: {lists}: unknown reference list keys: ['rare_blocklst']\n"
+            f"error: {lists}: unknown keys in reference lists: ['rare_blocklst']\n"
         )
         assert not out.exists()
 
@@ -269,7 +269,7 @@ class TestEvaluate:
         empty = tmp_path / "none.jsonl"
         empty.write_text("", encoding="utf-8")
         assert main(["evaluate", "--corpus", str(gold), "--predictions", str(empty)]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {empty}: no prediction record for document 'd1'\n"
 
     def test_bad_prediction_span_names_the_predictions_file(self, tmp_path, data_dir, capsys):
         gold, pred = self._write_perfect_predictions(tmp_path, data_dir)
@@ -399,9 +399,9 @@ class TestMalformedInputExitsOne:
         [
             (lambda lines: lines.pop(1), ": corrupt index cache: 32 records, not 33"),
             (lambda lines: lines.__setitem__(2, list(lines[2].values())),
-             ":4: record must be a JSON object"),
+             ":4: corrupt index cache: record must be a JSON object"),
             (lambda lines: next(r for r in lines[2:] if r["id"] == "E01").update(ner_type="XX"),
-             ":4: ner_type 'XX' is invalid"),
+             ":4: corrupt index cache: ner_type 'XX' is invalid"),
             (lambda lines: lines[1].update(dict.fromkeys(list(lines[1])[::2], 0)),
              ":3: corrupt index cache: doc_freq"),
             (lambda lines: lines[1].update(
@@ -428,7 +428,7 @@ class TestMalformedInputExitsOne:
         out = tmp_path / "p.jsonl"
         assert _link(index_path, data_dir / "mini_corpus.jsonl", out, "--config", str(config)) == 1
         assert capsys.readouterr().err == (
-            f"error: {config}: unknown config keys: ['context_window', 'idf_smoothing']\n"
+            f"error: {config}: unknown keys in config: ['context_window', 'idf_smoothing']\n"
         )
         assert not out.exists()
 
@@ -476,6 +476,37 @@ class TestMalformedInputExitsOne:
         err = capsys.readouterr().err
         assert _one_error_line(err)
         assert f"{bad}:" in err and "invalid JSON" in err
+
+    @pytest.mark.parametrize(
+        "command, flag, edit, reason",
+        [
+            ("build-index", "--kb", lambda lines: lines[2].update(rar=True),
+             "unknown keys in record: ['rar']"),
+            ("link", "--corpus", lambda lines: lines[2].update(lang="fa"),
+             "unknown keys in document: ['lang']"),
+            ("link", "--corpus", lambda lines: lines[2]["mentions"][0].update(ner_typ="ORG"),
+             "unknown keys in mention: ['ner_typ']"),
+            ("evaluate", "--predictions", lambda lines: lines[2]["mentions"][0].update(rank=1),
+             "unknown keys in mention: ['rank']"),
+            ("evaluate", "--predictions",
+             lambda lines: lines[2]["mentions"][1]["ambiguity"][0].update(rank=1),
+             "unknown keys in ambiguity entry: ['rank']"),
+        ],
+        ids=["dump-record", "corpus-document", "corpus-mention", "prediction-mention",
+             "ambiguity-entry"],
+    )
+    def test_unknown_key_exits_one_and_names_it(
+        self, tmp_path, data_dir, index_path, capsys, command, flag, edit, reason
+    ):
+        source = _source(flag, data_dir, index_path).read_text(encoding="utf-8")
+        values = [json.loads(line) for line in source.splitlines()]
+        edit(values)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(v, ensure_ascii=False) + "\n" for v in values),
+                       encoding="utf-8")
+        assert main(_argv(command, flag, bad, tmp_path, data_dir, index_path)) == 1
+        assert capsys.readouterr().err == f"error: {bad}:3: {reason}\n"
+        assert list(tmp_path.iterdir()) == [bad]  # no index, no predictions
 
     def test_non_object_prediction_mention(self, tmp_path, capsys):
         gold = tmp_path / "gold.jsonl"

@@ -1,16 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from peyvand.corpus import (
     Document,
-    MalformedDocument,
     Mention,
     NIL,
-    OverlappingMentions,
-    SpanMismatch,
     corpus_stats,
     count_sentences,
     load_corpus,
@@ -19,6 +17,7 @@ from peyvand.corpus import (
     stats_by_category,
     write_predictions,
 )
+from peyvand.errors import InputError
 from peyvand.kb import NerType, PosCategory
 from peyvand.linker import LinkerConfig, link_document
 
@@ -44,27 +43,27 @@ class TestLoadCorpus:
         path.write_text(
             _doc_line(mentions=[{"start": 0, "end": 99, "surface": "الف"}]), encoding="utf-8"
         )
-        with pytest.raises(SpanMismatch) as err:
+        reason = "document 'd1', mention 0: span [0, 99) out of bounds"
+        with pytest.raises(InputError, match=rf"^{re.escape(f'{path}:1: {reason}')}$"):
             load_corpus(path)
-        assert str(err.value).startswith(f"{path}:1: document 'd1', mention 0: span [0, 99)")
 
     def test_surface_disagreeing_with_slice_is_span_mismatch(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(
             _doc_line(mentions=[{"start": 0, "end": 3, "surface": "چیز دیگر"}]), encoding="utf-8"
         )
-        with pytest.raises(SpanMismatch) as err:
+        reason = "document 'd1', mention 0: surface does not equal the text slice"
+        with pytest.raises(InputError, match=rf"^{re.escape(f'{path}:1: {reason}')}$"):
             load_corpus(path)
-        assert str(err.value).startswith(f"{path}:1:")
 
     def test_inverted_span_is_span_mismatch(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(
             _doc_line(mentions=[{"start": 3, "end": 3, "surface": ""}]), encoding="utf-8"
         )
-        with pytest.raises(SpanMismatch) as err:
+        reason = "document 'd1', mention 0: span [3, 3) out of bounds"
+        with pytest.raises(InputError, match=rf"^{re.escape(f'{path}:1: {reason}')}$"):
             load_corpus(path)
-        assert str(err.value).startswith(f"{path}:1:")
 
     def test_overlapping_mentions_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -78,27 +77,30 @@ class TestLoadCorpus:
             ),
             encoding="utf-8",
         )
-        with pytest.raises(OverlappingMentions) as err:
+        reason = "document 'd1' has overlapping mentions"
+        with pytest.raises(InputError, match=rf"^{re.escape(f'{path}:1: {reason}')}$"):
             load_corpus(path)
-        assert str(err.value) == f"{path}:1: document 'd1' has overlapping mentions"
 
     def test_duplicate_document_id_rejected(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(_doc_line() + "\n" + _doc_line() + "\n", encoding="utf-8")
-        with pytest.raises(MalformedDocument):
+        reason = "duplicate document id 'd1'"
+        with pytest.raises(InputError, match=rf"^{re.escape(f'{path}:2: {reason}')}$"):
             load_corpus(path)
 
     @pytest.mark.parametrize("offsets", [{"start": False, "end": 1}, {"start": 0, "end": True}])
     def test_boolean_offset_rejected(self, tmp_path, offsets):
         path = tmp_path / "c.jsonl"
         path.write_text(_doc_line(mentions=[{**offsets, "surface": "ا"}]), encoding="utf-8")
-        with pytest.raises(MalformedDocument, match="offsets must be integers"):
+        reason = "mention offsets must be integers"
+        with pytest.raises(InputError, match=rf"^{re.escape(f'{path}:1: {reason}')}$"):
             load_corpus(path)
 
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(_doc_line() + "\n{oops\n", encoding="utf-8")
-        with pytest.raises(MalformedDocument) as err:
+        reason = "invalid JSON: Expecting property name enclosed in double quotes"
+        with pytest.raises(InputError, match=rf"^{re.escape(f'{path}:2: {reason}')}$") as err:
             load_corpus(path)
         assert err.value.line == 2
 
@@ -229,42 +231,48 @@ class TestLoadPredictions:
              "mention must be a JSON object"),
             (json.dumps({"id": "d2", "category": "sport", "text": "الف ب", "mentions": 5}),
              "mentions must be an array"),
-            (_second_prediction(ambiguity={"E2": 0.1}), "ambiguity must be an array"),
-            (_second_prediction(ambiguity=[5]), "ambiguity must be an array"),
+            (_second_prediction(ambiguity={"E2": 0.1}),
+             "ambiguity must be an array of {id, score} objects"),
+            (_second_prediction(ambiguity=[5]), "ambiguity entry must be a JSON object"),
             (_second_prediction(score="high"), "score must be a number"),
             (_second_prediction(prediction=7), "prediction must be an entity id or null"),
             (_second_prediction(score=True), "score must be a number"),
             (_second_prediction(ambiguity=[{"id": "E2", "score": False}]),
-             "ambiguity must be an array"),
+             "ambiguity must be an array of {id, score} objects"),
             (_second_prediction(start=False), "mention offsets must be integers"),
             (_second_prediction(score=10**400), "score too large for a float"),
             (_second_prediction(ambiguity=[{"id": "E2", "score": -(10**400)}]),
              "score too large for a float"),
             (_prediction_line(), "duplicate document id 'd1'"),
             (_second_prediction({"id": ""}), "id must be a non-empty string"),
-            (_second_prediction({"text": None}), "missing key 'text'"),
-            (_second_prediction({"category": None}), "missing key 'category'"),
-            (_second_prediction(end=99), "out of bounds"),
-            (_second_prediction(surface="ب"), "surface does not equal the text slice"),
+            (_second_prediction({"text": None}), "document missing key 'text'"),
+            (_second_prediction({"category": None}), "document missing key 'category'"),
+            (_second_prediction(end=99), "document 'd2', mention 0: span [0, 99) out of bounds"),
+            (_second_prediction(surface="ب"),
+             "document 'd2', mention 0: surface does not equal the text slice"),
             (_second_prediction({"mentions": [_MENTION, {**_MENTION, "start": 2, "end": 5,
                                                          "surface": "ف ب"}]}),
-             "overlapping mentions"),
+             "document 'd2' has overlapping mentions"),
+            (_second_prediction(gold="E1"), "unknown keys in mention: ['gold']"),
+            (_second_prediction(ner_typ="LOC"), "unknown keys in mention: ['ner_typ']"),
+            (_second_prediction(ambiguity=[{"id": "E2", "score": 0.1, "rank": 1}]),
+             "unknown keys in ambiguity entry: ['rank']"),
+            (_second_prediction(ambiguity=[{"id": "E2"}]), "ambiguity entry missing key 'score'"),
         ],
         ids=["mention-not-object", "mentions-not-array", "ambiguity-not-array",
              "ambiguity-entry-not-object", "score-not-number", "prediction-not-id",
              "score-bool", "ambiguity-score-bool", "start-bool", "score-too-large",
              "ambiguity-score-too-large", "repeated-id", "empty-id", "missing-text",
              "missing-category", "span-out-of-bounds", "surface-not-slice",
-             "overlapping-mentions"],
+             "overlapping-mentions", "gold-in-prediction", "unknown-mention-key",
+             "unknown-ambiguity-key", "ambiguity-score-missing"],
     )
     def test_malformed_mention_names_file_and_line(self, tmp_path, line, reason):
         path = tmp_path / "p.jsonl"
         path.write_text(_prediction_line() + "\n" + line + "\n", encoding="utf-8")
-        with pytest.raises(MalformedDocument) as err:
+        with pytest.raises(InputError, match=rf"^{re.escape(f'{path}:2: {reason}')}$") as err:
             load_predictions(path)
-        assert err.value.line == 2
-        assert str(err.value).startswith(f"{path}:2:")
-        assert reason in err.value.reason
+        assert (err.value.path, err.value.line, err.value.reason) == (str(path), 2, reason)
 
 
 class TestPredictionRoundTrip:
@@ -291,5 +299,6 @@ class TestPredictionRoundTrip:
 def test_corpus_mention_not_an_object_rejected(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text(_doc_line(mentions=[5]) + "\n", encoding="utf-8")
-    with pytest.raises(MalformedDocument):
+    message = f"{path}:1: mention must be a JSON object"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         load_corpus(path)

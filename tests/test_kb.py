@@ -3,14 +3,14 @@ from __future__ import annotations
 import gc
 import json
 import random
+import re
 import types
 import weakref
 
 import pytest
 
+from peyvand.errors import InputError
 from peyvand.kb import (
-    DuplicateEntityId,
-    MalformedRecord,
     NerType,
     PosCategory,
     build_kb,
@@ -41,6 +41,21 @@ def _record(entity_id, label, variants=(), links=(), article="", **extra):
     }
     rec.update(extra)
     return json.dumps(rec, ensure_ascii=False)
+
+
+# Each malformed dump line and the reason it is rejected with.
+_MALFORMED_RECORDS = {
+    "not json": "invalid JSON: Expecting value",
+    json.dumps({"id": "E1"}): "record missing key 'label'",
+    _record("", "خالی"): "id must be a non-empty string",
+    _record("E1", ""): "label must be a non-empty string",
+    _record("E1", "یک", ner_type="NOPE"): "ner_type 'NOPE' is invalid",
+    _record("E1", "یک", pos="NOPE"): "pos 'NOPE' is invalid",
+    json.dumps({"id": "E1", "label": "x", "variants": "nope", "class": "c",
+                "ner_type": "LOC", "pos": "OTHER", "article": "", "links": []}):
+        "variants must be an array of strings",
+    _record("E1", "یک", rar=True): "unknown keys in record: ['rar']",
+}
 
 
 @pytest.fixture
@@ -93,26 +108,16 @@ class TestLoadKb:
     def test_duplicate_id_rejected(self, tmp_path, lists_file):
         dump = tmp_path / "kb.jsonl"
         dump.write_text(_record("E1", "یک") + "\n" + _record("E1", "باز یک") + "\n", encoding="utf-8")
-        with pytest.raises(DuplicateEntityId):
+        message = f"{dump}:2: duplicate entity id 'E1'"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             load_kb(dump, lists_file)
 
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "not json",
-            json.dumps({"id": "E1"}),
-            _record("", "خالی"),
-            _record("E1", ""),
-            _record("E1", "یک", ner_type="NOPE"),
-            _record("E1", "یک", pos="NOPE"),
-            json.dumps({"id": "E1", "label": "x", "variants": "nope", "class": "c",
-                        "ner_type": "LOC", "pos": "OTHER", "article": "", "links": []}),
-        ],
-    )
+    @pytest.mark.parametrize("line", _MALFORMED_RECORDS)
     def test_malformed_record_reports_line(self, tmp_path, lists_file, line):
         dump = tmp_path / "kb.jsonl"
         dump.write_text(_record("E0", "صفر") + "\n" + line + "\n", encoding="utf-8")
-        with pytest.raises(MalformedRecord) as err:
+        reason = re.escape(_MALFORMED_RECORDS[line])
+        with pytest.raises(InputError, match=rf"^{re.escape(str(dump))}:2: {reason}$") as err:
             load_kb(dump, lists_file)
         assert err.value.line == 2
 
@@ -141,7 +146,8 @@ class TestReferenceLists:
                 json.dumps({"class_filters": {"film": {"triggers": ["x"], "penalty": bad}}}),
                 encoding="utf-8",
             )
-            with pytest.raises(MalformedRecord):
+            reason = "class_filters['film'].penalty must lie strictly between 0 and 1"
+            with pytest.raises(InputError, match=rf"^{re.escape(f'{path}: {reason}')}$"):
                 load_reference_lists(path)
 
     def test_triggers_and_stopwords_stored_normalized(self, tmp_path):
@@ -163,7 +169,8 @@ class TestReferenceLists:
     def test_unknown_ner_type_key_rejected(self, tmp_path):
         path = tmp_path / "lists.json"
         path.write_text(json.dumps({"type_mapping": {"PLACE": ["city"]}}), encoding="utf-8")
-        with pytest.raises(MalformedRecord):
+        reason = "type_mapping key 'PLACE' is not a NER type"
+        with pytest.raises(InputError, match=rf"^{re.escape(f'{path}: {reason}')}$"):
             load_reference_lists(path)
 
 
@@ -251,32 +258,41 @@ def test_enums_round_trip():
 
 class TestReferenceListsShape:
     @pytest.mark.parametrize(
-        "data",
-        [{"class_filters": ["film"]}, {"type_mapping": [["LOC", "city"]]}, ["stopwords"]],
+        "data, reason",
+        [
+            ({"class_filters": ["film"]}, "class_filters must be an object"),
+            ({"type_mapping": [["LOC", "city"]]}, "type_mapping must be an object"),
+            (["stopwords"], "reference lists must be a JSON object"),
+        ],
         ids=["class-filters-not-object", "type-mapping-not-object", "lists-not-object"],
     )
-    def test_non_object_sections_rejected(self, tmp_path, data):
+    def test_non_object_sections_rejected(self, tmp_path, data, reason):
         path = tmp_path / "lists.json"
         path.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(MalformedRecord):
+        with pytest.raises(InputError, match=rf"^{re.escape(f'{path}: {reason}')}$"):
             load_reference_lists(path)
 
     def test_unknown_top_level_keys_rejected(self, tmp_path):
         path = tmp_path / "lists.json"
         path.write_text(json.dumps({"stopwords": [], "rare_blocklst": [], "extra": 1}),
                         encoding="utf-8")
-        with pytest.raises(
-            MalformedRecord, match=rf"^{path}: unknown reference list keys: \['extra', 'rare_blocklst'\]$"
-        ):
+        reason = "unknown keys in reference lists: ['extra', 'rare_blocklst']"
+        with pytest.raises(InputError, match=rf"^{re.escape(f'{path}: {reason}')}$"):
             load_reference_lists(path)
 
     def test_unknown_class_filter_keys_rejected(self, tmp_path):
         path = tmp_path / "lists.json"
         spec = {"triggers": ["x"], "penalty": 0.5, "weight": 2}
         path.write_text(json.dumps({"class_filters": {"film": spec}}), encoding="utf-8")
-        with pytest.raises(
-            MalformedRecord, match=rf"^{path}: class_filters\['film'\] has unknown keys: \['weight'\]$"
-        ):
+        reason = "unknown keys in class_filters['film']: ['weight']"
+        with pytest.raises(InputError, match=rf"^{re.escape(f'{path}: {reason}')}$"):
+            load_reference_lists(path)
+
+    def test_class_filter_without_penalty_names_the_key(self, tmp_path):
+        path = tmp_path / "lists.json"
+        path.write_text(json.dumps({"class_filters": {"film": {"triggers": []}}}), encoding="utf-8")
+        reason = "class_filters['film'] missing key 'penalty'"
+        with pytest.raises(InputError, match=rf"^{re.escape(f'{path}: {reason}')}$"):
             load_reference_lists(path)
 
     def test_serialized_lists_parse_back_unchanged(self, lists):

@@ -1,20 +1,25 @@
-"""Every loader either parses its input or raises `PeyvandError`. The inputs
-are the bundled data files, damaged in one place: one JSON value changed
-or deleted at any depth, or one byte replaced."""
+"""Every loader either parses its input or raises an `InputError` that
+starts with the input's path and names a line of it, or no line. The
+inputs are the bundled data files, damaged in one place: one JSON value
+changed or deleted at any depth, or one byte replaced."""
 
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import peyvand
 from peyvand.corpus import load_corpus, load_predictions
-from peyvand.errors import PeyvandError
+from peyvand.errors import InputError, PeyvandError
+from peyvand.evaluate import AlignmentError, DomainError
 from peyvand.kb import load_kb
-from peyvand.linker import LinkerConfig
+from peyvand.linker import ConfigError, LinkerConfig
 
 from mutations import byte_edits, mutations
 
@@ -42,11 +47,12 @@ def _encode(filename: str, payload) -> str:
     return json.dumps(payload, ensure_ascii=False)
 
 
-def _loads_or_raises_peyvand_error(load, path: Path) -> None:
+def _loads_or_raises_input_error(load, path: Path) -> None:
     try:
         load(path)
-    except PeyvandError:
-        pass
+    except InputError as exc:
+        assert str(exc).startswith(f"{path}:")
+        assert exc.line is None or 1 <= exc.line <= len(path.read_bytes().splitlines())
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +68,7 @@ def test_any_value_mutation_loads_or_raises_peyvand_error(workdir, name, data):
     payload = _decode(filename, (DATA / filename).read_text(encoding="utf-8"))
     path = workdir / filename
     path.write_text(_encode(filename, data.draw(mutations(payload))), encoding="utf-8")
-    _loads_or_raises_peyvand_error(load, path)
+    _loads_or_raises_input_error(load, path)
 
 
 @pytest.mark.parametrize("name", LOADERS)
@@ -72,5 +78,20 @@ def test_any_byte_edit_loads_or_raises_peyvand_error(workdir, name, data):
     filename, load = LOADERS[name]
     path = workdir / filename
     path.write_bytes(data.draw(byte_edits((DATA / filename).read_bytes())))
-    _loads_or_raises_peyvand_error(load, path)
+    _loads_or_raises_input_error(load, path)
 
+
+
+def test_package_errors_are_input_config_alignment_and_domain():
+    """A reader reports a bad file as an `InputError`, not a class of its own."""
+    for module in pkgutil.iter_modules(peyvand.__path__):
+        if module.name != "__main__":  # importing it runs the command line
+            importlib.import_module(f"peyvand.{module.name}")
+    found, stack = set(), [PeyvandError]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("peyvand."):
+                found.add(cls)
+    assert found == {InputError, ConfigError, AlignmentError, DomainError}
+    assert "InputError" in peyvand.__all__ and peyvand.InputError is InputError
