@@ -29,17 +29,7 @@ from .kb import (
     load_reference_lists,
     lookup_alias,
 )
-from .linker import (
-    LinkResult,
-    LinkerConfig,
-    ScoredCandidate,
-    context_score,
-    filter_candidates,
-    generate_candidates,
-    graph_score,
-    link_document,
-    rank_and_select,
-)
+from .linker import LinkResult, LinkerConfig, ScoredCandidate, link_document
 from .textnorm import normalize, tokenize
 
 __version__ = "0.1.0"
@@ -61,12 +51,8 @@ __all__ = [
     "PosCategory",
     "ReferenceLists",
     "ScoredCandidate",
-    "context_score",
     "corpus_stats",
     "f1",
-    "filter_candidates",
-    "generate_candidates",
-    "graph_score",
     "link_document",
     "load_corpus",
     "load_kb",
@@ -74,7 +60,6 @@ __all__ = [
     "load_reference_lists",
     "lookup_alias",
     "normalize",
-    "rank_and_select",
     "render_report",
     "save_corpus",
     "score_predictions",

@@ -115,8 +115,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    kb, _ = load_index(args.index)
     docs = load_corpus(args.corpus)
+    kb, _ = load_index(args.index)
     total = corpus_stats(docs, kb)
     per_category = stats_by_category(docs, kb)
     if args.format == "records":

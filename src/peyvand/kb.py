@@ -141,7 +141,10 @@ def decode_json(data: bytes, path: str | Path, line_no: int) -> object:
         line = line_no + data.count(b"\n", 0, exc.start)
         raise InputError(path, line, f"not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(path, line_no + exc.lineno - 1, f"invalid JSON: {exc.msg}") from exc
+        # An error at the end of the input is on the last line that holds text.
+        end = min(exc.pos, len(exc.doc.rstrip(" \t\n\r")))
+        line = line_no + exc.doc.count("\n", 0, end)
+        raise InputError(path, line, f"invalid JSON: {exc.msg}") from exc
     except (RecursionError, ValueError) as exc:
         raise InputError(path, line_no, f"invalid JSON: {exc}") from exc
 

@@ -12,6 +12,10 @@ is the min-max-normalized count of distinct candidates of the document's
 other mentions whose articles link to the candidate (either direction).
 The top candidate wins unless its combined score falls below the NIL
 threshold; rejected candidates are kept on a ranked ambiguity list.
+
+`link_document` is the one entry point. Above a NIL threshold of 1 every
+mention abstains, so its ambiguity list holds each kept candidate with its
+context score, graph score and penalty; the tests check each stage that way.
 """
 
 from __future__ import annotations
@@ -125,27 +129,6 @@ class LinkResult:
     ambiguity: tuple[ScoredCandidate, ...]
 
 
-def generate_candidates(kb: KnowledgeBase, mention: Mention) -> frozenset[str]:
-    """All entities whose alias matches the mention surface."""
-    return lookup_alias(kb, mention.surface)
-
-
-def filter_candidates(
-    kb: KnowledgeBase,
-    lists: ReferenceLists,
-    cfg: LinkerConfig,
-    doc: Document,
-    mention: Mention,
-    candidates: frozenset[str] | set[str],
-) -> tuple[set[str], dict[str, float]]:
-    """Apply type, POS, popularity and class filters, in that order.
-
-    Returns the surviving candidate set and a penalty per survivor
-    (1.0 unless a class filter fired). Filters never add candidates.
-    """
-    return _DocScorer(kb, lists, cfg, doc).apply_filters(mention, candidates)
-
-
 def _tfidf_vector(terms: Sequence[str], kb: KnowledgeBase) -> dict[str, float]:
     """Raw term count times the smoothed IDF, ln((1 + N) / (1 + df)) + 1,
     which `kb.idf` holds by document frequency."""
@@ -169,11 +152,11 @@ def _cosine(a: Mapping[str, float], norm_a: float, b: Mapping[str, float], norm_
 def _graph_scores(
     kb: KnowledgeBase,
     mention_index: int,
-    doc_candidates: Mapping[int, frozenset[str] | set[str]],
+    doc_candidates: Mapping[int, set[str]],
 ) -> dict[str, float]:
     """Graph score of each candidate of the mention: its count of distinct
     linked candidates of other mentions over the mention's best count."""
-    own = doc_candidates.get(mention_index, frozenset())
+    own = doc_candidates[mention_index]
     others = set().union(*(cands for j, cands in doc_candidates.items() if j != mention_index))
     linked = {c: others & kb.entities[c].out_links for c in own}
     for o in others:
@@ -206,8 +189,10 @@ class _DocScorer:
         self._article_vectors = kb.article_vectors.setdefault(lists.stopwords, {})
 
     def apply_filters(
-        self, mention: Mention, candidates: frozenset[str] | set[str]
+        self, mention: Mention, candidates: frozenset[str]
     ) -> tuple[set[str], dict[str, float]]:
+        """The candidates that survive the filters of `cfg`, in `FILTERS`
+        order, and a penalty for each: 1.0 unless a class filter fired."""
         kb, lists, cfg = self.kb, self.lists, self.cfg
         kept = set(candidates)
 
@@ -269,17 +254,20 @@ class _DocScorer:
     def rank(
         self,
         mention_index: int,
-        doc_candidates: Mapping[int, frozenset[str] | set[str]],
+        doc_candidates: Mapping[int, set[str]],
         penalties: Mapping[str, float],
     ) -> LinkResult:
+        """Ties on the combined score go to the lowest entity id; with no
+        kept candidate, or a top score below the NIL threshold, the
+        decision is NIL and every scored candidate is on the ambiguity list."""
         mention = self.doc.mentions[mention_index]
         graph_scores = _graph_scores(self.kb, mention_index, doc_candidates)
         context = self.context_vector(mention)
         scored = []
-        for entity_id in sorted(doc_candidates.get(mention_index, ())):
+        for entity_id in sorted(doc_candidates[mention_index]):
             ctx = _cosine(*context, *self.article_vector(self.kb.entities[entity_id]))
             graph = graph_scores[entity_id]
-            penalty = penalties.get(entity_id, 1.0)
+            penalty = penalties[entity_id]
             combined = penalty * (
                 self.cfg.lambda_weight * ctx + (1.0 - self.cfg.lambda_weight) * graph
             )
@@ -291,54 +279,6 @@ class _DocScorer:
         if top.combined < self.cfg.nil_threshold:
             return LinkResult(mention_index, NIL, top.combined, tuple(scored))
         return LinkResult(mention_index, top.entity_id, top.combined, tuple(scored[1:]))
-
-
-def context_score(
-    kb: KnowledgeBase,
-    lists: ReferenceLists,
-    doc: Document,
-    mention: Mention,
-    entity: EntityRecord,
-) -> float:
-    """TF-IDF cosine between the mention's context and the entity article.
-
-    TF is the raw term count; IDF(t) = ln((1 + N) / (1 + df(t))) + 1 over
-    the knowledge base's article collection. Empty context or empty
-    article yields 0.
-    """
-    scorer = _DocScorer(kb, lists, LinkerConfig(), doc)
-    return _cosine(*scorer.context_vector(mention), *scorer.article_vector(entity))
-
-
-def graph_score(
-    kb: KnowledgeBase,
-    candidate: str,
-    mention_index: int,
-    doc_candidates: Mapping[int, frozenset[str] | set[str]],
-) -> float:
-    """Distinct candidates of other mentions linked to `candidate`,
-    normalized by the best raw count among this mention's candidates."""
-    if candidate not in doc_candidates.get(mention_index, ()):
-        raise ValueError(f"{candidate!r} is not a candidate of mention {mention_index}")
-    return _graph_scores(kb, mention_index, doc_candidates)[candidate]
-
-
-def rank_and_select(
-    kb: KnowledgeBase,
-    lists: ReferenceLists,
-    cfg: LinkerConfig,
-    doc: Document,
-    mention_index: int,
-    doc_candidates: Mapping[int, frozenset[str] | set[str]],
-    penalties: Mapping[str, float] | None = None,
-) -> LinkResult:
-    """Score one mention's kept candidates and pick the winner or NIL.
-
-    Ties on the combined score go to the lowest entity id. With an empty
-    candidate set, or a top score below the NIL threshold, the decision is
-    NIL and every scored candidate lands on the ambiguity list.
-    """
-    return _DocScorer(kb, lists, cfg, doc).rank(mention_index, doc_candidates, penalties or {})
 
 
 def link_document(
@@ -356,7 +296,7 @@ def link_document(
     doc_candidates: dict[int, set[str]] = {}
     penalties_by_mention: dict[int, dict[str, float]] = {}
     for i, mention in enumerate(doc.mentions):
-        candidates = generate_candidates(kb, mention)
+        candidates = lookup_alias(kb, mention.surface)
         doc_candidates[i], penalties_by_mention[i] = scorer.apply_filters(mention, candidates)
     return [
         scorer.rank(i, doc_candidates, penalties_by_mention[i])

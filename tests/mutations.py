@@ -1,9 +1,11 @@
 """Hypothesis strategies that damage valid inputs: one JSON value changed
-or deleted at any depth, or one byte of a file replaced."""
+or deleted at any depth, a new key inserted into any object or a value
+appended to any list, or one byte of a file replaced."""
 
 from __future__ import annotations
 
 import copy
+from typing import Iterator
 
 from hypothesis import strategies as st
 
@@ -14,15 +16,41 @@ json_values = st.recursive(
 )
 
 
+def containers(payload) -> Iterator[dict | list]:
+    """Every object and list in `payload`, depth first, `payload` first."""
+    stack = [payload]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = node.values() if isinstance(node, dict) else node
+        stack.extend(reversed([c for c in children if isinstance(c, (dict, list))]))
+
+
+def grow(node: dict | list, key: str, value) -> None:
+    """Insert `value` into an object under `key`, which it lacks, or
+    append `value` to a list."""
+    if isinstance(node, dict):
+        assert key not in node
+        node[key] = value
+    else:
+        node.append(value)
+
+
 @st.composite
 def mutations(draw, payload):
-    """A copy of `payload` with one value, at any depth, deleted or replaced."""
+    """A copy of `payload` with one edit at any depth: a value deleted or
+    replaced, or the object or list the walk stops at grown by one value."""
     payload = copy.deepcopy(payload)
     node = payload
     while True:
-        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        if not keys or draw(st.integers(0, 3)) == 0:
+            fresh = st.text(max_size=4).filter(lambda k: k not in node)
+            grow(node, draw(fresh) if isinstance(node, dict) else "", draw(json_values))
+            return payload
+        key = draw(st.sampled_from(keys))
         child = node[key]
-        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+        if isinstance(child, (dict, list)) and draw(st.booleans()):
             node = child
         elif draw(st.booleans()):
             del node[key]

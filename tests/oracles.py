@@ -170,10 +170,10 @@ def oracle_article_terms(entity_id: str, kb: KnowledgeBase, lists: ReferenceList
     return [text for text, _, _ in tokens if text not in lists.stopwords]
 
 
-def oracle_link_document(
+def oracle_kept(
     kb: KnowledgeBase, lists: ReferenceLists, cfg: LinkerConfig, doc: Document
-) -> list[LinkResult]:
-    """Full pipeline recomputed independently (shares only data types)."""
+) -> tuple[dict[int, set[str]], dict[int, dict[str, float]]]:
+    """Each mention's candidates that survive the filters, and their penalties."""
     doc_terms = {
         text
         for text, _, _ in oracle_tokenize(doc.text, persian_normalize)
@@ -184,7 +184,14 @@ def oracle_link_document(
     for i, mention in enumerate(doc.mentions):
         candidates = brute_force_candidates(kb, mention.surface)
         doc_candidates[i], penalties[i] = oracle_filter(kb, lists, cfg, mention, candidates, doc_terms)
+    return doc_candidates, penalties
 
+
+def oracle_link_document(
+    kb: KnowledgeBase, lists: ReferenceLists, cfg: LinkerConfig, doc: Document
+) -> list[LinkResult]:
+    """Full pipeline recomputed independently (shares only data types)."""
+    doc_candidates, penalties = oracle_kept(kb, lists, cfg, doc)
     results = []
     for i, mention in enumerate(doc.mentions):
         raw = exhaustive_raw_links(kb, i, doc_candidates)

@@ -1,11 +1,15 @@
-"""Small in-memory knowledge bases for targeted scoring tests, and the
-text strategy shared by the tokenizer properties."""
+"""Small in-memory knowledge bases for targeted scoring tests, the view
+of each pipeline stage that `link_document` gives, and the text strategy
+shared by the tokenizer properties."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from hypothesis import strategies as st
 
 from peyvand import kb
+from peyvand.corpus import Document
 from peyvand.kb import (
     ClassFilter,
     EntityRecord,
@@ -14,6 +18,7 @@ from peyvand.kb import (
     PosCategory,
     ReferenceLists,
 )
+from peyvand.linker import LinkerConfig, ScoredCandidate, link_document
 from peyvand.textnorm import ARABIC_DIACRITICS, ARABIC_KAF, ARABIC_YEH, TATWEEL, ZWNJ
 
 # What the tokenizer must split or keep: Persian and Arabic letters, the
@@ -73,4 +78,14 @@ def empty_lists(**overrides) -> ReferenceLists:
     return ReferenceLists(**base)
 
 
-__all__ = ["ClassFilter", "build_kb", "empty_lists", "entity", "tokenizer_text"]
+def kept_candidates(
+    kb: KnowledgeBase, lists: ReferenceLists, cfg: LinkerConfig, doc: Document
+) -> list[dict[str, ScoredCandidate]]:
+    """Each mention's kept candidates by entity id, with the context score,
+    graph score and penalty that `cfg` gives them: above a NIL threshold
+    of 1 every mention abstains and lists them all on its ambiguity list."""
+    results = link_document(kb, lists, replace(cfg, nil_threshold=2.0), doc)
+    return [{c.entity_id: c for c in result.ambiguity} for result in results]
+
+
+__all__ = ["ClassFilter", "build_kb", "empty_lists", "entity", "kept_candidates", "tokenizer_text"]

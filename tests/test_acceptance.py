@@ -4,9 +4,13 @@ PASS/FAIL line (run with `pytest tests/test_acceptance.py -v -s`).
 C1  metric arithmetic reproduces the 22-row reference table (+-1e-4, <1s)
 C2  pipeline output equals the golden predictions (scores to 1e-9, <1s)
 C3  context score agrees with a dense-vector cosine oracle (>=50 cases, 1e-9)
-C4  graph score agrees with exhaustive pair enumeration on all fixture docs
+C4  graph score and kept sets agree with exhaustive enumeration on all fixture docs
 C5  NIL threshold: none at 0, all at 1.1, monotone across the sweep
 C6  filters are contractive on >=1000 randomized cases; all-off is identity
+
+C3, C4 and C6 check each stage through `link_document`: above a NIL
+threshold of 1 every mention abstains, and its ambiguity list holds each
+kept candidate with its context score, graph score and penalty.
 C7  normalization idempotence, alias round-trip, codepoint mapping table
 C8  three link runs over the same index are byte-identical
 C9  corpus statistics match the hand-tabulated fixture and all render
@@ -24,11 +28,11 @@ from peyvand.cli import main
 from peyvand.corpus import Document, Mention, corpus_stats
 from peyvand.evaluate import f1
 from peyvand.kb import NerType, PosCategory, lookup_alias
-from peyvand.linker import FILTERS, LinkerConfig, context_score, filter_candidates, generate_candidates, graph_score, link_document
+from peyvand.linker import FILTERS, LinkerConfig, link_document
 from peyvand.textnorm import ZWNJ, normalize, tokenize
 
-from oracles import dense_cosine, exhaustive_raw_links
-from synth import build_kb, empty_lists, entity
+from oracles import brute_force_candidates, dense_cosine, exhaustive_raw_links, oracle_kept
+from synth import build_kb, empty_lists, entity, kept_candidates
 from test_evaluate import REFERENCE_ROWS
 
 
@@ -79,7 +83,7 @@ def test_c3_cosine_oracle_equivalence():
             records = [
                 entity(
                     f"S{i}",
-                    f"نام{i}",
+                    "هدف",  # every record is a candidate of the mention
                     article=" ".join(rng.choices(vocab, k=rng.randrange(0, 14))),
                 )
                 for i in range(rng.randrange(2, 7))
@@ -90,7 +94,7 @@ def test_c3_cosine_oracle_equivalence():
             text = "هدف " + " ".join(context_words)
             doc = Document("r", "test", text, [Mention(0, 3, "هدف")])
             target = rng.choice(records)
-            got = context_score(kb, lists, doc, doc.mentions[0], kb.entities[target.id])
+            got = kept_candidates(kb, lists, LinkerConfig(), doc)[0][target.id].context_score
             article_terms = [text for text, _, _ in tokenize(target.article_text)]
             expected = dense_cosine(context_words, article_terms, kb.doc_freq, kb.doc_count)
             assert abs(got - expected) <= 1e-9
@@ -104,20 +108,14 @@ def test_c4_graph_oracle_equivalence(kb, lists, mini_corpus):
         cfg = LinkerConfig()
         mentions_checked = 0
         for doc in mini_corpus:
-            doc_candidates = {}
-            for i, mention in enumerate(doc.mentions):
-                kept, _ = filter_candidates(
-                    kb, lists, cfg, doc, mention, generate_candidates(kb, mention)
-                )
-                doc_candidates[i] = kept
-            for i in range(len(doc.mentions)):
+            doc_candidates, _ = oracle_kept(kb, lists, cfg, doc)
+            for i, kept in enumerate(kept_candidates(kb, lists, cfg, doc)):
+                assert set(kept) == doc_candidates[i]
                 raw = exhaustive_raw_links(kb, i, doc_candidates)
                 max_raw = max(raw.values()) if raw else 0
-                for candidate in doc_candidates[i]:
+                for candidate, scored in kept.items():
                     expected = raw[candidate] / max_raw if max_raw else 0.0
-                    assert graph_score(kb, candidate, i, doc_candidates) == pytest.approx(
-                        expected, abs=1e-12
-                    )
+                    assert scored.graph_score == pytest.approx(expected, abs=1e-12)
                 mentions_checked += 1
         assert mentions_checked == 24
 
@@ -135,10 +133,7 @@ def test_c5_nil_threshold_properties(kb, lists, mini_corpus):
                         continue
                     nils += 1
                     if threshold == 0.0:
-                        mention = doc.mentions[result.mention_index]
-                        kept, _ = filter_candidates(
-                            kb, lists, cfg, doc, mention, generate_candidates(kb, mention)
-                        )
+                        kept = oracle_kept(kb, lists, cfg, doc)[0][result.mention_index]
                         assert not kept  # at tau=0 only empty kept sets abstain
             nil_counts.append(nils)
         assert nil_counts[-1] == total_mentions  # tau > 1 abstains everywhere
@@ -163,16 +158,15 @@ def test_c6_filter_contractiveness_randomized(kb, lists):
             )
             doc = Document("r", "test", text, [mention])
             cfg = LinkerConfig(filters=frozenset(f for f in FILTERS if rng.random() < 0.5))
-            candidates = generate_candidates(kb, mention)
-            kept, penalties = filter_candidates(kb, lists, cfg, doc, mention, candidates)
-            assert kept <= set(candidates)
-            assert set(penalties) == kept
-            assert all(0.0 < p <= 1.0 for p in penalties.values())
+            candidates = brute_force_candidates(kb, surface)
+            [kept] = kept_candidates(kb, lists, cfg, doc)
+            assert set(kept) <= candidates
+            assert all(0.0 < c.penalty <= 1.0 for c in kept.values())
 
-            identity, unit = filter_candidates(kb, lists, all_off, doc, mention, candidates)
-            assert identity == set(candidates)
-            assert all(p == 1.0 for p in unit.values())
-            assert kept <= identity
+            [identity] = kept_candidates(kb, lists, all_off, doc)
+            assert set(identity) == candidates
+            assert all(c.penalty == 1.0 for c in identity.values())
+            assert set(kept) <= set(identity)
 
 
 def test_c7_normalization_and_alias_properties(kb):

@@ -197,13 +197,19 @@ class TestLink:
         assert capsys.readouterr().err.startswith("usage: peyvand")
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--config", "--corpus"])
-    def test_config_and_corpus_are_read_before_the_index(self, tmp_path, data_dir, capsys, flag):
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("link", "--config"), ("link", "--corpus"), ("stats", "--corpus")],
+        ids=["--config", "--corpus", "stats-corpus"],
+    )
+    def test_config_and_corpus_are_read_before_the_index(
+        self, tmp_path, data_dir, capsys, command, flag
+    ):
         corrupt = tmp_path / "corrupt.idx"
         corrupt.write_bytes(b"not an index\n")
         bad = tmp_path / "bad.json"
         bad.write_text("{oops\n", encoding="utf-8")
-        assert main(_argv("link", flag, bad, tmp_path, data_dir, corrupt)) == 1
+        assert main(_argv(command, flag, bad, tmp_path, data_dir, corrupt)) == 1
         err = capsys.readouterr().err
         assert _one_error_line(err) and err.startswith(f"error: {bad}:1: ")
 

@@ -14,6 +14,7 @@ from peyvand.kb import (
     NerType,
     PosCategory,
     build_kb,
+    decode_json,
     doc_freq,
     lists_to_obj,
     load_kb,
@@ -249,6 +250,22 @@ class TestDocFreq:
         assert len(memos) == 1 and memos[0]() is None
         assert type(textnorm.persian_normalize) is types.FunctionType
         assert textnorm.normalize is textnorm.persian_normalize
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b'{\n  "a": 1\n\n', 2),  # the input ends inside the object
+        (b'{"a": 1}\n\xc2\xa0\n', 2),  # a no-break space is not JSON whitespace
+        (b'\n{"a": }\n', 2),
+    ],
+    ids=["unclosed", "extra-data", "mid-file"],
+)
+def test_json_error_names_a_line_of_the_input(data, line):
+    # The decoder counts the newline that ends the input as one more line.
+    with pytest.raises(InputError) as info:
+        decode_json(data, "x.json", 1)
+    assert info.value.line == line <= len(data.splitlines())
 
 
 def test_enums_round_trip():

@@ -17,17 +17,7 @@ from peyvand.cache import save_index
 from peyvand.corpus import Document, Mention, NIL
 from peyvand.errors import InputError
 from peyvand.kb import KnowledgeBase, NerType, PosCategory, load_kb
-from peyvand.linker import (
-    FILTERS,
-    ConfigError,
-    LinkerConfig,
-    context_score,
-    filter_candidates,
-    generate_candidates,
-    graph_score,
-    link_document,
-    rank_and_select,
-)
+from peyvand.linker import FILTERS, ConfigError, LinkerConfig, link_document
 from peyvand.textnorm import NormalForms, terms, tokenize
 
 from oracles import (
@@ -37,9 +27,12 @@ from oracles import (
     oracle_article_terms,
     oracle_context_terms,
     oracle_is_separator,
+    oracle_kept,
     oracle_link_document,
 )
-from synth import ClassFilter, build_kb, empty_lists, entity, tokenizer_text
+from synth import ClassFilter, build_kb, empty_lists, entity, kept_candidates, tokenizer_text
+
+ALL_OFF = LinkerConfig(filters=frozenset())
 
 
 def doc_of(text: str, *mentions: Mention, doc_id: str = "t1", category: str = "test") -> Document:
@@ -49,6 +42,39 @@ def doc_of(text: str, *mentions: Mention, doc_id: str = "t1", category: str = "t
 def mention_at(text: str, surface: str, **kwargs) -> Mention:
     start = text.index(surface)
     return Mention(start, start + len(surface), surface, **kwargs)
+
+
+def filtered(kb, lists, cfg, doc) -> tuple[set[str], dict[str, float]]:
+    """The first mention's kept candidates and their penalties."""
+    kept = kept_candidates(kb, lists, cfg, doc)[0]
+    return set(kept), {c: scored.penalty for c, scored in kept.items()}
+
+
+def context_scores(kb, lists, doc) -> dict[str, float]:
+    """The first mention's context score for each of its candidates."""
+    kept = kept_candidates(kb, lists, ALL_OFF, doc)[0]
+    return {c: scored.context_score for c, scored in kept.items()}
+
+
+def graph_document(links: dict[str, tuple[str, ...]], doc_candidates: dict[int, set[str]]):
+    """A KB in which entity `e` links to `links[e]` and answers to the alias
+    `m{j}` for each mention j whose candidates hold it, and a document whose
+    mention j is `m{j}`, so its kept set is `doc_candidates[j]`."""
+    records = [
+        entity(e, variants=tuple(f"m{j}" for j, cands in doc_candidates.items() if e in cands),
+               links=targets)
+        for e, targets in links.items()
+    ]
+    text = " ".join(f"m{j}" for j in doc_candidates)
+    return build_kb(records), doc_of(text, *(mention_at(text, f"m{j}") for j in doc_candidates))
+
+
+def graph_scores(kb, doc) -> list[dict[str, float]]:
+    """Each mention's graph score for each of its candidates."""
+    return [
+        {c: scored.graph_score for c, scored in kept.items()}
+        for kept in kept_candidates(kb, empty_lists(), ALL_OFF, doc)
+    ]
 
 
 @st.composite
@@ -142,44 +168,47 @@ class TestConfig:
 
 
 class TestGenerateCandidates:
+    @staticmethod
+    def candidates(kb, text, surface) -> set[str]:
+        """The mention's kept set with every filter off."""
+        return filtered(kb, empty_lists(), ALL_OFF, doc_of(text, mention_at(text, surface)))[0]
+
     def test_unknown_surface_empty(self, kb):
-        doc_text = "دنا زیبا است"
-        assert generate_candidates(kb, mention_at(doc_text, "دنا")) == frozenset()
+        assert self.candidates(kb, "دنا زیبا است", "دنا") == set()
 
     def test_ambiguous_surface_matches_brute_force(self, kb):
-        m = Mention(0, 6, "شهریار")
-        assert set(generate_candidates(kb, m)) == brute_force_candidates(kb, "شهریار")
-        assert generate_candidates(kb, m) == {"E10", "E32", "E33"}
+        got = self.candidates(kb, "شهریار", "شهریار")
+        assert got == brute_force_candidates(kb, "شهریار")
+        assert got == {"E10", "E32", "E33"}
 
     def test_canonical_label_is_singleton(self, kb):
-        assert generate_candidates(kb, Mention(0, 4, "اسنپ")) == {"E23"}
+        assert self.candidates(kb, "اسنپ", "اسنپ") == {"E23"}
 
 
 class TestFilters:
     def test_all_filters_disabled_is_identity_with_unit_penalties(self, kb, lists, mini_corpus):
-        cfg = LinkerConfig(filters=frozenset())
         doc = mini_corpus[1]  # d02
-        mention = doc.mentions[0]
-        candidates = generate_candidates(kb, mention)
-        kept, penalties = filter_candidates(kb, lists, cfg, doc, mention, candidates)
-        assert kept == set(candidates)
+        candidates = brute_force_candidates(kb, doc.mentions[0].surface)
+        kept, penalties = filtered(kb, lists, ALL_OFF, doc)
+        assert kept == candidates
         assert penalties == {c: 1.0 for c in candidates}
 
     def test_type_filter_drops_class_outside_mapping(self, kb, lists):
         doc = doc_of("چهل سالگی نزدیک است", mention_at("چهل سالگی نزدیک است", "چهل سالگی", ner_type=NerType.LOC))
-        kept, _ = filter_candidates(kb, lists, LinkerConfig(), doc, doc.mentions[0], frozenset({"E16"}))
+        assert brute_force_candidates(kb, "چهل سالگی") == {"E16"}
+        kept, _ = filtered(kb, lists, LinkerConfig(), doc)
         assert kept == set()  # a film is not a location
 
     def test_type_filter_skipped_without_annotation(self, kb, lists):
         doc = doc_of("چهل سالگی نزدیک است", mention_at("چهل سالگی نزدیک است", "چهل سالگی"))
-        kept, _ = filter_candidates(kb, lists, LinkerConfig(), doc, doc.mentions[0], frozenset({"E16"}))
+        kept, _ = filtered(kb, lists, LinkerConfig(), doc)
         assert kept == {"E16"}
 
     def test_type_filter_skipped_for_unmapped_type(self, kb, lists):
         # the reference lists carry no OTHER entry, so no evidence, no drop
         text = "تار ساز خوبی است"
         doc = doc_of(text, mention_at(text, "تار", ner_type=NerType.OTHER))
-        kept, _ = filter_candidates(kb, lists, LinkerConfig(), doc, doc.mentions[0], frozenset({"E26"}))
+        kept, _ = filtered(kb, lists, LinkerConfig(), doc)
         assert kept == {"E26"}
 
     def test_pos_filter_drops_mismatch_keeps_unknown(self):
@@ -192,47 +221,43 @@ class TestFilters:
         lists = empty_lists()
         text = "نام چیزها"
         doc = doc_of(text, mention_at(text, "نام", pos_tag=PosCategory.COMMON_NOUN))
-        kept, _ = filter_candidates(kb, lists, LinkerConfig(), doc, doc.mentions[0], frozenset({"P1", "P2", "P3"}))
+        assert brute_force_candidates(kb, "نام") == {"P1", "P2", "P3"}
+        kept, _ = filtered(kb, lists, LinkerConfig(), doc)
         assert kept == {"P2", "P3"}
 
     def test_pos_filter_skipped_when_mention_pos_unknown(self):
         kb = build_kb([entity("P1", "نام", pos=PosCategory.PROPER_NOUN)])
         text = "نام چیزها"
         doc = doc_of(text, mention_at(text, "نام", pos_tag=PosCategory.UNKNOWN))
-        kept, _ = filter_candidates(kb, empty_lists(), LinkerConfig(), doc, doc.mentions[0], frozenset({"P1"}))
+        kept, _ = filtered(kb, empty_lists(), LinkerConfig(), doc)
         assert kept == {"P1"}
 
     def test_popularity_filter_blocklist_and_rare_flag(self, kb, lists):
         text = "مسافران به پاریس رفتند"
         doc = doc_of(text, mention_at(text, "پاریس"))
-        kept, _ = filter_candidates(
-            kb, lists, LinkerConfig(), doc, doc.mentions[0], frozenset({"E30", "E31"})
-        )
+        assert brute_force_candidates(kb, "پاریس") == {"E30", "E31"}
+        kept, _ = filtered(kb, lists, LinkerConfig(), doc)
         assert kept == {"E30"}  # E31 is blocklisted
 
         text = "شهریار جای خوبی است"
         doc = doc_of(text, mention_at(text, "شهریار"))
-        kept, _ = filter_candidates(
-            kb, lists, LinkerConfig(), doc, doc.mentions[0], frozenset({"E10", "E32", "E33"})
-        )
+        assert brute_force_candidates(kb, "شهریار") == {"E10", "E32", "E33"}
+        kept, _ = filtered(kb, lists, LinkerConfig(), doc)
         assert kept == {"E10", "E33"}  # E32 carries the rare flag
 
     def test_class_filter_penalty_without_trigger_full_rate_with(self, kb, lists):
-        candidates = frozenset({"E16"})
         bare = "چهل سالگی دوران خوبی است"
         doc = doc_of(bare, mention_at(bare, "چهل سالگی"))
-        kept, penalties = filter_candidates(kb, lists, LinkerConfig(), doc, doc.mentions[0], candidates)
+        kept, penalties = filtered(kb, lists, LinkerConfig(), doc)
         assert kept == {"E16"}
         assert penalties["E16"] == 0.5
 
         cinema = "چهل سالگی در سینما دیدنی است"
         doc = doc_of(cinema, mention_at(cinema, "چهل سالگی"))
-        _, penalties = filter_candidates(kb, lists, LinkerConfig(), doc, doc.mentions[0], candidates)
+        _, penalties = filtered(kb, lists, LinkerConfig(), doc)
         assert penalties["E16"] == 1.0
 
     def test_agreement_with_oracle_on_random_cases(self, kb, lists, mini_corpus):
-        from oracles import oracle_filter
-
         rng = random.Random(99)
         surfaces = sorted(kb.alias_index)
         for _ in range(300):
@@ -242,61 +267,51 @@ class TestFilters:
                                           ner_type=rng.choice([None, *NerType]),
                                           pos_tag=rng.choice([None, *PosCategory])))
             cfg = LinkerConfig(filters=frozenset(f for f in FILTERS if rng.random() < 0.5))
-            mention = doc.mentions[0]
-            candidates = generate_candidates(kb, mention)
-            kept, penalties = filter_candidates(kb, lists, cfg, doc, mention, candidates)
-            doc_terms = {t for t, _, _ in tokenize(text) if t not in lists.stopwords}
-            oracle_kept, oracle_penalties = oracle_filter(kb, lists, cfg, mention, candidates, doc_terms)
-            assert kept == oracle_kept
-            assert penalties == oracle_penalties
+            kept, penalties = filtered(kb, lists, cfg, doc)
+            oracle_kept_sets, oracle_penalties = oracle_kept(kb, lists, cfg, doc)
+            assert kept == oracle_kept_sets[0]
+            assert penalties == oracle_penalties[0]
 
 
 # Synthetic three-article collection for exact cosine checks:
-# df(سیب)=1, df(انار)=2, df(موز)=2, N=3.
+# df(سیب)=1, df(انار)=2, df(موز)=2, N=3. Every record answers to هدف and
+# to سیب, so a mention of either has all three as candidates.
 _COSINE_KB = build_kb(
     [
-        entity("C1", "هدف", article="سیب انار سیب"),
-        entity("C2", "نشانه", article="انار موز"),
-        entity("C3", "علامت", article="موز"),
+        entity("C1", "هدف", variants=("سیب",), article="سیب انار سیب"),
+        entity("C2", "هدف", variants=("سیب",), article="انار موز"),
+        entity("C3", "هدف", variants=("سیب",), article="موز"),
     ]
 )
 
 
+def cosine_scores(text: str, surface: str = "هدف") -> dict[str, float]:
+    return context_scores(_COSINE_KB, empty_lists(), doc_of(text, mention_at(text, surface)))
+
+
 class TestContextScore:
-    def test_empty_article_scores_zero(self, kb, lists, mini_corpus):
-        doc = mini_corpus[0]
-        assert context_score(kb, lists, doc, doc.mentions[0], kb.entities["E31"]) == 0.0
+    def test_empty_article_scores_zero(self, kb, lists):
+        text = "مسافران به پاریس رفتند"
+        assert kb.entities["E31"].article_text == ""
+        assert context_scores(kb, lists, doc_of(text, mention_at(text, "پاریس")))["E31"] == 0.0
 
     def test_context_identical_to_article_scores_one(self):
-        lists = empty_lists()
-        text = "هدف انار موز"
-        doc = doc_of(text, mention_at(text, "هدف"))
-        score = context_score(_COSINE_KB, lists, doc, doc.mentions[0], _COSINE_KB.entities["C2"])
-        assert score == pytest.approx(1.0, abs=1e-9)
+        assert cosine_scores("هدف انار موز")["C2"] == pytest.approx(1.0, abs=1e-9)
 
     def test_two_term_overlap_matches_hand_computed_weight_table(self):
         # context (انار, موز) against article (سیب x2, انار); value frozen
         # from the explicit TF-IDF table.
-        lists = empty_lists()
-        text = "هدف انار موز"
-        doc = doc_of(text, mention_at(text, "هدف"))
-        score = context_score(_COSINE_KB, lists, doc, doc.mentions[0], _COSINE_KB.entities["C1"])
+        score = cosine_scores("هدف انار موز")["C1"]
         assert score == pytest.approx(0.25132870827089976, abs=1e-9)
         oracle = dense_cosine(["انار", "موز"], ["سیب", "انار", "سیب"], _COSINE_KB.doc_freq, 3)
         assert score == pytest.approx(oracle, abs=1e-9)
 
     def test_empty_context_scores_zero(self):
-        lists = empty_lists()
-        text = "هدف"
-        doc = doc_of(text, mention_at(text, "هدف"))
-        assert context_score(_COSINE_KB, lists, doc, doc.mentions[0], _COSINE_KB.entities["C1"]) == 0.0
+        assert cosine_scores("هدف")["C1"] == 0.0
 
     def test_mention_span_excluded_from_context(self):
         # the mention's own tokens must not count as context evidence
-        lists = empty_lists()
-        text = "سیب انار"
-        doc = doc_of(text, mention_at(text, "سیب"))
-        score = context_score(_COSINE_KB, lists, doc, doc.mentions[0], _COSINE_KB.entities["C1"])
+        score = cosine_scores("سیب انار", "سیب")["C1"]
         oracle = dense_cosine(["انار"], ["سیب", "انار", "سیب"], _COSINE_KB.doc_freq, 3)
         assert score == pytest.approx(oracle, abs=1e-9)
 
@@ -313,7 +328,7 @@ class TestContextScore:
         lists = empty_lists()
         doc = doc_of(text, mention_at(text, "هدف"))
         assert oracle_context_terms(doc, doc.mentions[0], _COSINE_KB, lists) == context
-        score = context_score(_COSINE_KB, lists, doc, doc.mentions[0], _COSINE_KB.entities["C1"])
+        score = cosine_scores(text)["C1"]
         oracle = dense_cosine(
             context,
             oracle_article_terms("C1", _COSINE_KB, lists),
@@ -329,29 +344,30 @@ class TestContextScore:
         words = sorted({t for t, _, _ in tokenize(text)})
         stopwords = frozenset(data.draw(st.lists(st.sampled_from(words)))) if words else frozenset()
         lists = empty_lists(stopwords=stopwords)
-        kb = build_kb([entity("A", article=text), entity("B", article=other)], stopwords)
-        doc = doc_of(text, Mention(a, b, text[a:b]))
+        records = [entity("A", "هدف", article=text), entity("B", "هدف", article=other)]
+        kb = build_kb(records, stopwords)
+        # The span is drawn over the text; the surface only makes A and B
+        # its candidates.
+        doc = doc_of(text, Mention(a, b, "هدف"))
         mention = doc.mentions[0]
         context = oracle_context_terms(doc, mention, kb, lists)
         vector, _ = linker._DocScorer(kb, lists, LinkerConfig(), doc).context_vector(mention)
         assert list(vector.items()) == list(linker._tfidf_vector(context, kb).items())
-        for entity_id in ("A", "B"):
-            score = context_score(kb, lists, doc, mention, kb.entities[entity_id])
+        scores = context_scores(kb, lists, doc)
+        assert set(scores) == {"A", "B"}
+        for entity_id, score in scores.items():
             oracle = dense_cosine(
                 context, oracle_article_terms(entity_id, kb, lists), kb.doc_freq, kb.doc_count
             )
             assert abs(score - oracle) <= 1e-9
 
     def test_bag_of_words_permutation_invariance(self):
-        lists = empty_lists()
         words = ["انار", "موز", "سیب", "انار", "موز"]
         rng = random.Random(7)
         baseline = None
         for _ in range(10):
             rng.shuffle(words)
-            text = "هدف " + " ".join(words)
-            doc = doc_of(text, mention_at(text, "هدف"))
-            score = context_score(_COSINE_KB, lists, doc, doc.mentions[0], _COSINE_KB.entities["C1"])
+            score = cosine_scores("هدف " + " ".join(words))["C1"]
             if baseline is None:
                 baseline = score
             assert score == pytest.approx(baseline, abs=1e-12)
@@ -359,58 +375,43 @@ class TestContextScore:
 
 class TestGraphScore:
     def test_single_mention_document_scores_zero(self, kb):
-        doc_candidates = {0: {"E01", "E08"}}
-        assert graph_score(kb, "E01", 0, doc_candidates) == 0.0
-        assert graph_score(kb, "E08", 0, doc_candidates) == 0.0
+        doc = doc_of("تهران", mention_at("تهران", "تهران"))
+        assert graph_scores(kb, doc) == [{"E01": 0.0, "E08": 0.0}]
 
     def test_forced_example_linked_candidate_one_other_zero(self):
-        kb = build_kb(
-            [entity("A", "الف", links=("C",)), entity("B", "ب"), entity("C", "ج")]
-        )
-        doc_candidates = {0: {"A", "B"}, 1: {"C"}}
-        assert graph_score(kb, "A", 0, doc_candidates) == 1.0
-        assert graph_score(kb, "B", 0, doc_candidates) == 0.0
+        kb, doc = graph_document({"A": ("C",), "B": (), "C": ()}, {0: {"A", "B"}, 1: {"C"}})
+        assert graph_scores(kb, doc)[0] == {"A": 1.0, "B": 0.0}
 
     def test_reverse_direction_counts(self):
-        kb = build_kb(
-            [entity("A", "الف"), entity("C", "ج", links=("A",))]
-        )
-        doc_candidates = {0: {"A"}, 1: {"C"}}
-        assert graph_score(kb, "A", 0, doc_candidates) == 1.0
+        kb, doc = graph_document({"A": (), "C": ("A",)}, {0: {"A"}, 1: {"C"}})
+        assert graph_scores(kb, doc)[0] == {"A": 1.0}
 
     def test_duplicate_entity_across_mentions_counted_once(self):
-        kb = build_kb(
-            [entity("A", "الف", links=("C",)), entity("C", "ج")]
-        )
         # C appears as a candidate of two other mentions; still one link
         doc_candidates = {0: {"A"}, 1: {"C"}, 2: {"C"}}
+        kb, doc = graph_document({"A": ("C",), "C": ()}, doc_candidates)
         raw = exhaustive_raw_links(kb, 0, doc_candidates)
         assert raw == {"A": 1}
-        assert graph_score(kb, "A", 0, doc_candidates) == 1.0
-
-    def test_candidate_must_belong_to_mention(self, kb):
-        with pytest.raises(ValueError):
-            graph_score(kb, "E01", 0, {0: {"E02"}})
+        assert graph_scores(kb, doc)[0] == {"A": 1.0}
 
     def test_matches_exhaustive_enumeration_on_mini_corpus(self, kb, lists, mini_corpus):
         cfg = LinkerConfig()
         for doc in mini_corpus:
-            doc_candidates = {}
-            for i, mention in enumerate(doc.mentions):
-                kept, _ = filter_candidates(kb, lists, cfg, doc, mention, generate_candidates(kb, mention))
-                doc_candidates[i] = kept
-            for i in range(len(doc.mentions)):
+            doc_candidates, _ = oracle_kept(kb, lists, cfg, doc)
+            for i, kept in enumerate(kept_candidates(kb, lists, cfg, doc)):
+                assert set(kept) == doc_candidates[i]
                 raw = exhaustive_raw_links(kb, i, doc_candidates)
                 max_raw = max(raw.values()) if raw else 0
-                for candidate in doc_candidates[i]:
+                for candidate, scored in kept.items():
                     expected = raw[candidate] / max_raw if max_raw else 0.0
-                    assert graph_score(kb, candidate, i, doc_candidates) == pytest.approx(expected, abs=1e-12)
+                    assert scored.graph_score == pytest.approx(expected, abs=1e-12)
 
 
 class TestRankAndSelect:
     def test_empty_candidates_nil_score_zero_empty_ambiguity(self, kb, lists, mini_corpus):
         d03 = next(d for d in mini_corpus if d.id == "d03")
-        result = rank_and_select(kb, lists, LinkerConfig(), d03, 2, {0: set(), 1: set(), 2: set()})
+        assert oracle_kept(kb, lists, LinkerConfig(), d03)[0][2] == set()
+        result = link_document(kb, lists, LinkerConfig(), d03)[2]
         assert result.decision is NIL
         assert result.score == 0.0
         assert result.ambiguity == ()
@@ -418,10 +419,9 @@ class TestRankAndSelect:
     def test_zero_threshold_never_nil_for_nonempty_kept(self, kb, lists, mini_corpus):
         cfg = LinkerConfig(nil_threshold=0.0)
         for doc in mini_corpus:
+            doc_candidates, _ = oracle_kept(kb, lists, cfg, doc)
             for result in link_document(kb, lists, cfg, doc):
-                mention = doc.mentions[result.mention_index]
-                kept, _ = filter_candidates(kb, lists, cfg, doc, mention, generate_candidates(kb, mention))
-                if kept:
+                if doc_candidates[result.mention_index]:
                     assert isinstance(result.decision, str)
 
     def test_exact_tie_goes_to_lowest_entity_id(self, kb, lists, mini_corpus):
@@ -497,10 +497,7 @@ class TestLinkDocument:
             lambda_weight=0.0, nil_threshold=0.0, filters=frozenset(FILTERS) - {"class"}
         )
         for doc in mini_corpus:
-            doc_candidates = {}
-            for i, mention in enumerate(doc.mentions):
-                kept, _ = filter_candidates(kb, lists, cfg, doc, mention, generate_candidates(kb, mention))
-                doc_candidates[i] = kept
+            doc_candidates, _ = oracle_kept(kb, lists, cfg, doc)
             results = link_document(kb, lists, cfg, doc)
             for i, result in enumerate(results):
                 if not doc_candidates[i]:
@@ -581,22 +578,15 @@ def filter_scenarios(draw):
 @settings(max_examples=300, deadline=None)
 def test_filters_are_contractive(scenario):
     kb, lists, cfg, doc = scenario
-    mention = doc.mentions[0]
-    candidates = generate_candidates(kb, mention)
-    kept, penalties = filter_candidates(kb, lists, cfg, doc, mention, candidates)
-    assert kept <= set(candidates)
-    assert set(penalties) == kept
+    candidates = brute_force_candidates(kb, doc.mentions[0].surface)
+    kept, penalties = filtered(kb, lists, cfg, doc)
+    assert kept <= candidates
+    oracle_kept_sets, oracle_penalties = oracle_kept(kb, lists, cfg, doc)
+    assert (kept, penalties) == (oracle_kept_sets[0], oracle_penalties[0])
     assert all(0.0 < p <= 1.0 for p in penalties.values())
 
-    relaxed, unit = filter_candidates(
-        kb,
-        lists,
-        LinkerConfig(filters=frozenset()),
-        doc,
-        mention,
-        candidates,
-    )
-    assert relaxed == set(candidates)
+    relaxed, unit = filtered(kb, lists, ALL_OFF, doc)
+    assert relaxed == candidates
     assert all(p == 1.0 for p in unit.values())
     assert kept <= relaxed
 
@@ -779,26 +769,20 @@ _GRAPH_IDS = [f"G{i}" for i in range(6)]
 
 @st.composite
 def graph_scenarios(draw):
-    """A KB whose entities link to random subsets of each other (one-way and
-    mutual links, self-links that the KB drops) and a document whose
-    mentions draw possibly overlapping, possibly empty candidate sets."""
+    """The links of each entity to random subsets of the others (one-way and
+    mutual links, self-links that the KB drops) and the candidate sets of a
+    document's mentions, possibly overlapping, possibly empty, for
+    `graph_document` to build."""
     ids = _GRAPH_IDS[: draw(st.integers(min_value=1, max_value=len(_GRAPH_IDS)))]
-    records = [entity(i, links=tuple(sorted(draw(st.sets(st.sampled_from(ids)))))) for i in ids]
+    links = {i: tuple(sorted(draw(st.sets(st.sampled_from(ids))))) for i in ids}
     mentions = draw(st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=5))
-    return build_kb(records), dict(enumerate(mentions))
+    return links, dict(enumerate(mentions))
 
 
 # G0 -> G1 one way, G1 <-> G2 mutual, G3 -> G0; G1 is a candidate of two
 # mentions and mention 3 has no candidates.
 _GRAPH_EXAMPLE = (
-    build_kb(
-        [
-            entity("G0", links=("G1",)),
-            entity("G1", links=("G2",)),
-            entity("G2", links=("G1",)),
-            entity("G3", links=("G0",)),
-        ]
-    ),
+    {"G0": ("G1",), "G1": ("G2",), "G2": ("G1",), "G3": ("G0",)},
     {0: {"G0", "G3"}, 1: {"G1"}, 2: {"G1", "G2"}, 3: set()},
 )
 
@@ -807,10 +791,12 @@ _GRAPH_EXAMPLE = (
 @example(_GRAPH_EXAMPLE)
 @settings(max_examples=300, deadline=None)
 def test_graph_score_matches_exhaustive_enumeration(scenario):
-    kb, doc_candidates = scenario
-    for i, candidates in doc_candidates.items():
+    kb, doc = graph_document(*scenario)
+    doc_candidates = scenario[1]
+    for i, scores in enumerate(graph_scores(kb, doc)):
+        assert set(scores) == doc_candidates[i]
         raw = exhaustive_raw_links(kb, i, doc_candidates)
         max_raw = max(raw.values(), default=0)
-        for candidate in candidates:
+        for candidate, score in scores.items():
             expected = raw[candidate] / max_raw if max_raw else 0.0
-            assert graph_score(kb, candidate, i, doc_candidates) == expected
+            assert score == expected

@@ -1,10 +1,12 @@
 """Every loader either parses its input or raises an `InputError` that
 starts with the input's path and names a line of it, or no line. The
 inputs are the bundled data files, damaged in one place: one JSON value
-changed or deleted at any depth, or one byte replaced."""
+changed or deleted at any depth, a new key or list item at any depth, or
+one byte replaced."""
 
 from __future__ import annotations
 
+import copy
 import importlib
 import json
 import pkgutil
@@ -21,7 +23,7 @@ from peyvand.evaluate import AlignmentError, DomainError
 from peyvand.kb import load_kb
 from peyvand.linker import ConfigError, LinkerConfig
 
-from mutations import byte_edits, mutations
+from mutations import byte_edits, containers, grow, mutations
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -81,6 +83,26 @@ def test_any_byte_edit_loads_or_raises_peyvand_error(workdir, name, data):
     _loads_or_raises_input_error(load, path)
 
 
+# One value of each JSON kind. The test below also adds a copy of the
+# container's first item, which passes the type checks and reaches the
+# deeper ones (duplicate ids, overlapping spans).
+_GROWN_VALUES = (None, False, 0, 1.5, "", [], {})
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_every_growth_loads_or_raises_input_error(workdir, name):
+    """A new key `new` in each object, or a value appended to each list."""
+    filename, load = LOADERS[name]
+    payload = _decode(filename, (DATA / filename).read_text(encoding="utf-8"))
+    path = workdir / filename
+    for index, node in enumerate(containers(payload)):
+        items = list(node.values() if isinstance(node, dict) else node)
+        for value in (*_GROWN_VALUES, *items[:1]):
+            grown = copy.deepcopy(payload)
+            grow(list(containers(grown))[index], "new", copy.deepcopy(value))
+            path.write_text(_encode(filename, grown), encoding="utf-8")
+            _loads_or_raises_input_error(load, path)
+
 
 def test_package_errors_are_input_config_alignment_and_domain():
     """A reader reports a bad file as an `InputError`, not a class of its own."""
@@ -95,3 +117,10 @@ def test_package_errors_are_input_config_alignment_and_domain():
                 found.add(cls)
     assert found == {InputError, ConfigError, AlignmentError, DomainError}
     assert "InputError" in peyvand.__all__ and peyvand.InputError is InputError
+
+
+def test_every_public_name_resolves():
+    """`from peyvand import *` finds every name in `peyvand.__all__`."""
+    namespace: dict = {}
+    exec("from peyvand import *", namespace)
+    assert [name for name in peyvand.__all__ if name not in namespace] == []
