@@ -4,14 +4,15 @@ Everything here recomputes results the slow, obvious way: candidate sets
 by scanning every entity's labels, cosine over dense numpy vectors built
 from an explicit term-weight table, graph counts by exhaustive pair
 enumeration, tokens by scanning characters one at a time, and a full
-re-implementation of the linking pipeline on top of those. Only the
-normalizer and the data containers are shared with the package; no
-tokenizing or scoring code is.
+re-implementation of the linking pipeline on top of those, with the
+normalizer's six steps written out in full. Only the data containers are
+shared with the package; no normalizing, tokenizing or scoring code is.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import unicodedata
 from collections import Counter
 from typing import Callable, Mapping, Sequence
@@ -26,7 +27,27 @@ from peyvand.kb import (
     ReferenceLists,
 )
 from peyvand.linker import LinkResult, LinkerConfig, ScoredCandidate
-from peyvand.textnorm import persian_normalize
+
+
+def oracle_normalize(s: str) -> str:
+    """The normalizer's six steps, each on the whole string: NFC; Arabic
+    kaf (U+0643) to Persian kaf (U+06A9) and Arabic yeh (U+064A) to
+    Persian yeh (U+06CC), with tatweel (U+0640), ZWNJ (U+200C) and the
+    harakat U+064B-U+0652 deleted; NFC; whitespace runs collapsed to one
+    space and stripped; case folding; NFC."""
+    s = unicodedata.normalize("NFC", s)
+    kept = []
+    for ch in s:
+        if ch == "\u0643":
+            kept.append("\u06a9")
+        elif ch == "\u064a":
+            kept.append("\u06cc")
+        elif ch not in ("\u0640", "\u200c") and not "\u064b" <= ch <= "\u0652":
+            kept.append(ch)
+    s = unicodedata.normalize("NFC", "".join(kept))
+    s = re.sub(r"\s+", " ", s).strip()
+    s = s.casefold()
+    return unicodedata.normalize("NFC", s)
 
 
 def oracle_is_separator(ch: str) -> bool:
@@ -54,13 +75,13 @@ def oracle_tokenize(s: str, norm: Callable[[str], str]) -> list[tuple[str, int, 
 def brute_force_candidates(kb: KnowledgeBase, surface: str) -> set[str]:
     """Scan every entity's canonical and variant labels directly; a surface
     that normalizes to nothing matches no label."""
-    key = persian_normalize(surface)
+    key = oracle_normalize(surface)
     if not key:
         return set()
     found = set()
     for entity in kb.entities.values():
         labels = {entity.canonical_label, *entity.variant_labels}
-        if any(persian_normalize(label) == key for label in labels):
+        if any(oracle_normalize(label) == key for label in labels):
             found.add(entity.id)
     return found
 
@@ -157,7 +178,7 @@ def oracle_context_terms(
     doc: Document, mention: Mention, kb: KnowledgeBase, lists: ReferenceLists
 ) -> list[str]:
     context = []
-    for text, start, end in oracle_tokenize(doc.text, persian_normalize):
+    for text, start, end in oracle_tokenize(doc.text, oracle_normalize):
         if end > mention.start and start < mention.end:
             continue
         if text not in lists.stopwords:
@@ -166,7 +187,7 @@ def oracle_context_terms(
 
 
 def oracle_article_terms(entity_id: str, kb: KnowledgeBase, lists: ReferenceLists) -> list[str]:
-    tokens = oracle_tokenize(kb.entities[entity_id].article_text, persian_normalize)
+    tokens = oracle_tokenize(kb.entities[entity_id].article_text, oracle_normalize)
     return [text for text, _, _ in tokens if text not in lists.stopwords]
 
 
@@ -176,7 +197,7 @@ def oracle_kept(
     """Each mention's candidates that survive the filters, and their penalties."""
     doc_terms = {
         text
-        for text, _, _ in oracle_tokenize(doc.text, persian_normalize)
+        for text, _, _ in oracle_tokenize(doc.text, oracle_normalize)
         if text not in lists.stopwords
     }
     doc_candidates: dict[int, set[str]] = {}

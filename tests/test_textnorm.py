@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import random
+import unicodedata
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,7 @@ from peyvand.textnorm import (
     PERSIAN_YEH,
     TATWEEL,
     ZWNJ,
+    _PLAIN,
     _SeparatorTable,
     normalize,
     persian_normalize,
@@ -20,7 +23,7 @@ from peyvand.textnorm import (
     tokenize,
 )
 
-from oracles import oracle_is_separator, oracle_tokenize
+from oracles import oracle_is_separator, oracle_normalize, oracle_tokenize
 from synth import tokenizer_text
 
 # Mixed alphabet that stresses the Persian rules as well as generic unicode.
@@ -78,6 +81,66 @@ class TestNormalize:
             assert normalize(once) == once
 
 
+class TestPlainFastPath:
+    """Plain strings skip the six steps; each test below holds the package
+    normalizer to `oracle_normalize`, which always runs them."""
+
+    def test_plain_class_is_what_its_definition_says(self):
+        scanned = map(chr, (*range(0x30, 0x3A), *range(0x61, 0x7B), *range(0x0600, 0x0700)))
+        expected = [
+            ch
+            for ch in scanned
+            if ch.isalnum()
+            and unicodedata.combining(ch) == 0
+            and not unicodedata.decomposition(ch)
+            and oracle_normalize(ch) == ch
+        ]
+        assert list(_PLAIN) == expected
+
+    def test_plain_class_holds_no_character_the_normalizer_changes(self):
+        for ch in _PLAIN:
+            assert ch in "abcdefghijklmnopqrstuvwxyz0123456789" or 0x0600 <= ord(ch) <= 0x06FF
+            assert not ch.isupper()
+            assert ch not in (ARABIC_KAF, ARABIC_YEH, TATWEEL, ZWNJ, *ARABIC_DIACRITICS)
+
+    def test_every_plain_character_and_pair_matches_oracle(self):
+        for a in _PLAIN:
+            assert persian_normalize(a) == oracle_normalize(a) == a
+            for b in _PLAIN:
+                for s in (a + b, f"{a} {b}"):
+                    assert persian_normalize(s) == oracle_normalize(s) == s, s
+                # The near misses, which must take the full path.
+                for s in (f"{a}  {b}", f" {a}{b}", f"{a}{b} "):
+                    assert persian_normalize(s) == oracle_normalize(s), s
+
+    def test_plain_text_comes_back_as_the_same_object(self):
+        # The fast path returns its argument without building a new string.
+        for s in ("سلام", "کتاب و دفتر", "abc 123", "۱۴۰۲"):
+            assert persian_normalize(s) is s
+
+    def test_no_letter_or_digit_is_a_separator(self):
+        # Why `terms` may skip the separator table for an `isalnum()` word.
+        for cp in range(0x110000):
+            ch = chr(cp)
+            if ch.isalnum():
+                assert not oracle_is_separator(ch), hex(cp)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            st.text(),
+            tokenizer_text,
+            _persianish,
+            st.text(alphabet=st.sampled_from(_PLAIN) | st.just(" ")),
+        ],
+        ids=["any", "tokenizer", "persianish", "plain-and-spaces"],
+    )
+    @given(data=st.data())
+    def test_matches_oracle(self, text, data):
+        s = data.draw(text)
+        assert persian_normalize(s) == oracle_normalize(s)
+
+
 class TestTokenize:
     def test_punctuation_dropped_offsets_kept(self):
         tokens = tokenize("سلام، دنیا")
@@ -118,7 +181,7 @@ class TestTokenize:
     @given(tokenizer_text)
     @settings(max_examples=300)
     def test_matches_oracle_tokenizer(self, s):
-        assert tokenize(s) == oracle_tokenize(s, persian_normalize)
+        assert tokenize(s) == oracle_tokenize(s, oracle_normalize)
 
 
     # The raw runs as well: the separator table alone decides where terms split.
