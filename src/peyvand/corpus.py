@@ -133,7 +133,7 @@ def _parse_mention(
         raw_gold = obj["gold"]
         if raw_gold is None:
             gold: str | _Nil | None = NIL
-        elif isinstance(raw_gold, str):
+        elif isinstance(raw_gold, str) and raw_gold:
             gold = raw_gold
         else:
             raise InputError(path, line_no, "gold must be an entity id or null")
@@ -224,7 +224,7 @@ def write_predictions(
 def _parse_prediction(obj: object, path: str | Path, line_no: int) -> PredictedMention:
     mention = _parse_mention(obj, path, line_no, _PREDICTION_KEYS, _PREDICTION_MENTION_KEYS)
     prediction, score, ambiguity = obj["prediction"], obj["score"], obj["ambiguity"]
-    if prediction is not None and not isinstance(prediction, str):
+    if prediction is not None and not (isinstance(prediction, str) and prediction):
         raise InputError(path, line_no, "prediction must be an entity id or null")
     if type(score) not in (int, float):
         raise InputError(path, line_no, "score must be a number")
@@ -233,7 +233,7 @@ def _parse_prediction(obj: object, path: str | Path, line_no: int) -> PredictedM
     for c in ambiguity:
         if reason := key_error(c, "ambiguity entry", _RANKED_KEYS):
             raise InputError(path, line_no, reason)
-        if not isinstance(c["id"], str) or type(c["score"]) not in (int, float):
+        if not (isinstance(c["id"], str) and c["id"]) or type(c["score"]) not in (int, float):
             raise InputError(path, line_no, "ambiguity must be an array of {id, score} objects")
     try:
         ranked = tuple(RankedCandidate(c["id"], float(c["score"])) for c in ambiguity)

@@ -89,8 +89,8 @@ class IdfTable(dict):
 
 @dataclass
 class KnowledgeBase:
-    """Immutable after load apart from three memos that the linker fills
-    on first use.
+    """Immutable after load apart from three memos that
+    `linker.link_document` fills on first use.
 
     - `normal_forms` maps each raw article run to its interned normal form.
       It is bounded by the article vocabulary: document words and aliases

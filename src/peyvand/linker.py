@@ -1,8 +1,10 @@
 """The linking pipeline: candidates, filters, scoring, NIL abstention.
 
-For every mention the pipeline looks up candidates in the alias index,
-applies the heuristic filters of `FILTERS` that the config turns on (type,
-POS, popularity, class-specific evidence), then scores each survivor with
+`link_document` is one function. It tokenizes the document once, then
+builds every mention's kept map, because the graph score is collective:
+the alias candidates that survive the filters of `FILTERS` that the config
+turns on (type, POS, popularity, class-specific evidence), each with its
+penalty. It then scores each mention's kept candidates with
 
     combined = penalty * (lambda * context + (1 - lambda) * graph)
 
@@ -13,9 +15,9 @@ other mentions whose articles link to the candidate (either direction).
 The top candidate wins unless its combined score falls below the NIL
 threshold; rejected candidates are kept on a ranked ambiguity list.
 
-`link_document` is the one entry point. Above a NIL threshold of 1 every
-mention abstains, so its ambiguity list holds each kept candidate with its
-context score, graph score and penalty; the tests check each stage that way.
+Above a NIL threshold of 1 every mention abstains, so its ambiguity list
+holds each kept candidate with its context score, graph score and penalty;
+the tests check each stage that way.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from typing import Mapping, Sequence
 from .errors import InputError, PeyvandError
 from .corpus import Document, Mention, NIL, _Nil
 from .kb import (
-    EntityRecord,
     KnowledgeBase,
     NerType,
     PosCategory,
@@ -123,21 +124,18 @@ class ScoredCandidate:
 
 @dataclass(frozen=True)
 class LinkResult:
-    mention_index: int
     decision: str | _Nil
     score: float
     ambiguity: tuple[ScoredCandidate, ...]
 
 
-def _tfidf_vector(terms: Sequence[str], kb: KnowledgeBase) -> dict[str, float]:
-    """Raw term count times the smoothed IDF, ln((1 + N) / (1 + df)) + 1,
-    which `kb.idf` holds by document frequency."""
+def _tfidf(words: Sequence[str], kb: KnowledgeBase) -> tuple[dict[str, float], float]:
+    """The TF-IDF vector of `words` and its norm: raw term count times the
+    smoothed IDF, ln((1 + N) / (1 + df)) + 1, which `kb.idf` holds by
+    document frequency."""
     idf, doc_freq = kb.idf, kb.doc_freq
-    return {term: count * idf[doc_freq.get(term, 0)] for term, count in Counter(terms).items()}
-
-
-def _vector_norm(vector: Mapping[str, float]) -> float:
-    return math.sqrt(sum(w * w for w in vector.values()))
+    vector = {term: count * idf[doc_freq.get(term, 0)] for term, count in Counter(words).items()}
+    return vector, math.sqrt(sum(w * w for w in vector.values()))
 
 
 def _cosine(a: Mapping[str, float], norm_a: float, b: Mapping[str, float], norm_b: float) -> float:
@@ -149,15 +147,53 @@ def _cosine(a: Mapping[str, float], norm_a: float, b: Mapping[str, float], norm_
     return sum(w * b[t] for t, w in a.items() if t in b) / (norm_a * norm_b)
 
 
-def _graph_scores(
+def _kept(
     kb: KnowledgeBase,
-    mention_index: int,
-    doc_candidates: Mapping[int, set[str]],
+    lists: ReferenceLists,
+    cfg: LinkerConfig,
+    mention: Mention,
+    doc_terms: set[str],
 ) -> dict[str, float]:
-    """Graph score of each candidate of the mention: its count of distinct
+    """The mention's alias candidates that survive the filters of `cfg`, in
+    `FILTERS` order, each with its penalty: 1.0 unless a class filter fired."""
+    kept = lookup_alias(kb, mention.surface)
+
+    # Type check: only when the mention carries a usable type and the
+    # mapping has an opinion about it.
+    if "type" in cfg.filters and mention.ner_type not in (None, NerType.UNKNOWN):
+        allowed = lists.type_mapping.get(mention.ner_type)
+        if allowed is not None:
+            kept = {c for c in kept if kb.entities[c].kb_class in allowed}
+
+    # POS check: UNKNOWN on either side keeps the candidate.
+    if "pos" in cfg.filters and mention.pos_tag not in (None, PosCategory.UNKNOWN):
+        allowed = (mention.pos_tag, PosCategory.UNKNOWN)
+        kept = {c for c in kept if kb.entities[c].pos_category in allowed}
+
+    # Popularity: the manually curated rare list, whether shipped as a
+    # blocklist or as per-record flags in the dump.
+    if "popularity" in cfg.filters:
+        kept = {c for c in kept if c not in lists.rare_blocklist and not kb.entities[c].rare}
+
+    penalties = dict.fromkeys(kept, 1.0)
+
+    # Class-specific evidence: generic names (artwork titles and the like)
+    # keep their full rate only when a trigger term appears in the document.
+    if "class" in cfg.filters:
+        for c in penalties:
+            class_filter = lists.class_filters.get(kb.entities[c].kb_class)
+            if class_filter is not None and not (class_filter.triggers & doc_terms):
+                penalties[c] = class_filter.penalty
+
+    return penalties
+
+
+def _graph_scores(kb: KnowledgeBase, i: int, kept: list[dict[str, float]]) -> dict[str, float]:
+    """Graph score of each kept candidate of mention `i`: its count of distinct
     linked candidates of other mentions over the mention's best count."""
-    own = doc_candidates[mention_index]
-    others = set().union(*(cands for j, cands in doc_candidates.items() if j != mention_index))
+    # A real set: intersecting `out_links` with a dict's keys view is slower.
+    own = set(kept[i])
+    others = set().union(*(cands for j, cands in enumerate(kept) if j != i))
     linked = {c: others & kb.entities[c].out_links for c in own}
     for o in others:
         for c in kb.entities[o].out_links & own:
@@ -167,138 +203,48 @@ def _graph_scores(
     return {c: n / max_raw if max_raw else 0.0 for c, n in raw.items()}
 
 
-class _DocScorer:
-    """Shared per-document state so the text is tokenized once per
-    `link_document` call, into the `(text, start, end)` tuples of
-    `tokenize`. `context_vector` is the one context path; article vectors
-    live on the KB's memo."""
-
-    def __init__(
-        self,
-        kb: KnowledgeBase,
-        lists: ReferenceLists,
-        cfg: LinkerConfig,
-        doc: Document,
-    ):
-        self.kb = kb
-        self.lists = lists
-        self.cfg = cfg
-        self.doc = doc
-        self.tokens = tokenize(doc.text)
-        self.doc_terms = {t for t, _, _ in self.tokens if t not in lists.stopwords}
-        self._article_vectors = kb.article_vectors.setdefault(lists.stopwords, {})
-
-    def apply_filters(
-        self, mention: Mention, candidates: frozenset[str]
-    ) -> tuple[set[str], dict[str, float]]:
-        """The candidates that survive the filters of `cfg`, in `FILTERS`
-        order, and a penalty for each: 1.0 unless a class filter fired."""
-        kb, lists, cfg = self.kb, self.lists, self.cfg
-        kept = set(candidates)
-
-        # Type check: only when the mention carries a usable type and the
-        # mapping has an opinion about it.
-        if "type" in cfg.filters and mention.ner_type not in (None, NerType.UNKNOWN):
-            allowed = lists.type_mapping.get(mention.ner_type)
-            if allowed is not None:
-                kept = {c for c in kept if kb.entities[c].kb_class in allowed}
-
-        # POS check: UNKNOWN on either side keeps the candidate.
-        if "pos" in cfg.filters and mention.pos_tag not in (None, PosCategory.UNKNOWN):
-            kept = {
-                c
-                for c in kept
-                if kb.entities[c].pos_category in (mention.pos_tag, PosCategory.UNKNOWN)
-            }
-
-        # Popularity: the manually curated rare list, whether shipped as a
-        # blocklist or as per-record flags in the dump.
-        if "popularity" in cfg.filters:
-            kept = {
-                c for c in kept if c not in lists.rare_blocklist and not kb.entities[c].rare
-            }
-
-        penalties = {c: 1.0 for c in kept}
-
-        # Class-specific evidence: generic names (artwork titles and the like)
-        # keep their full rate only when a trigger term appears in the document.
-        if "class" in cfg.filters:
-            for c in kept:
-                class_filter = lists.class_filters.get(kb.entities[c].kb_class)
-                if class_filter is not None and not (class_filter.triggers & self.doc_terms):
-                    penalties[c] = class_filter.penalty
-
-        return kept, penalties
-
-    def article_vector(self, entity: EntityRecord) -> tuple[dict[str, float], float]:
-        """The article's TF-IDF vector and norm, built once per KB."""
-        cached = self._article_vectors.get(entity.id)
-        if cached is None:
-            normal = self.kb.normal_forms.__getitem__
-            article_terms = [
-                t for t in terms(entity.article_text, normal) if t not in self.lists.stopwords
-            ]
-            vector = _tfidf_vector(article_terms, self.kb)
-            cached = self._article_vectors[entity.id] = (vector, _vector_norm(vector))
-        return cached
-
-    def context_vector(self, mention: Mention) -> tuple[dict[str, float], float]:
-        """The TF-IDF vector and norm of the document terms around the
-        mention: every token that does not touch the mention span, in
-        document order."""
-        start, end, stopwords = mention.start, mention.end, self.lists.stopwords
-        ctx = [t for t, s, e in self.tokens if (e <= start or s >= end) and t not in stopwords]
-        vector = _tfidf_vector(ctx, self.kb)
-        return vector, _vector_norm(vector)
-
-    def rank(
-        self,
-        mention_index: int,
-        doc_candidates: Mapping[int, set[str]],
-        penalties: Mapping[str, float],
-    ) -> LinkResult:
-        """Ties on the combined score go to the lowest entity id; with no
-        kept candidate, or a top score below the NIL threshold, the
-        decision is NIL and every scored candidate is on the ambiguity list."""
-        mention = self.doc.mentions[mention_index]
-        graph_scores = _graph_scores(self.kb, mention_index, doc_candidates)
-        context = self.context_vector(mention)
-        scored = []
-        for entity_id in sorted(doc_candidates[mention_index]):
-            ctx = _cosine(*context, *self.article_vector(self.kb.entities[entity_id]))
-            graph = graph_scores[entity_id]
-            penalty = penalties[entity_id]
-            combined = penalty * (
-                self.cfg.lambda_weight * ctx + (1.0 - self.cfg.lambda_weight) * graph
-            )
-            scored.append(ScoredCandidate(entity_id, ctx, graph, penalty, combined))
-        scored.sort(key=lambda c: (-c.combined, c.entity_id))
-        if not scored:
-            return LinkResult(mention_index, NIL, 0.0, ())
-        top = scored[0]
-        if top.combined < self.cfg.nil_threshold:
-            return LinkResult(mention_index, NIL, top.combined, tuple(scored))
-        return LinkResult(mention_index, top.entity_id, top.combined, tuple(scored[1:]))
-
-
 def link_document(
     kb: KnowledgeBase,
     lists: ReferenceLists,
     cfg: LinkerConfig,
     doc: Document,
 ) -> list[LinkResult]:
-    """Run the full pipeline over a document, one result per mention.
-
-    Post-filter candidate sets for all mentions are built first because the
-    graph score is collective; scoring then proceeds mention by mention.
-    """
-    scorer = _DocScorer(kb, lists, cfg, doc)
-    doc_candidates: dict[int, set[str]] = {}
-    penalties_by_mention: dict[int, dict[str, float]] = {}
+    """One result per mention, the i-th for the i-th. Ties on the combined
+    score go to the lowest entity id; with no kept candidate, or a top
+    score below the NIL threshold, the decision is NIL and every scored
+    candidate is on the ambiguity list."""
+    stopwords, lam = lists.stopwords, cfg.lambda_weight
+    tokens = tokenize(doc.text)
+    doc_terms = {t for t, _, _ in tokens if t not in stopwords}
+    kept = [_kept(kb, lists, cfg, mention, doc_terms) for mention in doc.mentions]
+    article_vectors = kb.article_vectors.setdefault(stopwords, {})
+    results = []
     for i, mention in enumerate(doc.mentions):
-        candidates = lookup_alias(kb, mention.surface)
-        doc_candidates[i], penalties_by_mention[i] = scorer.apply_filters(mention, candidates)
-    return [
-        scorer.rank(i, doc_candidates, penalties_by_mention[i])
-        for i in range(len(doc.mentions))
-    ]
+        if not kept[i]:
+            results.append(LinkResult(NIL, 0.0, ()))
+            continue
+        graph_scores = _graph_scores(kb, i, kept)
+        # Every token that does not touch the mention span, in document order.
+        start, end = mention.start, mention.end
+        ctx_terms = [t for t, s, e in tokens if (e <= start or s >= end) and t not in stopwords]
+        context = _tfidf(ctx_terms, kb)
+        scored = []
+        for entity_id in sorted(kept[i]):
+            article = article_vectors.get(entity_id)
+            if article is None:
+                words = terms(kb.entities[entity_id].article_text, kb.normal_forms.__getitem__)
+                article = article_vectors[entity_id] = _tfidf(
+                    [t for t in words if t not in stopwords], kb
+                )
+            ctx = _cosine(*context, *article)
+            graph = graph_scores[entity_id]
+            penalty = kept[i][entity_id]
+            combined = penalty * (lam * ctx + (1.0 - lam) * graph)
+            scored.append(ScoredCandidate(entity_id, ctx, graph, penalty, combined))
+        scored.sort(key=lambda c: (-c.combined, c.entity_id))
+        top = scored[0]
+        if top.combined < cfg.nil_threshold:
+            results.append(LinkResult(NIL, top.combined, tuple(scored)))
+        else:
+            results.append(LinkResult(top.entity_id, top.combined, tuple(scored[1:])))
+    return results

@@ -231,9 +231,9 @@ def oracle_link_document(
             scored.append(ScoredCandidate(candidate, ctx, graph, penalty, combined))
         scored.sort(key=lambda c: (-c.combined, c.entity_id))
         if not scored:
-            results.append(LinkResult(i, NIL, 0.0, ()))
+            results.append(LinkResult(NIL, 0.0, ()))
         elif scored[0].combined < cfg.nil_threshold:
-            results.append(LinkResult(i, NIL, scored[0].combined, tuple(scored)))
+            results.append(LinkResult(NIL, scored[0].combined, tuple(scored)))
         else:
-            results.append(LinkResult(i, scored[0].entity_id, scored[0].combined, tuple(scored[1:])))
+            results.append(LinkResult(scored[0].entity_id, scored[0].combined, tuple(scored[1:])))
     return results

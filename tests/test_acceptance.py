@@ -63,10 +63,10 @@ def test_c2_pipeline_equals_golden_trace(kb, lists, mini_corpus, golden_predicti
         for doc, golden in zip(mini_corpus, golden_predictions):
             results = link_document(kb, lists, cfg, doc)
             assert len(results) == len(golden.mentions)
-            for got, expected in zip(results, golden.mentions):
+            for i, (got, expected) in enumerate(zip(results, golden.mentions)):
                 got_id = got.decision if isinstance(got.decision, str) else None
                 expected_id = expected.prediction if isinstance(expected.prediction, str) else None
-                assert got_id == expected_id, (doc.id, got.mention_index)
+                assert got_id == expected_id, (doc.id, i)
                 assert abs(got.score - expected.score) <= 1e-9
                 assert [c.entity_id for c in got.ambiguity] == [c.entity_id for c in expected.ambiguity]
                 for got_c, expected_c in zip(got.ambiguity, expected.ambiguity):
@@ -128,12 +128,12 @@ def test_c5_nil_threshold_properties(kb, lists, mini_corpus):
             cfg = LinkerConfig(nil_threshold=threshold)
             nils = 0
             for doc in mini_corpus:
-                for result in link_document(kb, lists, cfg, doc):
+                for i, result in enumerate(link_document(kb, lists, cfg, doc)):
                     if isinstance(result.decision, str):
                         continue
                     nils += 1
                     if threshold == 0.0:
-                        kept = oracle_kept(kb, lists, cfg, doc)[0][result.mention_index]
+                        kept = oracle_kept(kb, lists, cfg, doc)[0][i]
                         assert not kept  # at tau=0 only empty kept sets abstain
             nil_counts.append(nils)
         assert nil_counts[-1] == total_mentions  # tau > 1 abstains everywhere

@@ -96,6 +96,15 @@ class TestLoadCorpus:
         with pytest.raises(InputError, match=rf"^{re.escape(f'{path}:1: {reason}')}$"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("gold", ["", 7], ids=["empty-id", "not-id"])
+    def test_gold_not_an_entity_id_rejected(self, tmp_path, gold):
+        path = tmp_path / "c.jsonl"
+        mention = {"start": 0, "end": 3, "surface": "الف", "gold": gold}
+        path.write_text(_doc_line(mentions=[mention]), encoding="utf-8")
+        reason = "gold must be an entity id or null"
+        with pytest.raises(InputError, match=rf"^{re.escape(f'{path}:1: {reason}')}$"):
+            load_corpus(path)
+
     def test_bad_json_reports_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text(_doc_line() + "\n{oops\n", encoding="utf-8")
@@ -236,6 +245,9 @@ class TestLoadPredictions:
             (_second_prediction(ambiguity=[5]), "ambiguity entry must be a JSON object"),
             (_second_prediction(score="high"), "score must be a number"),
             (_second_prediction(prediction=7), "prediction must be an entity id or null"),
+            (_second_prediction(prediction=""), "prediction must be an entity id or null"),
+            (_second_prediction(ambiguity=[{"id": "", "score": 0.1}]),
+             "ambiguity must be an array of {id, score} objects"),
             (_second_prediction(score=True), "score must be a number"),
             (_second_prediction(ambiguity=[{"id": "E2", "score": False}]),
              "ambiguity must be an array of {id, score} objects"),
@@ -261,6 +273,7 @@ class TestLoadPredictions:
         ],
         ids=["mention-not-object", "mentions-not-array", "ambiguity-not-array",
              "ambiguity-entry-not-object", "score-not-number", "prediction-not-id",
+             "prediction-empty-id", "ambiguity-empty-id",
              "score-bool", "ambiguity-score-bool", "start-bool", "score-too-large",
              "ambiguity-score-too-large", "repeated-id", "empty-id", "missing-text",
              "missing-category", "span-out-of-bounds", "surface-not-slice",

@@ -351,8 +351,6 @@ class TestContextScore:
         doc = doc_of(text, Mention(a, b, "هدف"))
         mention = doc.mentions[0]
         context = oracle_context_terms(doc, mention, kb, lists)
-        vector, _ = linker._DocScorer(kb, lists, LinkerConfig(), doc).context_vector(mention)
-        assert list(vector.items()) == list(linker._tfidf_vector(context, kb).items())
         scores = context_scores(kb, lists, doc)
         assert set(scores) == {"A", "B"}
         for entity_id, score in scores.items():
@@ -420,8 +418,8 @@ class TestRankAndSelect:
         cfg = LinkerConfig(nil_threshold=0.0)
         for doc in mini_corpus:
             doc_candidates, _ = oracle_kept(kb, lists, cfg, doc)
-            for result in link_document(kb, lists, cfg, doc):
-                if doc_candidates[result.mention_index]:
+            for i, result in enumerate(link_document(kb, lists, cfg, doc)):
+                if doc_candidates[i]:
                     assert isinstance(result.decision, str)
 
     def test_exact_tie_goes_to_lowest_entity_id(self, kb, lists, mini_corpus):
@@ -470,9 +468,16 @@ class TestLinkDocument:
                     assert gc.combined == pytest.approx(ec.combined, abs=1e-9)
 
     def test_results_come_back_in_mention_order(self, kb, lists, mini_corpus):
+        # The i-th result holds the oracle's decision and score for the
+        # i-th mention, so a reordered list fails.
+        cfg = LinkerConfig()
         for doc in mini_corpus:
-            results = link_document(kb, lists, LinkerConfig(), doc)
-            assert [r.mention_index for r in results] == list(range(len(doc.mentions)))
+            results = link_document(kb, lists, cfg, doc)
+            expected = oracle_link_document(kb, lists, cfg, doc)
+            assert len(results) == len(expected) == len(doc.mentions)
+            for got, want in zip(results, expected):
+                assert got.decision == want.decision
+                assert abs(got.score - want.score) <= 1e-9
 
     def test_all_scores_within_unit_interval(self, kb, lists, mini_corpus):
         for cfg in (LinkerConfig(), LinkerConfig(lambda_weight=0.0), LinkerConfig(lambda_weight=1.0)):
@@ -757,7 +762,7 @@ def test_idf_table_is_exact(case):
     doc_count, pairs = case
     names = [f"t{i}" for i in range(len(pairs))]
     kb = KnowledgeBase({}, {}, doc_count, {t: df for t, (df, _) in zip(names, pairs) if df})
-    vector = linker._tfidf_vector([t for t, (_, n) in zip(names, pairs) for _ in range(n)], kb)
+    vector, _ = linker._tfidf([t for t, (_, n) in zip(names, pairs) for _ in range(n)], kb)
     for term, (df, count) in zip(names, pairs):
         assert vector[term] == count * (math.log((1 + doc_count) / (1 + df)) + 1.0)
     assert len(kb.idf) == len({df for df, _ in pairs})

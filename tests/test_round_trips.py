@@ -105,7 +105,6 @@ def _results(draw, doc: Document):
     """One `LinkResult` per mention of `doc`, with finite scores."""
     return [
         LinkResult(
-            i,
             draw(st.just(NIL) | _ids),
             draw(_scores),
             tuple(
@@ -113,7 +112,7 @@ def _results(draw, doc: Document):
                 for entity_id in draw(st.lists(_ids, max_size=3))
             ),
         )
-        for i in range(len(doc.mentions))
+        for _ in doc.mentions
     ]
 
 
