@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -133,10 +134,12 @@ def decode_json(data: bytes, path: str | Path, line_no: int) -> object:
     """The JSON value of `data`, UTF-8 text that starts on line `line_no` of
     `path`. Every input file is decoded here. Bytes that are not UTF-8
     (reported by their offset in `data`), invalid JSON, nesting too deep to
-    decode, integers too long to convert, the constants NaN and Infinity
-    and floats too large to be finite raise `InputError`."""
+    decode, integers too long to convert, the constants NaN and Infinity,
+    floats too large to be finite and strings or keys that hold a lone
+    surrogate, which no UTF-8 writer can encode, raise `InputError`."""
     try:
-        return _DECODER.decode(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        value = _DECODER.decode(text)
     except UnicodeDecodeError as exc:
         line = line_no + data.count(b"\n", 0, exc.start)
         raise InputError(path, line, f"not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
@@ -147,6 +150,19 @@ def decode_json(data: bytes, path: str | Path, line_no: int) -> object:
         raise InputError(path, line, f"invalid JSON: {exc.msg}") from exc
     except (RecursionError, ValueError) as exc:
         raise InputError(path, line_no, f"invalid JSON: {exc}") from exc
+    # UTF-8 text holds no surrogates, so only a `\u` escape can give one. Most
+    # lines hold no backslash at all, and one character is the fastest search.
+    if "\\" in text and ("\\ud" in text or "\\uD" in text):
+        for escape in _ESCAPE.finditer(text):
+            if escape[1]:
+                line = line_no + text.count("\n", 0, escape.start())
+                raise InputError(path, line, f"invalid JSON: lone surrogate {escape[0]}")
+    return value
+
+
+# An escape in valid JSON text: a surrogate pair, a lone surrogate (group 1)
+# or any other; four hex digits follow each `\u`.
+_ESCAPE = re.compile(r"\\(?:u[dD][89abAB]..\\u[dD][c-fC-F]..|(u[dD][89a-fA-F]..)|.)")
 
 
 def _reject_constant(name: str) -> float:

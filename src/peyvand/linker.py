@@ -15,6 +15,15 @@ other mentions whose articles link to the candidate (either direction).
 The top candidate wins unless its combined score falls below the NIL
 threshold; rejected candidates are kept on a ranked ambiguity list.
 
+The document's terms are counted and weighted once, at its first mention
+with a kept candidate. Each mention's context vector is a copy of that
+vector with the terms of its touched tokens patched: a term left with no
+count goes, one that also occurs before the span gets its new weight in
+place. The terms keep the order of their first occurrence in the context,
+because the norm and the cosine sum in that order and another order would
+round differently; a touched term that first occurs in the span and recurs
+after it changes that order, so then the mention's vector is rebuilt.
+
 Above a NIL threshold of 1 every mention abstains, so its ambiguity list
 holds each kept candidate with its context score, graph score and penalty;
 the tests check each stage that way.
@@ -23,10 +32,12 @@ the tests check each stage that way.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Mapping
 
 from .errors import InputError, PeyvandError
 from .corpus import Document, Mention, NIL, _Nil
@@ -44,6 +55,9 @@ from .textnorm import terms, tokenize
 
 # The heuristic filters in the order they run and in the config's key order.
 FILTERS = ("type", "pos", "popularity", "class")
+
+# Keys that bisect a document's `(text, start, end)` tokens by offset.
+_START, _END = itemgetter(1), itemgetter(2)
 
 
 class ConfigError(PeyvandError):
@@ -129,16 +143,55 @@ class LinkResult:
     ambiguity: tuple[ScoredCandidate, ...]
 
 
-def _tfidf(words: Sequence[str], kb: KnowledgeBase) -> tuple[dict[str, float], float]:
-    """The TF-IDF vector of `words` and its norm: raw term count times the
-    smoothed IDF, ln((1 + N) / (1 + df)) + 1, which `kb.idf` holds by
-    document frequency."""
+def _tfidf(
+    counts: Mapping[str, int], kb: KnowledgeBase, stopwords: frozenset[str]
+) -> dict[str, float]:
+    """The TF-IDF vector of the terms of `counts` outside `stopwords`, in the
+    order of `counts`: raw term count times the smoothed IDF,
+    ln((1 + N) / (1 + df)) + 1, which `kb.idf` holds by document frequency."""
     idf, doc_freq = kb.idf, kb.doc_freq
-    vector = {term: count * idf[doc_freq.get(term, 0)] for term, count in Counter(words).items()}
-    return vector, math.sqrt(sum(w * w for w in vector.values()))
+    return {t: n * idf[doc_freq.get(t, 0)] for t, n in counts.items() if t not in stopwords}
+
+
+def _norm(vector: Mapping[str, float]) -> float:
+    # Summed in the vector's order, as `_cosine` sums its dot product, so a
+    # vector built in another term order would round differently.
+    return math.sqrt(sum(w * w for w in vector.values()))
+
+
+def _context(
+    words: list[str],
+    a: int,
+    b: int,
+    counts: Counter[str],
+    doc_vector: dict[str, float],
+    kb: KnowledgeBase,
+    stopwords: frozenset[str],
+) -> dict[str, float]:
+    """The TF-IDF vector of `words` without `words[a:b]`, term for term and
+    in the order `_tfidf(Counter(...))` gives: the document's `doc_vector`,
+    built from its `counts`, with each touched term patched in place or,
+    when a touched term moves in that order, rebuilt."""
+    if a == b:
+        return doc_vector
+    vector = doc_vector.copy()
+    touched = words[a:b]
+    for t in touched:
+        if t in stopwords:
+            continue
+        n = counts[t] - touched.count(t)
+        if not n:
+            vector.pop(t, None)  # `touched` may hold `t` twice
+        elif words.index(t) < a:
+            vector[t] = n * kb.idf[kb.doc_freq.get(t, 0)]
+        else:
+            return _tfidf(Counter(words[:a] + words[b:]), kb, stopwords)
+    return vector
 
 
 def _cosine(a: Mapping[str, float], norm_a: float, b: Mapping[str, float], norm_b: float) -> float:
+    # Sums over the smaller vector in its term order: `_context` keeps that
+    # order so that a patched context vector gives the same float.
     if not a or not b:
         return 0.0
     if len(b) < len(a):
@@ -218,24 +271,30 @@ def link_document(
     doc_terms = {t for t, _, _ in tokens if t not in stopwords}
     kept = [_kept(kb, lists, cfg, mention, doc_terms) for mention in doc.mentions]
     article_vectors = kb.article_vectors.setdefault(stopwords, {})
+    words = counts = doc_vector = None
     results = []
     for i, mention in enumerate(doc.mentions):
         if not kept[i]:
             results.append(LinkResult(NIL, 0.0, ()))
             continue
         graph_scores = _graph_scores(kb, i, kept)
-        # Every token that does not touch the mention span, in document order.
-        start, end = mention.start, mention.end
-        ctx_terms = [t for t, s, e in tokens if (e <= start or s >= end) and t not in stopwords]
-        context = _tfidf(ctx_terms, kb)
+        if counts is None:
+            words = [t for t, _, _ in tokens]
+            counts = Counter(words)
+            doc_vector = _tfidf(counts, kb, stopwords)
+        # Tokens a..b-1 touch the mention span: they end after its start and
+        # start before its end.
+        a = bisect_right(tokens, mention.start, key=_END)
+        b = bisect_left(tokens, mention.end, lo=a, key=_START)
+        vector = _context(words, a, b, counts, doc_vector, kb, stopwords)
+        context = vector, _norm(vector)
         scored = []
         for entity_id in sorted(kept[i]):
             article = article_vectors.get(entity_id)
             if article is None:
-                words = terms(kb.entities[entity_id].article_text, kb.normal_forms.__getitem__)
-                article = article_vectors[entity_id] = _tfidf(
-                    [t for t in words if t not in stopwords], kb
-                )
+                text = kb.entities[entity_id].article_text
+                weights = _tfidf(Counter(terms(text, kb.normal_forms.__getitem__)), kb, stopwords)
+                article = article_vectors[entity_id] = weights, _norm(weights)
             ctx = _cosine(*context, *article)
             graph = graph_scores[entity_id]
             penalty = kept[i][entity_id]

@@ -1,10 +1,13 @@
 """Hypothesis strategies that damage valid inputs: one JSON value changed
-or deleted at any depth, a new key inserted into any object or a value
-appended to any list, or one byte of a file replaced."""
+or deleted at any depth, a lone surrogate put into any string, a new key
+inserted into any object or a value appended to any list, or one byte of
+a file replaced. `dumps` writes such a value as the text of a file."""
 
 from __future__ import annotations
 
 import copy
+import json
+import re
 from typing import Iterator
 
 from hypothesis import strategies as st
@@ -14,6 +17,16 @@ json_values = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
+
+# A lone surrogate decodes from a valid `\u` escape but no UTF-8 writer can encode it.
+lone_surrogates = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def dumps(value) -> str:
+    """The JSON text of `value` with its non-ASCII characters as they are,
+    apart from surrogates, which only a `\\u` escape can carry in a file."""
+    return _SURROGATE.sub(lambda m: f"\\u{ord(m[0]):04x}", json.dumps(value, ensure_ascii=False))
 
 
 def containers(payload) -> Iterator[dict | list]:
@@ -39,7 +52,8 @@ def grow(node: dict | list, key: str, value) -> None:
 @st.composite
 def mutations(draw, payload):
     """A copy of `payload` with one edit at any depth: a value deleted or
-    replaced, or the object or list the walk stops at grown by one value."""
+    replaced, a lone surrogate put into a string, or the object or list the
+    walk stops at grown by one value."""
     payload = copy.deepcopy(payload)
     node = payload
     while True:
@@ -52,6 +66,10 @@ def mutations(draw, payload):
         child = node[key]
         if isinstance(child, (dict, list)) and draw(st.booleans()):
             node = child
+        elif isinstance(child, str) and draw(st.integers(0, 3)) != 0:
+            at = draw(st.integers(0, len(child)))
+            node[key] = child[:at] + draw(lone_surrogates) + child[at:]
+            return payload
         elif draw(st.booleans()):
             del node[key]
             return payload

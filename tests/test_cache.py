@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from peyvand.cache import CACHE_VERSION, MAGIC, load_index, save_index
 from peyvand.errors import InputError
 
-from mutations import mutations
+from mutations import dumps, mutations
 
 
 def _read_lines(path):
@@ -27,7 +27,7 @@ def _stale(path, found):
 
 
 def _write_lines(path, header, values):
-    body = "".join(json.dumps(v, ensure_ascii=False) + "\n" for v in values)
+    body = "".join(dumps(v) + "\n" for v in values)
     path.write_bytes(header + body.encode("utf-8"))
 
 
@@ -111,6 +111,23 @@ class TestIndexCache:
         _write_lines(path, header, values + [values[2]])
         reason = f"corrupt index cache: duplicate entity id {values[2]['id']!r}"
         message = f"{path}:{len(values) + 2}: {reason}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "escape", [b"\\ud800", b"\\uDC00", b"\\ud83d\\ude00"], ids=["high", "low", "pair"]
+    )
+    def test_lone_surrogate_names_its_line(self, tmp_path, kb, lists, escape):
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[6] = lines[6].replace(b'"label":"', b'"label":"' + escape, 1)  # the fourth record
+        path.write_bytes(b"".join(lines))
+        if escape.endswith(b"\\ude00"):  # a pair
+            kb2, _ = load_index(path)
+            assert sum(e.canonical_label.startswith("\U0001f600") for e in kb2.entities.values()) == 1
+            return
+        message = f"{path}:7: corrupt index cache: invalid JSON: lone surrogate {escape.decode()}"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             load_index(path)
 

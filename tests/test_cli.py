@@ -18,7 +18,7 @@ from peyvand.cli import main
 from peyvand.corpus import load_predictions
 from peyvand.linker import LinkerConfig
 
-from mutations import byte_edits, mutations
+from mutations import byte_edits, dumps, mutations
 
 
 def _assert_matches_golden(predictions, data_dir):
@@ -466,8 +466,8 @@ class TestMalformedInputExitsOne:
 
     @pytest.mark.parametrize(
         "value",
-        ["[" * 200_000, "1" * 5000, "NaN", "1e999"],
-        ids=["deep-nesting", "long-integer", "nan", "huge-float"],
+        ["[" * 200_000, "1" * 5000, "NaN", "1e999", '"\\udc00"'],
+        ids=["deep-nesting", "long-integer", "nan", "huge-float", "lone-surrogate"],
     )
     @pytest.mark.parametrize("command,flag", _INPUTS)
     def test_undecodable_json_value(
@@ -557,11 +557,11 @@ def _damaged(data, source):
     if data.draw(st.booleans(), label="byte edit"):
         return data.draw(byte_edits(raw))
     if source.suffix == ".json":
-        return json.dumps(data.draw(mutations(json.loads(raw))), ensure_ascii=False).encode()
+        return dumps(data.draw(mutations(json.loads(raw)))).encode()
     lines = raw.splitlines(keepends=True)
     header = lines.pop(0) if source.suffix == ".idx" else b""
     values = data.draw(mutations([json.loads(line) for line in lines]))
-    return header + "".join(json.dumps(v, ensure_ascii=False) + "\n" for v in values).encode()
+    return header + "".join(dumps(v) + "\n" for v in values).encode()
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,8 @@ import types
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peyvand.errors import InputError
 from peyvand.kb import (
@@ -266,6 +268,46 @@ def test_json_error_names_a_line_of_the_input(data, line):
     with pytest.raises(InputError) as info:
         decode_json(data, "x.json", 1)
     assert info.value.line == line <= len(data.splitlines())
+
+
+def _strings(value) -> list[str]:
+    """Every string and key in a decoded JSON value."""
+    if isinstance(value, dict):
+        return [*value, *(s for v in value.values() for s in _strings(v))]
+    if isinstance(value, list):
+        return [s for v in value for s in _strings(v)]
+    return [value] if isinstance(value, str) else []
+
+
+# Surrogates of both halves, a character outside the BMP, and a backslash
+# and the text of a surrogate escape, which `json.dumps` escapes again.
+_escape_text = st.lists(
+    st.sampled_from(["\ud800", "\udbff", "\udc00", "\udfff", "\U0001f600", "\\", "ud800", "udc00", "x"]),
+    max_size=4,
+).map("".join)
+
+
+@given(st.lists(st.dictionaries(_escape_text, _escape_text, max_size=2), min_size=1, max_size=3),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_lone_surrogate_is_invalid_json_and_a_pair_decodes(objects, upper):
+    """`decode_json` decodes a JSON text as `json.loads` does when no string
+    or key of it holds a lone surrogate, and otherwise names the line of the
+    first object that does. Escapes are lower or upper case, and an escaped
+    backslash before `u` starts no escape."""
+    text = "[" + ",\n".join(json.dumps(obj) for obj in objects) + "]"
+    if upper:
+        text = re.sub(r"\\u(d[89a-f]..)", lambda m: "\\u" + m[1].upper(), text)
+    expected = json.loads(text)
+    lone = [i for i, obj in enumerate(expected, 1)
+            if any("\ud800" <= c <= "\udfff" for s in _strings(obj) for c in s)]
+    if not lone:
+        assert decode_json(text.encode(), "x.json", 1) == expected
+        return
+    with pytest.raises(InputError) as info:
+        decode_json(text.encode(), "x.json", 1)
+    assert info.value.line == lone[0]
+    assert re.fullmatch(r"invalid JSON: lone surrogate \\u[dD][89a-fA-F][0-9a-fA-F]{2}", info.value.reason)
 
 
 def test_enums_round_trip():

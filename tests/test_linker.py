@@ -371,6 +371,78 @@ class TestContextScore:
             assert score == pytest.approx(baseline, abs=1e-12)
 
 
+# Few words, so that terms repeat before, inside and after a span.
+_VOCAB = ("سیب", "انار", "موز", "هلو", "به", "توت")
+
+
+@st.composite
+def context_documents(draw):
+    """A document of words from `_VOCAB` with one to four mentions, whose
+    surfaces repeat, over spans that cover whole words from any word or
+    from a word's first occurrence, cut into a word or cover only the
+    separator between two words; stopwords from `_VOCAB`; and a KB whose
+    entities answer to those surfaces."""
+    words = draw(st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=16))
+    separators = draw(st.lists(st.sampled_from([" ", "، ", "  "]),
+                               min_size=len(words) - 1, max_size=len(words) - 1))
+    text, starts = words[0], [0]
+    for separator, word in zip(separators, words[1:]):
+        text += separator
+        starts.append(len(text))
+        text += word
+    ends = [start + len(word) for start, word in zip(starts, words)]
+    mentions = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["first", "words", "cut", "separator"]))
+        if kind == "first":  # a word's first occurrence
+            i = draw(st.sampled_from(sorted({words.index(word) for word in words})))
+        else:
+            i = draw(st.integers(0, len(words) - 1))
+        if kind == "separator" and i + 1 < len(words):
+            a, b = ends[i], starts[i + 1]
+        elif kind == "cut":
+            a = draw(st.integers(starts[i] + 1, ends[i] - 1))
+            b = draw(st.integers(a + 1, len(text)))
+        else:
+            a, b = starts[i], ends[draw(st.integers(i, len(words) - 1))]
+        mentions.append(Mention(a, b, draw(st.sampled_from(["هدف", "نشان"]))))
+    stopwords = frozenset(draw(st.lists(st.sampled_from(_VOCAB), max_size=2)))
+    articles = st.lists(st.sampled_from(_VOCAB), max_size=8).map(" ".join)
+    records = [
+        entity(f"E{j}", "هدف", variants=("نشان",) if j % 2 else (), article=draw(articles))
+        for j in range(draw(st.integers(1, 4)))
+    ]
+    return build_kb(records, stopwords), empty_lists(stopwords=stopwords), doc_of(text, *mentions)
+
+
+# The span cuts the first سیب, which recurs after it, so سیب moves from
+# second to last in the context's term order, and the norm sums the
+# squares of its weights in another order.
+_REORDERED = "انار سیب موز سیب سیب سیب سیب سیب انار"
+
+
+@given(context_documents())
+@example((build_kb([entity("E0", "هدف", article="سیب"), entity("E1", "هدف", article="سیب")]),
+          empty_lists(),
+          doc_of(_REORDERED, Mention(6, 7, "هدف"))))
+@settings(max_examples=300, deadline=None)
+def test_context_score_is_the_cosine_of_the_context_terms_bit_for_bit(case):
+    """Equal to the last bit to the cosine of a vector built afresh from the
+    context terms in document order, so the vector that `link_document`
+    derives from the whole document keeps their counts and their order."""
+    kb, lists, doc = case
+
+    def vector(words):
+        weights = linker._tfidf(Counter(words), kb, frozenset())
+        return weights, linker._norm(weights)
+
+    for mention, kept in zip(doc.mentions, kept_candidates(kb, lists, ALL_OFF, doc)):
+        context = vector(oracle_context_terms(doc, mention, kb, lists))
+        for entity_id, scored in kept.items():
+            article = vector(oracle_article_terms(entity_id, kb, lists))
+            assert scored.context_score == linker._cosine(*context, *article)
+
+
 class TestGraphScore:
     def test_single_mention_document_scores_zero(self, kb):
         doc = doc_of("تهران", mention_at("تهران", "تهران"))
@@ -762,7 +834,7 @@ def test_idf_table_is_exact(case):
     doc_count, pairs = case
     names = [f"t{i}" for i in range(len(pairs))]
     kb = KnowledgeBase({}, {}, doc_count, {t: df for t, (df, _) in zip(names, pairs) if df})
-    vector, _ = linker._tfidf([t for t, (_, n) in zip(names, pairs) for _ in range(n)], kb)
+    vector = linker._tfidf({t: n for t, (_, n) in zip(names, pairs)}, kb, frozenset())
     for term, (df, count) in zip(names, pairs):
         assert vector[term] == count * (math.log((1 + doc_count) / (1 + df)) + 1.0)
     assert len(kb.idf) == len({df for df, _ in pairs})

@@ -23,7 +23,7 @@ from peyvand.evaluate import AlignmentError, DomainError
 from peyvand.kb import load_kb
 from peyvand.linker import ConfigError, LinkerConfig
 
-from mutations import byte_edits, containers, grow, mutations
+from mutations import byte_edits, containers, dumps, grow, mutations
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -45,8 +45,8 @@ def _decode(filename: str, text: str):
 
 def _encode(filename: str, payload) -> str:
     if filename.endswith(".jsonl"):
-        return "".join(json.dumps(record, ensure_ascii=False) + "\n" for record in payload)
-    return json.dumps(payload, ensure_ascii=False)
+        return "".join(dumps(record) + "\n" for record in payload)
+    return dumps(payload)
 
 
 def _loads_or_raises_input_error(load, path: Path) -> None:
@@ -102,6 +102,41 @@ def test_every_growth_loads_or_raises_input_error(workdir, name):
             grow(list(containers(grown))[index], "new", copy.deepcopy(value))
             path.write_text(_encode(filename, grown), encoding="utf-8")
             _loads_or_raises_input_error(load, path)
+
+
+# Where each reader's file gets an escape: the line, and the text there
+# that the escape follows. The config file has no string value, so its
+# escape goes into a key.
+_ESCAPE_SITES = {
+    "corpus": (2, '"category": "'),
+    "predictions": (2, '"id": "'),
+    "kb-dump": (2, '"label": "'),
+    "kb-lists": (51, '"و'),
+    "config": (2, '"lambda'),
+}
+_PAIR = "\\ud83d\\ude00"
+
+
+@pytest.mark.parametrize("escape", ["\\ud800", "\\uDC00", _PAIR], ids=["high", "low", "pair"])
+@pytest.mark.parametrize("name", LOADERS)
+def test_lone_surrogate_escape_is_invalid_json(workdir, name, escape):
+    """A lone surrogate fails on its line; an escaped pair is one character."""
+    filename, load = LOADERS[name]
+    line, before = _ESCAPE_SITES[name]
+    lines = (DATA / filename).read_text(encoding="utf-8").splitlines(keepends=True)
+    assert before in lines[line - 1]
+    lines[line - 1] = lines[line - 1].replace(before, before + escape, 1)
+    path = workdir / filename
+    path.write_text("".join(lines), encoding="utf-8")
+    if escape != _PAIR:
+        with pytest.raises(InputError) as info:
+            load(path)
+        assert str(info.value) == f"{path}:{line}: invalid JSON: lone surrogate {escape}"
+    elif name == "config":
+        with pytest.raises(InputError, match="unknown keys in config: \\['lambda\U0001f600'\\]"):
+            load(path)
+    else:
+        load(path)
 
 
 def test_package_errors_are_input_config_alignment_and_domain():
