@@ -1,17 +1,21 @@
 """On-disk index cache: knowledge base plus reference lists in one file.
 
 The format is a magic header line followed by JSON lines: the metadata
-(record count and the reference lists in the lists file's shape), then
-the article document frequencies, then one dump record per line, sorted
-by id. Keys and set members are sorted, so rebuilding from unchanged
+(record count, `doc_count` and the reference lists in the lists file's
+shape), then the article document frequencies, then one dump record per
+line, sorted by id, with its article in normal form and its out-links
+resolved. Keys and set members are sorted, so rebuilding from unchanged
 inputs is byte-identical. The records are read back by the dump's own
 record loop (`kb.read_records`) and the lists by the lists file's
 parser, so a malformed or repeated record fails the way it does in a
-dump, naming its line. Every error after the header is an `InputError`
-whose reason starts `corrupt index cache:`. The record count makes a
-file cut off at a line boundary fail instead of loading part of the
-knowledge base. A version bump in the header invalidates old caches
-loudly instead of misreading them.
+dump, naming its line; no article is normalized again. Every error after
+the header is an `InputError` whose reason starts `corrupt index cache:`.
+The record count makes a file cut off at a line boundary fail instead of
+loading part of the knowledge base. `doc_count` is stored because an
+article of punctuation alone is stored as "" yet counts in it. A link to
+an unknown id or to its own entity, which `build-index` drops, is an
+error. A version bump in the header invalidates old caches loudly
+instead of misreading them.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ from .kb import (
 )
 
 MAGIC = b"#peyvand-index"
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 _HEADER = MAGIC + b":v%d\n" % CACHE_VERSION
-_META_KEYS = ("lists", "records")
+_META_KEYS = ("doc_count", "lists", "records")
 
 
 def _line(obj: object) -> bytes:
@@ -46,7 +50,7 @@ def _line(obj: object) -> bytes:
 
 
 def save_index(kb: KnowledgeBase, lists: ReferenceLists, path: str | Path) -> None:
-    meta = {"lists": lists_to_obj(lists), "records": len(kb.entities)}
+    meta = {"doc_count": kb.doc_count, "lists": lists_to_obj(lists), "records": len(kb.entities)}
     with open(path, "wb") as fh:
         fh.write(_HEADER + _line(meta) + _line(kb.doc_freq))
         fh.writelines(_line(record_to_obj(kb.entities[i])) for i in sorted(kb.entities))
@@ -83,8 +87,17 @@ def _load_body(fh: BinaryIO, path: str | Path) -> tuple[KnowledgeBase, Reference
     records = read_records(lines, path)
     if len(records) != count:
         raise InputError(path, None, f"{len(records)} records, not {count}")
+    # Every non-empty stored article comes from a non-empty raw one.
+    doc_count = meta["doc_count"]
+    stored = sum(1 for record in records if record.article_text)
+    if type(doc_count) is not int or not stored <= doc_count <= count:
+        reason = f"doc_count must be an integer from {stored} to {count}"
+        raise InputError(path, meta_line, reason)
 
-    kb = build_kb(records, frequencies)
+    kb = build_kb(records, frequencies, doc_count)
+    if kb.dropped_links:
+        reason = f"{kb.dropped_links} out-link(s) point outside the index or back at their entity"
+        raise InputError(path, None, reason)
     # A term occurs in at least one and at most every non-empty article.
     if not isinstance(frequencies, dict) or not all(
         type(n) is int and 0 < n <= kb.doc_count for n in frequencies.values()

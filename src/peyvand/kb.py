@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .textnorm import NormalForms, persian_normalize, terms
@@ -46,6 +46,10 @@ class PosCategory(str, Enum):
 
 @dataclass(frozen=True)
 class EntityRecord:
+    """One entity. In a knowledge base, `article_text` holds the article in
+    normal form: the texts of its tokens, normalized, joined by single
+    spaces, so that `article_text.split()` gives its terms in order."""
+
     id: str
     canonical_label: str
     variant_labels: frozenset[str]
@@ -90,12 +94,9 @@ class IdfTable(dict):
 
 @dataclass
 class KnowledgeBase:
-    """Immutable after load apart from three memos that
+    """Immutable after load apart from two memos that
     `linker.link_document` fills on first use.
 
-    - `normal_forms` maps each raw article run to its interned normal form.
-      It is bounded by the article vocabulary: document words and aliases
-      do not go through it.
     - `idf` maps a document frequency to its IDF weight. It is bounded by
       the distinct df values, at most `doc_count + 1` of them.
     - `article_vectors` holds each article's TF-IDF vector and norm, keyed
@@ -108,8 +109,9 @@ class KnowledgeBase:
 
     `dropped_links` counts the out-links that `build_kb` dropped, and
     `self_links` how many of those pointed back at their own entity. Both
-    are build-time counts for `build-index`'s warnings: the index keeps
-    neither, so a loaded KB reads 0 for both, and `==` ignores them.
+    are build-time counts for `build-index`'s warnings: an index that
+    holds such a link is corrupt, so a loaded KB reads 0 for both, and
+    `==` ignores them.
     """
 
     entities: dict[str, EntityRecord]
@@ -118,9 +120,6 @@ class KnowledgeBase:
     doc_freq: dict[str, int]
     dropped_links: int = field(default=0, compare=False)
     self_links: int = field(default=0, compare=False)
-    normal_forms: NormalForms = field(
-        default_factory=NormalForms, init=False, repr=False, compare=False
-    )
     idf: IdfTable = field(init=False, repr=False, compare=False)
     article_vectors: dict[frozenset[str], dict[str, tuple[dict[str, float], float]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -294,8 +293,11 @@ _RECORD_KEYS = ("id", "label", "variants", "class", "ner_type", "pos", "article"
 _RECORD_ALLOWED = frozenset((*_RECORD_KEYS, "rare"))
 
 
-def parse_record(obj: object, path: str | Path, line_no: int) -> EntityRecord:
-    """Validate one dump record; returns it with its out-links unresolved."""
+def parse_record(
+    obj: object, path: str | Path, line_no: int, article: Callable[[str], str] = str
+) -> EntityRecord:
+    """Validate one dump record; returns it with its out-links unresolved
+    and its article text mapped by `article`, which by default keeps it."""
     if reason := key_error(obj, "record", _RECORD_KEYS, _RECORD_ALLOWED):
         raise InputError(path, line_no, reason)
     entity_id = obj["id"]
@@ -332,7 +334,7 @@ def parse_record(obj: object, path: str | Path, line_no: int) -> EntityRecord:
         kb_class=obj["class"],
         ner_type=ner,
         pos_category=pos,
-        article_text=obj["article"],
+        article_text=article(obj["article"]),
         out_links=frozenset(links),  # resolved by `build_kb`
         rare=rare,
     )
@@ -353,20 +355,11 @@ def record_to_obj(record: EntityRecord) -> dict:
     }
 
 
-def doc_freq(records: Iterable[EntityRecord], stopwords: frozenset[str]) -> dict[str, int]:
-    """Number of non-empty articles each content term occurs in."""
-    # Articles repeat words, so normalize each distinct run once; the memo
-    # lives only as long as this call.
-    normal = NormalForms().__getitem__
-    counts: Counter[str] = Counter()
-    for record in records:
-        if record.article_text:
-            counts.update({t for t in terms(record.article_text, normal) if t not in stopwords})
-    return dict(counts)
-
-
-def build_kb(records: Collection[EntityRecord], frequencies: dict[str, int]) -> KnowledgeBase:
-    """Build a knowledge base from `parse_record` output and `doc_freq`.
+def build_kb(
+    records: Collection[EntityRecord], frequencies: dict[str, int], doc_count: int
+) -> KnowledgeBase:
+    """Build a knowledge base from `parse_record` output, its articles'
+    document frequencies and its count of non-empty articles.
 
     Out-links that point outside the records or back at the entity
     itself are dropped and counted on `KnowledgeBase.dropped_links`, the
@@ -394,19 +387,21 @@ def build_kb(records: Collection[EntityRecord], frequencies: dict[str, int]) -> 
     return KnowledgeBase(
         entities=entities,
         alias_index={key: frozenset(members) for key, members in alias_sets.items()},
-        doc_count=sum(1 for entity in entities.values() if entity.article_text),
+        doc_count=doc_count,
         doc_freq=frequencies,
         dropped_links=dropped,
         self_links=self_links,
     )
 
 
-def read_records(lines: Iterable[tuple[int, object]], path: str | Path) -> Collection[EntityRecord]:
-    """`parse_record` each numbered dump line, in order; a repeated id is an
-    `InputError` on the line that repeats it."""
+def read_records(
+    lines: Iterable[tuple[int, object]], path: str | Path, article: Callable[[str], str] = str
+) -> Collection[EntityRecord]:
+    """`parse_record` each numbered dump line, in order, with `article`; a
+    repeated id is an `InputError` on the line that repeats it."""
     records: dict[str, EntityRecord] = {}
     for line_no, obj in lines:
-        record = parse_record(obj, path, line_no)
+        record = parse_record(obj, path, line_no, article)
         if record.id in records:
             raise InputError(path, line_no, f"duplicate entity id {record.id!r}")
         records[record.id] = record
@@ -418,8 +413,35 @@ def load_kb(
 ) -> tuple[KnowledgeBase, ReferenceLists]:
     """Load a dump and its reference lists and build all indexes."""
     lists = load_reference_lists(lists_path)
-    records = read_records(read_json_lines(dump_path), dump_path)
-    return build_kb(records, doc_freq(records, lists.stopwords)), lists
+    return read_dump(read_json_lines(dump_path), dump_path, lists.stopwords), lists
+
+
+def read_dump(
+    lines: Iterable[tuple[int, object]], path: str | Path, stopwords: frozenset[str]
+) -> KnowledgeBase:
+    """The knowledge base of numbered dump lines, each article stored in
+    normal form. Each article is tokenized once, and its terms give both
+    its stored text and its share of `doc_freq`: the number of non-empty
+    articles each term outside `stopwords` occurs in. `doc_count` counts
+    the non-empty raw articles, so an article of punctuation alone, stored
+    as "", still counts."""
+    # Articles repeat words, so normalize each distinct run once; the memo
+    # lives only as long as this call.
+    normal = NormalForms().__getitem__
+    counts: Counter[str] = Counter()
+    doc_count = 0
+
+    def article(raw: str) -> str:
+        nonlocal doc_count
+        if not raw:
+            return raw
+        doc_count += 1
+        words = terms(raw, normal)
+        counts.update({t for t in words if t not in stopwords})
+        return " ".join(words)
+
+    records = read_records(lines, path, article)
+    return build_kb(records, dict(counts), doc_count)
 
 
 def lookup_alias(kb: KnowledgeBase, surface: str) -> frozenset[str]:

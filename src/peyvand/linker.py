@@ -32,6 +32,7 @@ the tests check each stage that way.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -50,7 +51,7 @@ from .kb import (
     key_error,
     lookup_alias,
 )
-from .textnorm import terms, tokenize
+from .textnorm import tokenize
 
 
 # The heuristic filters in the order they run and in the config's key order.
@@ -292,8 +293,10 @@ def link_document(
         for entity_id in sorted(kept[i]):
             article = article_vectors.get(entity_id)
             if article is None:
+                # Stored in normal form: the words are the terms. Interned,
+                # the vectors of all articles share one string per term.
                 text = kb.entities[entity_id].article_text
-                weights = _tfidf(Counter(terms(text, kb.normal_forms.__getitem__)), kb, stopwords)
+                weights = _tfidf(Counter(map(sys.intern, text.split())), kb, stopwords)
                 article = article_vectors[entity_id] = weights, _norm(weights)
             ctx = _cosine(*context, *article)
             graph = graph_scores[entity_id]

@@ -137,7 +137,7 @@ def tokenize(s: str) -> list[tuple[str, int, int]]:
 
 class NormalForms(dict):
     """Memo of `persian_normalize`: each raw run maps to its normal form,
-    interned, so that all the vectors built from it share one string per
+    interned, so that all the counts built from it share one string per
     distinct term. A run that is already normal is stored under that
     interned string too, so key and value are one object."""
 

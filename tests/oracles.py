@@ -187,6 +187,9 @@ def oracle_context_terms(
 
 
 def oracle_article_terms(entity_id: str, kb: KnowledgeBase, lists: ReferenceLists) -> list[str]:
+    # The KB stores each article in normal form, which normalizes to
+    # itself; `test_stored_articles_are_the_oracle_terms` checks the stored
+    # text against the raw dump.
     tokens = oracle_tokenize(kb.entities[entity_id].article_text, oracle_normalize)
     return [text for text, _, _ in tokens if text not in lists.stopwords]
 

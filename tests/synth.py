@@ -63,8 +63,8 @@ def entity(
 
 
 def build_kb(records: list[EntityRecord], stopwords: frozenset[str] = frozenset()) -> KnowledgeBase:
-    """Index records the same way the loader would, without file round-trips."""
-    return kb.build_kb(records, kb.doc_freq(records, stopwords))
+    """Index records the way `load_kb` reads a dump, without file round-trips."""
+    return kb.read_dump(enumerate(map(kb.record_to_obj, records), start=1), "records", stopwords)
 
 
 def empty_lists(**overrides) -> ReferenceLists:

@@ -92,15 +92,29 @@ class TestIndexCache:
         with pytest.raises(InputError, match=_stale(path, "v3")):
             load_index(path)
 
+    def test_v4_index_demands_rebuild(self, tmp_path, kb, lists):
+        # v4 kept raw articles and no doc_count.
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+        _, (meta, *rest) = _read_lines(path)
+        v4_meta = {key: value for key, value in meta.items() if key != "doc_count"}
+        _write_lines(path, MAGIC + b":v4\n", [v4_meta, *rest])
+        with pytest.raises(InputError, match=_stale(path, "v4")):
+            load_index(path)
+
     def test_body_holds_dump_records_lists_and_frequencies_only(self, tmp_path, kb, lists):
         path = tmp_path / "kb.idx"
         save_index(kb, lists, path)
         _, (meta, frequencies, *records) = _read_lines(path)
-        assert set(meta) == {"lists", "records"}
+        assert set(meta) == {"doc_count", "lists", "records"}
+        assert meta["doc_count"] == kb.doc_count
         assert set(meta["lists"]) == {"rare_blocklist", "class_filters", "type_mapping", "stopwords"}
         assert frequencies == kb.doc_freq
         dump_keys = {"id", "label", "variants", "class", "ner_type", "pos", "article", "links", "rare"}
         assert all(set(record) == dump_keys for record in records)
+        assert [record["article"] for record in records] == [
+            kb.entities[record["id"]].article_text for record in records
+        ]
         assert [record["id"] for record in records] == sorted(kb.entities)
         assert meta["records"] == len(records)
 
@@ -169,6 +183,38 @@ class TestIndexCache:
         values[0]["normalizer"] = "persian"
         _write_lines(path, header, values)
         message = f"{path}:2: corrupt index cache: unknown keys in metadata: ['normalizer']"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda stored, records: str(stored), lambda stored, records: float(stored),
+         lambda stored, records: True, lambda stored, records: None,
+         lambda stored, records: stored - 1, lambda stored, records: records + 1],
+        ids=["string", "float", "bool", "null", "below-stored-articles", "above-records"],
+    )
+    def test_bad_doc_count_names_the_metadata_line(self, tmp_path, kb, lists, edit):
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+        header, values = _read_lines(path)
+        stored = sum(1 for e in kb.entities.values() if e.article_text)
+        values[0]["doc_count"] = edit(stored, len(kb.entities))
+        _write_lines(path, header, values)
+        reason = f"doc_count must be an integer from {stored} to {len(kb.entities)}"
+        message = f"{path}:2: corrupt index cache: {reason}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_index(path)
+
+    @pytest.mark.parametrize("target", ["Q999999", None], ids=["missing-id", "self-link"])
+    def test_dangling_link_is_corrupt(self, tmp_path, kb, lists, target):
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+        header, values = _read_lines(path)
+        record = values[5]
+        record["links"] = sorted({*record["links"], target or record["id"]})
+        _write_lines(path, header, values)
+        reason = "1 out-link(s) point outside the index or back at their entity"
+        message = f"{path}: corrupt index cache: {reason}"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             load_index(path)
 

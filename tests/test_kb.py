@@ -2,10 +2,10 @@ from __future__ import annotations
 
 import gc
 import json
-import random
 import re
 import types
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,20 +15,19 @@ from peyvand.errors import InputError
 from peyvand.kb import (
     NerType,
     PosCategory,
-    build_kb,
     decode_json,
-    doc_freq,
     lists_to_obj,
     load_kb,
     load_reference_lists,
     lookup_alias,
-    parse_record,
     parse_reference_lists,
+    read_dump,
+    read_json_lines,
 )
 from peyvand import textnorm
 from peyvand.textnorm import normalize
 
-from oracles import brute_force_candidates, oracle_tokenize
+from oracles import brute_force_candidates, oracle_normalize, oracle_tokenize
 
 
 def _record(entity_id, label, variants=(), links=(), article="", **extra):
@@ -134,11 +133,13 @@ class TestLoadKb:
     def test_doc_count_counts_nonempty_articles(self, tmp_path, lists_file):
         dump = tmp_path / "kb.jsonl"
         dump.write_text(
-            _record("E1", "یک", article="متن کوتاه") + "\n" + _record("E2", "دو") + "\n",
+            _record("E1", "یک", article="متن کوتاه") + "\n" + _record("E2", "دو") + "\n"
+            + _record("E3", "سه", article="«…»") + "\n",
             encoding="utf-8",
         )
         kb, _ = load_kb(dump, lists_file)
-        assert kb.doc_count == 1
+        assert kb.doc_count == 2  # punctuation alone is stored as "" but counts
+        assert kb.entities["E3"].article_text == ""
 
 
 class TestReferenceLists:
@@ -222,23 +223,17 @@ class TestDocFreq:
     def test_doc_freq_never_exceeds_doc_count(self, kb):
         assert all(0 < df <= kb.doc_count for df in kb.doc_freq.values())
 
-    def test_doc_freq_matches_brute_force_on_sample(self, kb, lists):
-        rng = random.Random(1402)
-        terms = rng.sample(sorted(kb.doc_freq), 20)
-        for term in terms:
-            count = 0
-            for entity in kb.entities.values():
-                if not entity.article_text:
-                    continue
-                tokens = oracle_tokenize(entity.article_text, normalize)
-                if term in {text for text, _, _ in tokens if text not in lists.stopwords}:
-                    count += 1
-            assert kb.doc_freq[term] == count
+    def test_doc_freq_equals_oracle_count(self, kb, lists, data_dir):
+        expected: Counter[str] = Counter()
+        for _, obj in read_json_lines(data_dir / "mini_kb.jsonl"):
+            tokens = oracle_tokenize(obj["article"], oracle_normalize)
+            expected.update({text for text, _, _ in tokens} - lists.stopwords)
+        assert kb.doc_freq == expected
 
     def test_stopwords_excluded_from_doc_freq(self, kb, lists):
         assert not (set(kb.doc_freq) & lists.stopwords)
 
-    def test_doc_freq_leaves_no_normalize_memo(self, kb, lists, monkeypatch):
+    def test_doc_freq_leaves_no_normalize_memo(self, kb, lists, data_dir, monkeypatch):
         memos = []
 
         class SpyForms(textnorm.NormalForms):
@@ -247,7 +242,8 @@ class TestDocFreq:
                 memos.append(weakref.ref(self))
 
         monkeypatch.setattr("peyvand.kb.NormalForms", SpyForms)
-        assert doc_freq(kb.entities.values(), lists.stopwords) == kb.doc_freq
+        dump = data_dir / "mini_kb.jsonl"
+        assert read_dump(read_json_lines(dump), dump, lists.stopwords) == kb
         gc.collect()
         assert len(memos) == 1 and memos[0]() is None
         assert type(textnorm.persian_normalize) is types.FunctionType
@@ -360,20 +356,26 @@ class TestReferenceListsShape:
 
 class TestBuildKb:
     def test_resolves_links_counts_drops_and_non_empty_articles(self):
-        records = [
-            parse_record(json.loads(_record("A", "آلفا", links=("B", "A", "Z"), article="متن")), "d", 1),
-            parse_record(json.loads(_record("B", "بتا", ["آلفا"])), "d", 2),
+        lines = [
+            (1, json.loads(_record("A", "آلفا", links=("B", "A", "Z"), article="متنِ كوتاه"))),
+            (2, json.loads(_record("B", "بتا", ["آلفا"]))),
         ]
-        kb = build_kb(records, {"متن": 1})
+        kb = read_dump(lines, "d", frozenset())
         assert kb.entities["A"].out_links == frozenset({"B"})
         assert kb.dropped_links == 2
         assert kb.self_links == 1
         assert kb.doc_count == 1
+        assert kb.entities["A"].article_text == "متن کوتاه"
         assert kb.alias_index[normalize("آلفا")] == frozenset({"A", "B"})
 
     def test_doc_freq_counts_each_article_once(self):
-        records = [
-            parse_record(json.loads(_record(e, e, article=text)), "d", 1)
-            for e, text in (("A", "سیب سیب و"), ("B", "سیب"), ("C", ""))
+        lines = [
+            (n, json.loads(_record(e, e, article=text)))
+            for n, (e, text) in enumerate(
+                (("A", "سیب سیب و"), ("B", "سیب!"), ("C", ""), ("D", "؟!")), start=1
+            )
         ]
-        assert doc_freq(records, frozenset({"و"})) == {"سیب": 2}
+        kb = read_dump(lines, "d", frozenset({"و"}))
+        assert kb.doc_freq == {"سیب": 2}
+        assert kb.doc_count == 3
+        assert [e.article_text for e in kb.entities.values()] == ["سیب سیب و", "سیب", "", ""]

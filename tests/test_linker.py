@@ -18,7 +18,8 @@ from peyvand.corpus import Document, Mention, NIL
 from peyvand.errors import InputError
 from peyvand.kb import KnowledgeBase, NerType, PosCategory, load_kb
 from peyvand.linker import FILTERS, ConfigError, LinkerConfig, link_document
-from peyvand.textnorm import NormalForms, terms, tokenize
+from peyvand import kb as kb_module, textnorm
+from peyvand.textnorm import NormalForms, tokenize
 
 from oracles import (
     brute_force_candidates,
@@ -29,6 +30,7 @@ from oracles import (
     oracle_is_separator,
     oracle_kept,
     oracle_link_document,
+    oracle_tokenize,
 )
 from synth import ClassFilter, build_kb, empty_lists, entity, kept_candidates, tokenizer_text
 
@@ -726,9 +728,9 @@ class TestConfigRejectsMalformedFlags:
 
 
 class TestArticleVectorMemo:
-    """Article vectors (keyed by the stopwords), normal forms of article
-    words and IDF weights are memoized on the KB; a warm KB must link
-    exactly like a freshly loaded one."""
+    """Article vectors (keyed by the stopwords) and IDF weights are
+    memoized on the KB, and articles are stored in normal form; a warm KB
+    must link exactly like a freshly loaded one."""
 
     @staticmethod
     def _load(data_dir):
@@ -764,58 +766,62 @@ class TestArticleVectorMemo:
         warm, lists = self._load(data_dir)
         fresh, _ = self._load(data_dir)
         self._link_all(warm, lists, LinkerConfig(), mini_corpus)
-        assert warm.article_vectors and warm.normal_forms and warm.idf
+        assert warm.article_vectors and warm.idf
         assert warm == fresh
         copy = replace(warm)
-        assert copy.article_vectors == {} and copy.normal_forms == {} and copy.idf == {}
+        assert copy.article_vectors == {} and copy.idf == {}
         save_index(warm, lists, tmp_path / "warm.idx")
         save_index(fresh, lists, tmp_path / "fresh.idx")
         assert (tmp_path / "warm.idx").read_bytes() == (tmp_path / "fresh.idx").read_bytes()
 
-    def test_each_article_tokenized_at_most_once(self, data_dir, mini_corpus, monkeypatch):
+    def test_each_article_vectorized_at_most_once(self, data_dir, mini_corpus):
         kb, lists = self._load(data_dir)
-        articles = {e.article_text for e in kb.entities.values()}
-        calls: Counter[str] = Counter()
-        real_terms = linker.terms
+        stores: Counter[str] = Counter()
 
-        def counting_terms(text, *args, **kwargs):
-            if text in articles:
-                calls[text] += 1
-            return real_terms(text, *args, **kwargs)
+        class CountingVectors(dict):
+            def __setitem__(self, entity_id, vector):
+                stores[entity_id] += 1
+                super().__setitem__(entity_id, vector)
 
-        monkeypatch.setattr(linker, "terms", counting_terms)
+        kb.article_vectors[lists.stopwords] = CountingVectors()
         for _ in range(2):
             self._link_all(kb, lists, LinkerConfig(), mini_corpus)
-        assert calls
-        assert max(calls.values()) == 1
+        assert stores
+        assert max(stores.values()) == 1
 
-    def test_normal_forms_hold_article_runs_only(self, data_dir, mini_corpus, monkeypatch):
+    def test_linking_normalizes_no_article_run(self, data_dir, mini_corpus, monkeypatch):
         kb, lists = self._load(data_dir)
         calls: Counter[str] = Counter()
-        missing = NormalForms.__missing__
+        normalize = textnorm.persian_normalize
 
-        def counting_missing(memo, run):
-            calls[run] += 1
-            return missing(memo, run)
+        def counting_normalize(s):
+            calls[s] += 1
+            return normalize(s)
 
-        monkeypatch.setattr(NormalForms, "__missing__", counting_missing)
-        word = "زرافه"  # in no article of the mini KB
-        assert not any(word in e.article_text for e in kb.entities.values())
-        first = mini_corpus[0]
-        corpus = [*mini_corpus, replace(first, id="extra", text=f"{first.text} {word}")]
+        def no_memo(memo, run):
+            raise AssertionError(f"linking normalized {run!r} through a memo")
+
+        monkeypatch.setattr(textnorm, "persian_normalize", counting_normalize)
+        monkeypatch.setattr(kb_module, "persian_normalize", counting_normalize)
+        monkeypatch.setattr(NormalForms, "__missing__", no_memo)
         for _ in range(2):
-            self._link_all(kb, lists, LinkerConfig(), corpus)
+            self._link_all(kb, lists, LinkerConfig(), mini_corpus)
 
-        vectorized = kb.article_vectors[lists.stopwords]
-        article_runs = {
-            run
-            for entity_id in vectorized
-            for run in terms(kb.entities[entity_id].article_text, lambda run: run)
-        }
-        assert set(kb.normal_forms) == article_runs
-        assert word not in kb.normal_forms
-        assert set(calls) == article_runs
-        assert max(calls.values()) == 1
+        # Only each document's runs, when it is tokenized, and each
+        # mention's surface, when its candidates are looked up.
+        expected: Counter[str] = Counter()
+        for doc in mini_corpus:
+            expected.update(run for run, _, _ in oracle_tokenize(doc.text, lambda run: run))
+            expected.update(mention.surface for mention in doc.mentions)
+        assert kb.article_vectors[lists.stopwords]
+        assert calls == Counter({s: 2 * n for s, n in expected.items()})
+
+    def test_stored_article_words_are_the_terms(self):
+        # As they stand, even a word that is not in normal form.
+        kb = build_kb([entity("E1", "هدف", article="سیب")])
+        kb.entities["E1"] = replace(kb.entities["E1"], article_text="كتاب كتاب")  # Arabic kaf
+        link_document(kb, empty_lists(), LinkerConfig(), doc_of("هدف", mention_at("هدف", "هدف")))
+        assert kb.article_vectors[frozenset()]["E1"][0].keys() == {"كتاب"}
 
 
 @st.composite

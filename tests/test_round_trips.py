@@ -27,11 +27,14 @@ from peyvand.corpus import (
 from peyvand.kb import NerType, PosCategory, load_kb, lookup_alias, record_to_obj
 from peyvand.linker import LinkResult, ScoredCandidate
 
-from oracles import brute_force_candidates, oracle_article_terms
+from oracles import brute_force_candidates, oracle_normalize, oracle_tokenize
 from synth import entity, tokenizer_text
 
 _ids = st.text(min_size=1, max_size=4)
 _scores = st.floats(allow_nan=False, allow_infinity=False)
+# Articles, empty ones and ones of punctuation alone among them.
+_punctuation = st.text(".,!?;:()-\"'،؛؟٫«»… \u00a0", min_size=1, max_size=8)
+_articles = tokenizer_text | st.just("") | _punctuation
 
 
 @st.composite
@@ -48,7 +51,7 @@ def _records(draw):
             kb_class=draw(st.sampled_from(["city", "club", "film", "thing"])),
             ner_type=draw(st.sampled_from(NerType)),
             pos=draw(st.sampled_from(PosCategory)),
-            article=draw(tokenizer_text),
+            article=draw(_articles),
             links=tuple(draw(st.lists(link_targets, max_size=4))),
             rare=draw(st.booleans()),
         )
@@ -121,21 +124,37 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("round-trips")
 
 
-@given(records=_records(), lists_obj=_lists_obj)
-@settings(deadline=None)
-def test_dump_load_save_load_is_identity(workdir, records, lists_obj):
+def _write_dump(workdir, records, lists_obj):
     dump, lists_path = workdir / "kb.jsonl", workdir / "lists.json"
     dump.write_text(
         "".join(json.dumps(record_to_obj(r), ensure_ascii=False) + "\n" for r in records),
         encoding="utf-8",
     )
     lists_path.write_text(json.dumps(lists_obj, ensure_ascii=False), encoding="utf-8")
-    kb, lists = load_kb(dump, lists_path)
+    return dump, lists_path
+
+
+def _oracle_terms(article):
+    return [text for text, _, _ in oracle_tokenize(article, oracle_normalize)]
+
+
+@given(records=_records(), lists_obj=_lists_obj)
+@settings(deadline=None)
+def test_dump_load_save_load_is_identity(workdir, records, lists_obj):
+    kb, lists = load_kb(*_write_dump(workdir, records, lists_obj))
 
     ids = {r.id for r in records}
-    resolved = {r.id: replace(r, out_links=r.out_links & ids - {r.id}) for r in records}
+    resolved = {
+        r.id: replace(
+            r,
+            article_text=" ".join(_oracle_terms(r.article_text)),
+            out_links=r.out_links & ids - {r.id},
+        )
+        for r in records
+    }
     assert kb.entities == resolved
-    assert kb.doc_freq == Counter(t for i in ids for t in set(oracle_article_terms(i, kb, lists)))
+    content = [set(_oracle_terms(r.article_text)) - lists.stopwords for r in records]
+    assert kb.doc_freq == Counter(t for terms in content for t in terms)
     for r in records:
         for label in (r.canonical_label, *r.variant_labels):
             assert lookup_alias(kb, label) == brute_force_candidates(kb, label)
@@ -147,6 +166,20 @@ def test_dump_load_save_load_is_identity(workdir, records, lists_obj):
     assert lists2 == lists
     save_index(kb2, lists2, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+@given(records=_records())
+@settings(deadline=None)
+def test_stored_articles_are_the_oracle_terms(workdir, records):
+    """Each stored article splits into the oracle's terms of its raw text,
+    and N counts the non-empty raw articles, whether the knowledge base
+    comes from the dump or from its index."""
+    kb, lists = load_kb(*_write_dump(workdir, records, {}))
+    save_index(kb, lists, workdir / "kb.idx")
+    for loaded, _ in ((kb, lists), load_index(workdir / "kb.idx")):
+        for r in records:
+            assert loaded.entities[r.id].article_text.split() == _oracle_terms(r.article_text)
+        assert loaded.doc_count == sum(1 for r in records if r.article_text)
 
 
 @given(docs=_documents())
