@@ -10,8 +10,9 @@ penalty. It then scores each mention's kept candidates with
 
 where `context` is the TF-IDF cosine between the candidate's article and
 the whole document minus the tokens that touch the mention, and `graph`
-is the min-max-normalized count of distinct candidates of the document's
-other mentions whose articles link to the candidate (either direction).
+is the count of distinct candidates of the document's other mentions that
+link to the candidate or that it links to, divided by the highest such
+count among the mention's candidates (0 when that is 0).
 The top candidate wins unless its combined score falls below the NIL
 threshold; rejected candidates are kept on a ranked ambiguity list.
 
@@ -23,6 +24,9 @@ place. The terms keep the order of their first occurrence in the context,
 because the norm and the cosine sum in that order and another order would
 round differently; a touched term that first occurs in the span and recurs
 after it changes that order, so then the mention's vector is rebuilt.
+
+The document's candidate graph is built once too, at the same mention:
+each kept candidate's neighbours among all kept candidates, either way.
 
 Above a NIL threshold of 1 every mention abstains, so its ambiguity list
 holds each kept candidate with its context score, graph score and penalty;
@@ -242,19 +246,20 @@ def _kept(
     return penalties
 
 
-def _graph_scores(kb: KnowledgeBase, i: int, kept: list[dict[str, float]]) -> dict[str, float]:
-    """Graph score of each kept candidate of mention `i`: its count of distinct
-    linked candidates of other mentions over the mention's best count."""
-    # A real set: intersecting `out_links` with a dict's keys view is slower.
-    own = set(kept[i])
-    others = set().union(*(cands for j, cands in enumerate(kept) if j != i))
-    linked = {c: others & kb.entities[c].out_links for c in own}
-    for o in others:
-        for c in kb.entities[o].out_links & own:
-            linked[c].add(o)
-    raw = {c: len(linked[c]) for c in sorted(own)}
-    max_raw = max(raw.values(), default=0)
-    return {c: n / max_raw if max_raw else 0.0 for c, n in raw.items()}
+def _link_graph(kb: KnowledgeBase, kept: list[dict]) -> tuple[set[str], dict[str, set[str]]]:
+    """The candidates that more than one mention keeps, and each kept
+    candidate's neighbours among the kept candidates, linked either way."""
+    union, shared = set(), set()
+    for cands in kept:
+        shared.update(union.intersection(cands))
+        union.update(cands)
+    # `union` first, so each neighbour set is a `set` that can grow.
+    neighbours = {c: union & kb.entities[c].out_links for c in union}
+    for c, linked in neighbours.items():
+        # Never grows `linked` itself: `o` is `c` only for a self-link.
+        for o in linked:
+            neighbours[o].add(c)
+    return shared, neighbours
 
 
 def link_document(
@@ -272,17 +277,22 @@ def link_document(
     doc_terms = {t for t, _, _ in tokens if t not in stopwords}
     kept = [_kept(kb, lists, cfg, mention, doc_terms) for mention in doc.mentions]
     article_vectors = kb.article_vectors.setdefault(stopwords, {})
-    words = counts = doc_vector = None
+    words = counts = doc_vector = shared = neighbours = None
     results = []
-    for i, mention in enumerate(doc.mentions):
-        if not kept[i]:
+    for mention, own in zip(doc.mentions, kept):
+        if not own:
             results.append(LinkResult(NIL, 0.0, ()))
             continue
-        graph_scores = _graph_scores(kb, i, kept)
         if counts is None:
             words = [t for t, _, _ in tokens]
             counts = Counter(words)
             doc_vector = _tfidf(counts, kb, stopwords)
+            shared, neighbours = _link_graph(kb, kept)
+        # Count the neighbours that another mention keeps: all but those
+        # that only this mention keeps.
+        mine = own.keys() - shared
+        linked = {c: len(neighbours[c]) - len(neighbours[c] & mine) for c in own}
+        max_linked = max(linked.values())
         # Tokens a..b-1 touch the mention span: they end after its start and
         # start before its end.
         a = bisect_right(tokens, mention.start, key=_END)
@@ -290,7 +300,7 @@ def link_document(
         vector = _context(words, a, b, counts, doc_vector, kb, stopwords)
         context = vector, _norm(vector)
         scored = []
-        for entity_id in sorted(kept[i]):
+        for entity_id in sorted(own):
             article = article_vectors.get(entity_id)
             if article is None:
                 # Stored in normal form: the words are the terms. Interned,
@@ -299,8 +309,8 @@ def link_document(
                 weights = _tfidf(Counter(map(sys.intern, text.split())), kb, stopwords)
                 article = article_vectors[entity_id] = weights, _norm(weights)
             ctx = _cosine(*context, *article)
-            graph = graph_scores[entity_id]
-            penalty = kept[i][entity_id]
+            graph = linked[entity_id] / max_linked if max_linked else 0.0
+            penalty = own[entity_id]
             combined = penalty * (lam * ctx + (1.0 - lam) * graph)
             scored.append(ScoredCandidate(entity_id, ctx, graph, penalty, combined))
         scored.sort(key=lambda c: (-c.combined, c.entity_id))

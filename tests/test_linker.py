@@ -847,7 +847,7 @@ def test_idf_table_is_exact(case):
 
 
 # Graph counts over randomized synthetic link graphs.
-_GRAPH_IDS = [f"G{i}" for i in range(6)]
+_GRAPH_IDS = [f"G{i}" for i in range(8)]
 
 
 @st.composite
@@ -858,7 +858,7 @@ def graph_scenarios(draw):
     `graph_document` to build."""
     ids = _GRAPH_IDS[: draw(st.integers(min_value=1, max_value=len(_GRAPH_IDS)))]
     links = {i: tuple(sorted(draw(st.sets(st.sampled_from(ids))))) for i in ids}
-    mentions = draw(st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=5))
+    mentions = draw(st.lists(st.sets(st.sampled_from(ids)), min_size=1, max_size=8))
     return links, dict(enumerate(mentions))
 
 
@@ -872,6 +872,15 @@ _GRAPH_EXAMPLE = (
 
 @given(graph_scenarios())
 @example(_GRAPH_EXAMPLE)
+# G0 <-> G1 inside one mention, kept by no other: both count 0.
+@example(({"G0": ("G1",), "G1": ("G0",), "G2": ()}, {0: {"G0", "G1"}, 1: {"G2"}}))
+# The same link with G1 kept by a second mention too: G0 counts it.
+@example(({"G0": ("G1",), "G1": ("G0",)}, {0: {"G0", "G1"}, 1: {"G1"}}))
+# G0 kept by three mentions, linked to and from candidates of each.
+@example((
+    {"G0": ("G2",), "G1": ("G0",), "G2": (), "G3": ("G0", "G1")},
+    {0: {"G0"}, 1: {"G0", "G1"}, 2: {"G0", "G2", "G3"}},
+))
 @settings(max_examples=300, deadline=None)
 def test_graph_score_matches_exhaustive_enumeration(scenario):
     kb, doc = graph_document(*scenario)
@@ -883,3 +892,39 @@ def test_graph_score_matches_exhaustive_enumeration(scenario):
         for candidate, score in scores.items():
             expected = raw[candidate] / max_raw if max_raw else 0.0
             assert score == expected
+
+
+@st.composite
+def linked_documents(draw):
+    """A KB of up to eight linked entities with articles from `_VOCAB`, each
+    answering to some of the aliases m0..m3 (a self-link, which the KB
+    drops, included), stopwords from `_VOCAB`, and a document that mentions
+    those aliases one to eight times, repeats included, between its words."""
+    ids = _GRAPH_IDS[: draw(st.integers(min_value=1, max_value=len(_GRAPH_IDS)))]
+    aliases = st.sampled_from(["m0", "m1", "m2", "m3"])
+    vocab = st.lists(st.sampled_from(_VOCAB), max_size=4)
+    stopwords = frozenset(draw(st.lists(st.sampled_from(_VOCAB), max_size=1)))
+    records = [
+        entity(e, variants=tuple(sorted(draw(st.sets(aliases)))), article=" ".join(draw(vocab)),
+               links=tuple(sorted(draw(st.sets(st.sampled_from(ids))))))
+        for e in ids
+    ]
+    text, mentions = "", []
+    for surface in draw(st.lists(aliases, min_size=1, max_size=8)):
+        text += "".join(word + " " for word in draw(vocab))
+        mentions.append(Mention(len(text), len(text) + len(surface), surface))
+        text += surface + " "
+    text += " ".join(draw(vocab))
+    return build_kb(records, stopwords), empty_lists(stopwords=stopwords), doc_of(text, *mentions)
+
+
+@given(linked_documents(), st.sampled_from([LinkerConfig(), replace(ALL_OFF, nil_threshold=2.0)]))
+@settings(max_examples=300, deadline=None)
+def test_reversed_mentions_give_reversed_results(case, cfg):
+    """The document's candidate graph and context vector do not depend on
+    the order of its mentions: reversed, the results come out reversed,
+    every score equal to the last bit."""
+    kb, lists, doc = case
+    forward = link_document(kb, lists, cfg, doc)
+    backward = link_document(kb, lists, cfg, doc_of(doc.text, *reversed(doc.mentions)))
+    assert backward == forward[::-1]
