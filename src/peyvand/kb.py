@@ -371,10 +371,11 @@ def build_kb(
     entities: dict[str, EntityRecord] = {}
     dropped = self_links = 0
     for record in records:
-        resolved = frozenset(l for l in record.out_links if l in ids and l != record.id)
-        dropped += len(record.out_links) - len(resolved)
-        self_links += record.id in record.out_links
-        if resolved != record.out_links:
+        links = record.out_links
+        if not links <= ids or record.id in links:
+            resolved = frozenset(l for l in links if l in ids and l != record.id)
+            dropped += len(links) - len(resolved)
+            self_links += record.id in links
             record = replace(record, out_links=resolved)
         entities[record.id] = record
 

@@ -1,10 +1,13 @@
 """The linking pipeline: candidates, filters, scoring, NIL abstention.
 
-`link_document` is one function. It tokenizes the document once, then
-builds every mention's kept map, because the graph score is collective:
-the alias candidates that survive the filters of `FILTERS` that the config
-turns on (type, POS, popularity, class-specific evidence), each with its
-penalty. It then scores each mention's kept candidates with
+`link_document` is one function. It first runs the type, POS and
+popularity filters that the config turns on, in `FILTERS` order, in one
+pass over each mention's alias candidates. A document in which no mention
+keeps a candidate is not tokenized: each mention is NIL. Otherwise the
+document is tokenized once, and each kept candidate gets its penalty from
+the class-specific evidence filter. Every mention's kept map is built
+before any is scored, because the graph score is collective. It then
+scores each mention's kept candidates with
 
     combined = penalty * (lambda * context + (1 - lambda) * graph)
 
@@ -16,16 +19,19 @@ count among the mention's candidates (0 when that is 0).
 The top candidate wins unless its combined score falls below the NIL
 threshold; rejected candidates are kept on a ranked ambiguity list.
 
-The document's terms are counted and weighted once, at its first mention
-with a kept candidate. Each mention's context vector is a copy of that
-vector with the terms of its touched tokens patched: a term left with no
-count goes, one that also occurs before the span gets its new weight in
-place. The terms keep the order of their first occurrence in the context,
-because the norm and the cosine sum in that order and another order would
-round differently; a touched term that first occurs in the span and recurs
-after it changes that order, so then the mention's vector is rebuilt.
+The document's terms are counted and weighted once, up front. Each
+mention's context vector is a copy of that vector with the terms of its
+touched tokens patched: a term left with no count goes, one that also
+occurs before the span gets its new weight in place. The terms keep the
+order of their first occurrence in the context, because the norm and the
+cosine sum in that order and another order would round differently; a
+touched term that first occurs in the span and recurs after it changes
+that order, so then the mention's vector is rebuilt. Both sums are
+explicit left-to-right loops, not `sum()`, which compensates its rounding
+from Python 3.12 on, so the scores are the same bits on every supported
+Python.
 
-The document's candidate graph is built once too, at the same mention:
+The document's candidate graph is built once too, up front:
 each kept candidate's neighbours among all kept candidates, either way.
 
 Above a NIL threshold of 1 every mention abstains, so its ambiguity list
@@ -47,6 +53,7 @@ from typing import Mapping
 from .errors import InputError, PeyvandError
 from .corpus import Document, Mention, NIL, _Nil
 from .kb import (
+    EntityRecord,
     KnowledgeBase,
     NerType,
     PosCategory,
@@ -159,9 +166,12 @@ def _tfidf(
 
 
 def _norm(vector: Mapping[str, float]) -> float:
-    # Summed in the vector's order, as `_cosine` sums its dot product, so a
-    # vector built in another term order would round differently.
-    return math.sqrt(sum(w * w for w in vector.values()))
+    # Summed left to right in the vector's order, as `_cosine` sums, so a
+    # vector in another term order, or a 3.12+ `sum()`, would round differently.
+    total = 0.0
+    for w in vector.values():
+        total += w * w
+    return math.sqrt(total)
 
 
 def _context(
@@ -201,49 +211,42 @@ def _cosine(a: Mapping[str, float], norm_a: float, b: Mapping[str, float], norm_
         return 0.0
     if len(b) < len(a):
         a, b, norm_a, norm_b = b, a, norm_b, norm_a
+    dot = 0.0
+    for t, w in a.items():
+        if t in b:
+            dot += w * b[t]
     # Weights are counts times IDFs of at least 1, so both norms are >= 1.
-    return sum(w * b[t] for t, w in a.items() if t in b) / (norm_a * norm_b)
+    return dot / (norm_a * norm_b)
 
 
 def _kept(
-    kb: KnowledgeBase,
-    lists: ReferenceLists,
-    cfg: LinkerConfig,
-    mention: Mention,
-    doc_terms: set[str],
-) -> dict[str, float]:
-    """The mention's alias candidates that survive the filters of `cfg`, in
-    `FILTERS` order, each with its penalty: 1.0 unless a class filter fired."""
-    kept = lookup_alias(kb, mention.surface)
-
+    kb: KnowledgeBase, lists: ReferenceLists, cfg: LinkerConfig, mention: Mention
+) -> dict[str, EntityRecord]:
+    """The mention's alias candidates that survive the type, POS and
+    popularity filters of `cfg`, tested in `FILTERS` order, each with its
+    record."""
     # Type check: only when the mention carries a usable type and the
     # mapping has an opinion about it.
+    types = None
     if "type" in cfg.filters and mention.ner_type not in (None, NerType.UNKNOWN):
-        allowed = lists.type_mapping.get(mention.ner_type)
-        if allowed is not None:
-            kept = {c for c in kept if kb.entities[c].kb_class in allowed}
-
+        types = lists.type_mapping.get(mention.ner_type)
     # POS check: UNKNOWN on either side keeps the candidate.
+    pos = None
     if "pos" in cfg.filters and mention.pos_tag not in (None, PosCategory.UNKNOWN):
-        allowed = (mention.pos_tag, PosCategory.UNKNOWN)
-        kept = {c for c in kept if kb.entities[c].pos_category in allowed}
-
+        pos = (mention.pos_tag, PosCategory.UNKNOWN)
     # Popularity: the manually curated rare list, whether shipped as a
     # blocklist or as per-record flags in the dump.
-    if "popularity" in cfg.filters:
-        kept = {c for c in kept if c not in lists.rare_blocklist and not kb.entities[c].rare}
-
-    penalties = dict.fromkeys(kept, 1.0)
-
-    # Class-specific evidence: generic names (artwork titles and the like)
-    # keep their full rate only when a trigger term appears in the document.
-    if "class" in cfg.filters:
-        for c in penalties:
-            class_filter = lists.class_filters.get(kb.entities[c].kb_class)
-            if class_filter is not None and not (class_filter.triggers & doc_terms):
-                penalties[c] = class_filter.penalty
-
-    return penalties
+    popularity = "popularity" in cfg.filters
+    kept = {}
+    for c in lookup_alias(kb, mention.surface):
+        record = kb.entities[c]
+        if (
+            (types is None or record.kb_class in types)
+            and (pos is None or record.pos_category in pos)
+            and not (popularity and (record.rare or c in lists.rare_blocklist))
+        ):
+            kept[c] = record
+    return kept
 
 
 def _link_graph(kb: KnowledgeBase, kept: list[dict]) -> tuple[set[str], dict[str, set[str]]]:
@@ -273,21 +276,29 @@ def link_document(
     score below the NIL threshold, the decision is NIL and every scored
     candidate is on the ambiguity list."""
     stopwords, lam = lists.stopwords, cfg.lambda_weight
+    kept = [_kept(kb, lists, cfg, mention) for mention in doc.mentions]
+    if not any(kept):
+        return [LinkResult(NIL, 0.0, ()) for _ in kept]
     tokens = tokenize(doc.text)
-    doc_terms = {t for t, _, _ in tokens if t not in stopwords}
-    kept = [_kept(kb, lists, cfg, mention, doc_terms) for mention in doc.mentions]
+    words = [t for t, _, _ in tokens]
+    counts = Counter(words)
+    doc_terms = counts.keys() - stopwords
+    doc_vector = _tfidf(counts, kb, stopwords)
+    shared, neighbours = _link_graph(kb, kept)
+    class_filters = lists.class_filters if "class" in cfg.filters else {}
     article_vectors = kb.article_vectors.setdefault(stopwords, {})
-    words = counts = doc_vector = shared = neighbours = None
     results = []
-    for mention, own in zip(doc.mentions, kept):
-        if not own:
+    for mention, candidates in zip(doc.mentions, kept):
+        if not candidates:
             results.append(LinkResult(NIL, 0.0, ()))
             continue
-        if counts is None:
-            words = [t for t, _, _ in tokens]
-            counts = Counter(words)
-            doc_vector = _tfidf(counts, kb, stopwords)
-            shared, neighbours = _link_graph(kb, kept)
+        # Class-specific evidence: generic names (artwork titles and the like)
+        # keep their full rate only when a trigger term appears in the document.
+        own = {}
+        for c, record in candidates.items():
+            class_filter = class_filters.get(record.kb_class)
+            missing = class_filter is not None and class_filter.triggers.isdisjoint(doc_terms)
+            own[c] = class_filter.penalty if missing else 1.0
         # Count the neighbours that another mention keeps: all but those
         # that only this mention keeps.
         mine = own.keys() - shared
@@ -303,10 +314,15 @@ def link_document(
         for entity_id in sorted(own):
             article = article_vectors.get(entity_id)
             if article is None:
-                # Stored in normal form: the words are the terms. Interned,
-                # the vectors of all articles share one string per term.
-                text = kb.entities[entity_id].article_text
-                weights = _tfidf(Counter(map(sys.intern, text.split())), kb, stopwords)
+                # Stored in normal form: the words are the terms. This is
+                # `_tfidf` with each distinct term interned once, so the
+                # vectors of all articles share one string per term.
+                article_counts = Counter(candidates[entity_id].article_text.split())
+                weights = {
+                    sys.intern(t): n * kb.idf[kb.doc_freq.get(t, 0)]
+                    for t, n in article_counts.items()
+                    if t not in stopwords
+                }
                 article = article_vectors[entity_id] = weights, _norm(weights)
             ctx = _cosine(*context, *article)
             graph = linked[entity_id] / max_linked if max_linked else 0.0

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from peyvand import linker
 from peyvand.cache import save_index
-from peyvand.corpus import Document, Mention, NIL
+from peyvand.corpus import Document, Mention, NIL, write_predictions
 from peyvand.errors import InputError
 from peyvand.kb import KnowledgeBase, NerType, PosCategory, load_kb
 from peyvand.linker import FILTERS, ConfigError, LinkerConfig, link_document
@@ -789,8 +789,9 @@ class TestArticleVectorMemo:
         assert stores
         assert max(stores.values()) == 1
 
-    def test_linking_normalizes_no_article_run(self, data_dir, mini_corpus, monkeypatch):
-        kb, lists = self._load(data_dir)
+    @staticmethod
+    def _count_normalize(monkeypatch) -> Counter[str]:
+        """Count each string that reaches `persian_normalize` from here on."""
         calls: Counter[str] = Counter()
         normalize = textnorm.persian_normalize
 
@@ -798,11 +799,17 @@ class TestArticleVectorMemo:
             calls[s] += 1
             return normalize(s)
 
+        monkeypatch.setattr(textnorm, "persian_normalize", counting_normalize)
+        monkeypatch.setattr(kb_module, "persian_normalize", counting_normalize)
+        return calls
+
+    def test_linking_normalizes_no_article_run(self, data_dir, mini_corpus, monkeypatch):
+        kb, lists = self._load(data_dir)
+        calls = self._count_normalize(monkeypatch)
+
         def no_memo(memo, run):
             raise AssertionError(f"linking normalized {run!r} through a memo")
 
-        monkeypatch.setattr(textnorm, "persian_normalize", counting_normalize)
-        monkeypatch.setattr(kb_module, "persian_normalize", counting_normalize)
         monkeypatch.setattr(NormalForms, "__missing__", no_memo)
         for _ in range(2):
             self._link_all(kb, lists, LinkerConfig(), mini_corpus)
@@ -816,12 +823,41 @@ class TestArticleVectorMemo:
         assert kb.article_vectors[lists.stopwords]
         assert calls == Counter({s: 2 * n for s, n in expected.items()})
 
+    def test_post_with_nothing_to_link_is_never_tokenized(self, monkeypatch):
+        # One surface outside the KB, and one whose only candidate the type
+        # filter removes: no mention keeps a candidate.
+        kb = build_kb([entity("E1", "تهران", kb_class="city", article="شهر بزرگ")])
+        lists = empty_lists(type_mapping={NerType.PER: frozenset({"person"})})
+        text = "سفر ناشناس به تهران"
+        doc = doc_of(text, mention_at(text, "ناشناس"),
+                     mention_at(text, "تهران", ner_type=NerType.PER))
+        calls = self._count_normalize(monkeypatch)
+        for _ in range(2):
+            got = link_document(kb, lists, LinkerConfig(), doc)
+        # Only each mention's surface, when its candidates are looked up.
+        assert calls == Counter({mention.surface: 2 for mention in doc.mentions})
+        assert got == oracle_link_document(kb, lists, LinkerConfig(), doc)
+        assert [r.decision for r in got] == [NIL, NIL]
+
     def test_stored_article_words_are_the_terms(self):
         # As they stand, even a word that is not in normal form.
         kb = build_kb([entity("E1", "هدف", article="سیب")])
         kb.entities["E1"] = replace(kb.entities["E1"], article_text="كتاب كتاب")  # Arabic kaf
         link_document(kb, empty_lists(), LinkerConfig(), doc_of("هدف", mention_at("هدف", "هدف")))
         assert kb.article_vectors[frozenset()]["E1"][0].keys() == {"كتاب"}
+
+
+def test_scores_do_not_depend_on_how_sum_rounds(tmp_path, data_dir, mini_corpus, monkeypatch):
+    """Norms and dot products add up left to right, the same float
+    operations on every Python, though from 3.12 `sum()` compensates its
+    rounding: with `sum` shadowed by the correctly rounded `math.fsum`, the
+    predictions still equal the golden file byte for byte."""
+    monkeypatch.setattr(linker, "sum", math.fsum, raising=False)
+    kb, lists = load_kb(data_dir / "mini_kb.jsonl", data_dir / "reference_lists.json")
+    results = [link_document(kb, lists, LinkerConfig(), doc) for doc in mini_corpus]
+    write_predictions(mini_corpus, results, tmp_path / "predictions.jsonl")
+    golden = (data_dir / "golden_predictions.jsonl").read_bytes()
+    assert (tmp_path / "predictions.jsonl").read_bytes() == golden
 
 
 @st.composite
