@@ -20,8 +20,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from peyvand.corpus import NIL, load_corpus, write_predictions
-from peyvand.kb import load_kb
+from peyvand.corpus import NIL, Document, Mention, load_corpus, save_corpus, write_predictions
+from peyvand.kb import NerType, PosCategory, load_kb
 from peyvand.linker import LinkerConfig
 
 from oracles import oracle_link_document
@@ -297,31 +297,23 @@ def write_kb(path: Path) -> None:
 
 
 def write_corpus(path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc_id, category, parts in DOCS:
-            text = ""
-            mentions = []
-            for part in parts:
-                if isinstance(part, str):
-                    text += part
-                    continue
-                start = len(text)
-                text += part["surface"]
-                mention = {"start": start, "end": len(text), "surface": part["surface"]}
-                if part["ner"]:
-                    mention["ner_type"] = part["ner"]
-                if part["pos"]:
-                    mention["pos"] = part["pos"]
-                if part["gold"] is not _ABSENT:
-                    mention["gold"] = part["gold"]
-                mentions.append(mention)
-            fh.write(
-                json.dumps(
-                    {"id": doc_id, "category": category, "text": text, "mentions": mentions},
-                    ensure_ascii=False,
-                )
-                + "\n"
-            )
+    docs = []
+    for doc_id, category, parts in DOCS:
+        text = ""
+        mentions = []
+        for part in parts:
+            if isinstance(part, str):
+                text += part
+                continue
+            start = len(text)
+            text += part["surface"]
+            ner = NerType(part["ner"]) if part["ner"] else None
+            pos = PosCategory(part["pos"]) if part["pos"] else None
+            gold = part["gold"]
+            gold = None if gold is _ABSENT else NIL if gold is None else gold
+            mentions.append(Mention(start, len(text), part["surface"], ner, pos, gold))
+        docs.append(Document(doc_id, category, text, mentions))
+    save_corpus(docs, path)
 
 
 def main() -> None:

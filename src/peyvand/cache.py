@@ -50,7 +50,8 @@ def _line(obj: object) -> bytes:
 
 
 def save_index(kb: KnowledgeBase, lists: ReferenceLists, path: str | Path) -> None:
-    meta = {"doc_count": kb.doc_count, "lists": lists_to_obj(lists), "records": len(kb.entities)}
+    lists_obj = lists_to_obj(lists, kb.stopwords)
+    meta = {"doc_count": kb.doc_count, "lists": lists_obj, "records": len(kb.entities)}
     with open(path, "wb") as fh:
         fh.write(_HEADER + _line(meta) + _line(kb.doc_freq))
         fh.writelines(_line(record_to_obj(kb.entities[i])) for i in sorted(kb.entities))
@@ -83,7 +84,7 @@ def _load_body(fh: BinaryIO, path: str | Path) -> tuple[KnowledgeBase, Reference
     count = meta["records"]
     if type(count) is not int or count < 0:
         raise InputError(path, meta_line, "records must be an integer >= 0")
-    lists = parse_reference_lists(meta["lists"], path, meta_line)
+    lists, stopwords = parse_reference_lists(meta["lists"], path, meta_line)
     records = read_records(lines, path)
     if len(records) != count:
         raise InputError(path, None, f"{len(records)} records, not {count}")
@@ -94,7 +95,7 @@ def _load_body(fh: BinaryIO, path: str | Path) -> tuple[KnowledgeBase, Reference
         reason = f"doc_count must be an integer from {stored} to {count}"
         raise InputError(path, meta_line, reason)
 
-    kb = build_kb(records, frequencies, doc_count)
+    kb = build_kb(records, frequencies, doc_count, stopwords)
     if kb.dropped_links:
         reason = f"{kb.dropped_links} out-link(s) point outside the index or back at their entity"
         raise InputError(path, None, reason)

@@ -60,7 +60,7 @@ def cmd_link(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     kb, lists = load_index(args.index)
     timings["load_index"] = time.perf_counter() - started
-    if cfg.lambda_weight > 0 and not lists.stopwords:
+    if cfg.lambda_weight > 0 and not kb.stopwords:
         print("warning: context scoring enabled but the stopword list is empty", file=sys.stderr)
 
     started = time.perf_counter()
@@ -183,13 +183,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _file(path: str) -> object:
+    """The device and inode of the file `path` names, or its resolved path if none."""
+    st = os.stat(path) if os.path.exists(path) else None
+    return (st.st_dev, st.st_ino) if st else os.path.realpath(path)
+
+
 def _check_outputs(args: argparse.Namespace) -> None:
-    """Refuse an `--out`, or the `link` manifest, that resolves to an input file."""
+    """Refuse an `--out`, or the `link` manifest, that is an input file, even by a hard link."""
     names = ("kb", "lists", "index", "corpus", "config", "predictions")
-    inputs = {os.path.realpath(p): name for name in names if (p := getattr(args, name, None))}
+    inputs = {_file(p): name for name in names if (p := getattr(args, name, None))}
     outputs = [args.out, f"{args.out}.manifest.json"] if args.command == "link" else [args.out]
     for out in filter(None, outputs):
-        if name := inputs.get(os.path.realpath(out)):
+        if name := inputs.get(_file(out)):
             raise PeyvandError(f"{out}: refusing to overwrite the --{name} input")
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TYPE_CHECKING
 
@@ -30,22 +31,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from .linker import LinkResult
 
 
-class _Nil:
+class _Nil(Enum):
     """Singleton marking an explicit unlinkable annotation or decision."""
 
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    NIL = "NIL"
 
     def __repr__(self) -> str:
         return "NIL"
 
+    __str__ = __repr__
 
-NIL = _Nil()
+
+NIL = _Nil.NIL
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ A dump is UTF-8 JSON lines, one entity per line:
     {"id": ..., "label": ..., "variants": [...], "class": ..., "ner_type": ...,
      "pos": ..., "article": ..., "links": [...], "rare": false}
 
-Reference lists live in a single JSON file with keys `rare_blocklist`,
-`class_filters`, `type_mapping` and `stopwords`.
+Reference lists live in a single JSON file: the filter lists `rare_blocklist`,
+`class_filters` and `type_mapping`, and the knowledge base's `stopwords`.
 
 Every reader in the package decodes its files with `decode_json` and checks
 each object's keys with `key_error`; a key outside the shape is an error.
@@ -76,7 +76,6 @@ class ReferenceLists:
     rare_blocklist: frozenset[str]
     class_filters: dict[str, ClassFilter]
     type_mapping: dict[NerType, frozenset[str]]
-    stopwords: frozenset[str]
 
 
 class IdfTable(dict):
@@ -94,14 +93,14 @@ class IdfTable(dict):
 
 @dataclass
 class KnowledgeBase:
-    """Immutable after load apart from two memos that
-    `linker.link_document` fills on first use.
+    """Immutable after load apart from two memos that `linker.link_document`
+    fills on first use. `stopwords` are the terms that `doc_freq` leaves out
+    and that no vector holds; they are fixed when the KB is built.
 
     - `idf` maps a document frequency to its IDF weight. It is bounded by
       the distinct df values, at most `doc_count + 1` of them.
     - `article_vectors` holds each article's TF-IDF vector and norm, keyed
-      by the stopwords and then by entity id. It is bounded by the
-      entities.
+      by entity id. It is bounded by the entities.
 
     The memos are derived data, not part of the KB: they are never saved
     to the index, `==` ignores them and `dataclasses.replace` starts them
@@ -118,10 +117,11 @@ class KnowledgeBase:
     alias_index: dict[str, frozenset[str]]
     doc_count: int
     doc_freq: dict[str, int]
+    stopwords: frozenset[str]
     dropped_links: int = field(default=0, compare=False)
     self_links: int = field(default=0, compare=False)
     idf: IdfTable = field(init=False, repr=False, compare=False)
-    article_vectors: dict[frozenset[str], dict[str, tuple[dict[str, float], float]]] = field(
+    article_vectors: dict[str, tuple[dict[str, float], float]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -208,8 +208,8 @@ def key_error(
     return f"unknown keys in {what}: {sorted(unknown)}" if unknown else None
 
 
-def load_reference_lists(path: str | Path) -> ReferenceLists:
-    """Load and validate a reference-lists file."""
+def load_reference_lists(path: str | Path) -> tuple[ReferenceLists, frozenset[str]]:
+    """Load and validate a reference-lists file: its filter lists and stopwords."""
     return parse_reference_lists(decode_json(Path(path).read_bytes(), path, 1), path)
 
 
@@ -219,9 +219,9 @@ _CLASS_FILTER_KEYS = ("triggers", "penalty")
 
 def parse_reference_lists(
     data: object, path: str | Path, line: int | None = None
-) -> ReferenceLists:
-    """Validate decoded reference lists; `path` and `line` name their source
-    in errors.
+) -> tuple[ReferenceLists, frozenset[str]]:
+    """Validate decoded reference lists; returns the filter lists and the
+    stopwords. `path` and `line` name their source in errors.
 
     Trigger terms and stopwords are stored normalized so membership tests
     against normalized tokens are direct; normalizing is idempotent.
@@ -268,15 +268,11 @@ def parse_reference_lists(
     if not isinstance(stopwords, list) or not all(isinstance(w, str) for w in stopwords):
         raise InputError(path, line, "stopwords must be an array of strings")
 
-    return ReferenceLists(
-        rare_blocklist=frozenset(blocklist),
-        class_filters=class_filters,
-        type_mapping=type_mapping,
-        stopwords=frozenset(persian_normalize(w) for w in stopwords),
-    )
+    lists = ReferenceLists(frozenset(blocklist), class_filters, type_mapping)
+    return lists, frozenset(persian_normalize(w) for w in stopwords)
 
 
-def lists_to_obj(lists: ReferenceLists) -> dict:
+def lists_to_obj(lists: ReferenceLists, stopwords: frozenset[str]) -> dict:
     """The lists file shape, sorted; `parse_reference_lists` reads it back."""
     return {
         "rare_blocklist": sorted(lists.rare_blocklist),
@@ -285,7 +281,7 @@ def lists_to_obj(lists: ReferenceLists) -> dict:
             for cls, f in lists.class_filters.items()
         },
         "type_mapping": {ner.value: sorted(classes) for ner, classes in lists.type_mapping.items()},
-        "stopwords": sorted(lists.stopwords),
+        "stopwords": sorted(stopwords),
     }
 
 
@@ -356,10 +352,12 @@ def record_to_obj(record: EntityRecord) -> dict:
 
 
 def build_kb(
-    records: Collection[EntityRecord], frequencies: dict[str, int], doc_count: int
+    records: Collection[EntityRecord], frequencies: dict[str, int], doc_count: int,
+    stopwords: frozenset[str],
 ) -> KnowledgeBase:
     """Build a knowledge base from `parse_record` output, its articles'
-    document frequencies and its count of non-empty articles.
+    document frequencies, its count of non-empty articles and the
+    stopwords that the frequencies leave out.
 
     Out-links that point outside the records or back at the entity
     itself are dropped and counted on `KnowledgeBase.dropped_links`, the
@@ -390,6 +388,7 @@ def build_kb(
         alias_index={key: frozenset(members) for key, members in alias_sets.items()},
         doc_count=doc_count,
         doc_freq=frequencies,
+        stopwords=stopwords,
         dropped_links=dropped,
         self_links=self_links,
     )
@@ -413,8 +412,8 @@ def load_kb(
     dump_path: str | Path, lists_path: str | Path
 ) -> tuple[KnowledgeBase, ReferenceLists]:
     """Load a dump and its reference lists and build all indexes."""
-    lists = load_reference_lists(lists_path)
-    return read_dump(read_json_lines(dump_path), dump_path, lists.stopwords), lists
+    lists, stopwords = load_reference_lists(lists_path)
+    return read_dump(read_json_lines(dump_path), dump_path, stopwords), lists
 
 
 def read_dump(
@@ -442,7 +441,7 @@ def read_dump(
         return " ".join(words)
 
     records = read_records(lines, path, article)
-    return build_kb(records, dict(counts), doc_count)
+    return build_kb(records, dict(counts), doc_count, stopwords)
 
 
 def lookup_alias(kb: KnowledgeBase, surface: str) -> frozenset[str]:

@@ -155,13 +155,11 @@ class LinkResult:
     ambiguity: tuple[ScoredCandidate, ...]
 
 
-def _tfidf(
-    counts: Mapping[str, int], kb: KnowledgeBase, stopwords: frozenset[str]
-) -> dict[str, float]:
-    """The TF-IDF vector of the terms of `counts` outside `stopwords`, in the
-    order of `counts`: raw term count times the smoothed IDF,
+def _tfidf(counts: Mapping[str, int], kb: KnowledgeBase) -> dict[str, float]:
+    """The TF-IDF vector of the terms of `counts` outside `kb.stopwords`, in
+    the order of `counts`: raw term count times the smoothed IDF,
     ln((1 + N) / (1 + df)) + 1, which `kb.idf` holds by document frequency."""
-    idf, doc_freq = kb.idf, kb.doc_freq
+    idf, doc_freq, stopwords = kb.idf, kb.doc_freq, kb.stopwords
     return {t: n * idf[doc_freq.get(t, 0)] for t, n in counts.items() if t not in stopwords}
 
 
@@ -181,7 +179,6 @@ def _context(
     counts: Counter[str],
     doc_vector: dict[str, float],
     kb: KnowledgeBase,
-    stopwords: frozenset[str],
 ) -> dict[str, float]:
     """The TF-IDF vector of `words` without `words[a:b]`, term for term and
     in the order `_tfidf(Counter(...))` gives: the document's `doc_vector`,
@@ -192,7 +189,7 @@ def _context(
     vector = doc_vector.copy()
     touched = words[a:b]
     for t in touched:
-        if t in stopwords:
+        if t in kb.stopwords:
             continue
         n = counts[t] - touched.count(t)
         if not n:
@@ -200,7 +197,7 @@ def _context(
         elif words.index(t) < a:
             vector[t] = n * kb.idf[kb.doc_freq.get(t, 0)]
         else:
-            return _tfidf(Counter(words[:a] + words[b:]), kb, stopwords)
+            return _tfidf(Counter(words[:a] + words[b:]), kb)
     return vector
 
 
@@ -275,29 +272,28 @@ def link_document(
     score go to the lowest entity id; with no kept candidate, or a top
     score below the NIL threshold, the decision is NIL and every scored
     candidate is on the ambiguity list."""
-    stopwords, lam = lists.stopwords, cfg.lambda_weight
+    lam = cfg.lambda_weight
     kept = [_kept(kb, lists, cfg, mention) for mention in doc.mentions]
     if not any(kept):
         return [LinkResult(NIL, 0.0, ()) for _ in kept]
     tokens = tokenize(doc.text)
     words = [t for t, _, _ in tokens]
     counts = Counter(words)
-    doc_terms = counts.keys() - stopwords
-    doc_vector = _tfidf(counts, kb, stopwords)
+    doc_vector = _tfidf(counts, kb)
     shared, neighbours = _link_graph(kb, kept)
     class_filters = lists.class_filters if "class" in cfg.filters else {}
-    article_vectors = kb.article_vectors.setdefault(stopwords, {})
+    article_vectors, stopwords = kb.article_vectors, kb.stopwords
     results = []
     for mention, candidates in zip(doc.mentions, kept):
         if not candidates:
             results.append(LinkResult(NIL, 0.0, ()))
             continue
-        # Class-specific evidence: generic names (artwork titles and the like)
-        # keep their full rate only when a trigger term appears in the document.
+        # Class-specific evidence: generic names (artwork titles and the like) keep their
+        # full rate only when a non-stopword trigger term is in the document (`doc_vector`).
         own = {}
         for c, record in candidates.items():
             class_filter = class_filters.get(record.kb_class)
-            missing = class_filter is not None and class_filter.triggers.isdisjoint(doc_terms)
+            missing = class_filter is not None and class_filter.triggers.isdisjoint(doc_vector)
             own[c] = class_filter.penalty if missing else 1.0
         # Count the neighbours that another mention keeps: all but those
         # that only this mention keeps.
@@ -308,7 +304,7 @@ def link_document(
         # start before its end.
         a = bisect_right(tokens, mention.start, key=_END)
         b = bisect_left(tokens, mention.end, lo=a, key=_START)
-        vector = _context(words, a, b, counts, doc_vector, kb, stopwords)
+        vector = _context(words, a, b, counts, doc_vector, kb)
         context = vector, _norm(vector)
         scored = []
         for entity_id in sorted(own):

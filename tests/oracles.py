@@ -174,24 +174,22 @@ def oracle_filter(
     return kept, penalties
 
 
-def oracle_context_terms(
-    doc: Document, mention: Mention, kb: KnowledgeBase, lists: ReferenceLists
-) -> list[str]:
+def oracle_context_terms(doc: Document, mention: Mention, kb: KnowledgeBase) -> list[str]:
     context = []
     for text, start, end in oracle_tokenize(doc.text, oracle_normalize):
         if end > mention.start and start < mention.end:
             continue
-        if text not in lists.stopwords:
+        if text not in kb.stopwords:
             context.append(text)
     return context
 
 
-def oracle_article_terms(entity_id: str, kb: KnowledgeBase, lists: ReferenceLists) -> list[str]:
+def oracle_article_terms(entity_id: str, kb: KnowledgeBase) -> list[str]:
     # The KB stores each article in normal form, which normalizes to
     # itself; `test_stored_articles_are_the_oracle_terms` checks the stored
     # text against the raw dump.
     tokens = oracle_tokenize(kb.entities[entity_id].article_text, oracle_normalize)
-    return [text for text, _, _ in tokens if text not in lists.stopwords]
+    return [text for text, _, _ in tokens if text not in kb.stopwords]
 
 
 def oracle_kept(
@@ -201,7 +199,7 @@ def oracle_kept(
     doc_terms = {
         text
         for text, _, _ in oracle_tokenize(doc.text, oracle_normalize)
-        if text not in lists.stopwords
+        if text not in kb.stopwords
     }
     doc_candidates: dict[int, set[str]] = {}
     penalties: dict[int, dict[str, float]] = {}
@@ -223,8 +221,8 @@ def oracle_link_document(
         scored = []
         for candidate in doc_candidates[i]:
             ctx = dense_cosine(
-                oracle_context_terms(doc, mention, kb, lists),
-                oracle_article_terms(candidate, kb, lists),
+                oracle_context_terms(doc, mention, kb),
+                oracle_article_terms(candidate, kb),
                 kb.doc_freq,
                 kb.doc_count,
             )

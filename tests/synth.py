@@ -72,7 +72,6 @@ def empty_lists(**overrides) -> ReferenceLists:
         rare_blocklist=frozenset(),
         class_filters={},
         type_mapping={},
-        stopwords=frozenset(),
     )
     base.update(overrides)
     return ReferenceLists(**base)

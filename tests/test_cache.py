@@ -205,6 +205,19 @@ class TestIndexCache:
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             load_index(path)
 
+    @pytest.mark.parametrize(
+        "count", ["7", 7.0, True, None, -1], ids=["string", "float", "bool", "null", "negative"]
+    )
+    def test_bad_record_count_names_the_metadata_line(self, tmp_path, kb, lists, count):
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+        header, values = _read_lines(path)
+        values[0]["records"] = count
+        _write_lines(path, header, values)
+        message = f"{path}:2: corrupt index cache: records must be an integer >= 0"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_index(path)
+
     @pytest.mark.parametrize("target", ["Q999999", None], ids=["missing-id", "self-link"])
     def test_dangling_link_is_corrupt(self, tmp_path, kb, lists, target):
         path = tmp_path / "kb.idx"

@@ -529,24 +529,38 @@ class TestMalformedInputExitsOne:
         assert f"{pred}:1:" in err
 
 
+_OUT_NAMES_INPUT = [("build-index", "--kb", ""), ("link", "--corpus", ""),
+                    ("link", "--config", ".manifest.json"), ("evaluate", "--corpus", ""),
+                    ("stats", "--index", "")]
+
+
 @pytest.mark.parametrize(
-    "command,flag,suffix",
-    [("build-index", "--kb", ""), ("link", "--corpus", ""), ("link", "--config", ".manifest.json"),
-     ("evaluate", "--corpus", ""), ("stats", "--index", "")],
-    ids=["build-index", "link", "link-manifest", "evaluate", "stats"],
+    "command,flag,suffix,hard_link",
+    [(*case, False) for case in _OUT_NAMES_INPUT] + [(*case, True) for case in _OUT_NAMES_INPUT],
+    ids=["build-index", "link", "link-manifest", "evaluate", "stats", "build-index-hard-link",
+         "link-hard-link", "link-manifest-hard-link", "evaluate-hard-link", "stats-hard-link"],
 )
 def test_out_that_names_an_input_exits_one_and_writes_nothing(
-    tmp_path, data_dir, index_path, capsys, command, flag, suffix
+    tmp_path, data_dir, index_path, capsys, command, flag, suffix, hard_link
 ):
-    # `link` also writes `<out>.manifest.json`; the last `--out` wins.
-    out = os.path.join(tmp_path, ".", "input")
-    source = tmp_path / f"input{suffix}"
+    # `link` also writes `<out>.manifest.json`; the last `--out` wins. The
+    # output names the input by another spelling of its path, or is a
+    # second hard link to it, which no path resolves to.
+    if hard_link:
+        out = str(tmp_path / "input")
+        source = tmp_path / f"source{suffix}"
+    else:
+        out = os.path.join(tmp_path, ".", "input")
+        source = tmp_path / f"input{suffix}"
     shutil.copyfile(_source(flag, data_dir, index_path), source)
+    if hard_link:
+        os.link(source, f"{out}{suffix}")
+    files = sorted(tmp_path.iterdir())
     before = source.read_bytes()
     assert main([*_argv(command, flag, source, tmp_path, data_dir, index_path), "--out", out]) == 1
     assert capsys.readouterr().err == f"error: {out}{suffix}: refusing to overwrite the {flag} input\n"
     assert source.read_bytes() == before
-    assert list(tmp_path.iterdir()) == [source]
+    assert sorted(tmp_path.iterdir()) == files
 
 
 def _damaged(data, source):

@@ -166,9 +166,9 @@ class TestReferenceLists:
             ),
             encoding="utf-8",
         )
-        lists = load_reference_lists(path)
+        lists, stopwords = load_reference_lists(path)
         assert "سینما" in lists.class_filters["film"].triggers  # Arabic yeh folded
-        assert "ve" in lists.stopwords
+        assert "ve" in stopwords
 
     def test_unknown_ner_type_key_rejected(self, tmp_path):
         path = tmp_path / "lists.json"
@@ -223,17 +223,17 @@ class TestDocFreq:
     def test_doc_freq_never_exceeds_doc_count(self, kb):
         assert all(0 < df <= kb.doc_count for df in kb.doc_freq.values())
 
-    def test_doc_freq_equals_oracle_count(self, kb, lists, data_dir):
+    def test_doc_freq_equals_oracle_count(self, kb, data_dir):
         expected: Counter[str] = Counter()
         for _, obj in read_json_lines(data_dir / "mini_kb.jsonl"):
             tokens = oracle_tokenize(obj["article"], oracle_normalize)
-            expected.update({text for text, _, _ in tokens} - lists.stopwords)
+            expected.update({text for text, _, _ in tokens} - kb.stopwords)
         assert kb.doc_freq == expected
 
-    def test_stopwords_excluded_from_doc_freq(self, kb, lists):
-        assert not (set(kb.doc_freq) & lists.stopwords)
+    def test_stopwords_excluded_from_doc_freq(self, kb):
+        assert kb.stopwords and not (set(kb.doc_freq) & kb.stopwords)
 
-    def test_doc_freq_leaves_no_normalize_memo(self, kb, lists, data_dir, monkeypatch):
+    def test_doc_freq_leaves_no_normalize_memo(self, kb, data_dir, monkeypatch):
         memos = []
 
         class SpyForms(textnorm.NormalForms):
@@ -243,7 +243,7 @@ class TestDocFreq:
 
         monkeypatch.setattr("peyvand.kb.NormalForms", SpyForms)
         dump = data_dir / "mini_kb.jsonl"
-        assert read_dump(read_json_lines(dump), dump, lists.stopwords) == kb
+        assert read_dump(read_json_lines(dump), dump, kb.stopwords) == kb
         gc.collect()
         assert len(memos) == 1 and memos[0]() is None
         assert type(textnorm.persian_normalize) is types.FunctionType
@@ -350,8 +350,9 @@ class TestReferenceListsShape:
         with pytest.raises(InputError, match=rf"^{re.escape(f'{path}: {reason}')}$"):
             load_reference_lists(path)
 
-    def test_serialized_lists_parse_back_unchanged(self, lists):
-        assert parse_reference_lists(lists_to_obj(lists), "lists") == lists
+    def test_serialized_lists_parse_back_unchanged(self, kb, lists):
+        obj = lists_to_obj(lists, kb.stopwords)
+        assert parse_reference_lists(obj, "lists") == (lists, kb.stopwords)
 
 
 class TestBuildKb:

@@ -16,7 +16,15 @@ from peyvand import linker
 from peyvand.cache import save_index
 from peyvand.corpus import Document, Mention, NIL, write_predictions
 from peyvand.errors import InputError
-from peyvand.kb import KnowledgeBase, NerType, PosCategory, load_kb
+from peyvand.kb import (
+    KnowledgeBase,
+    NerType,
+    PosCategory,
+    load_kb,
+    load_reference_lists,
+    read_dump,
+    read_json_lines,
+)
 from peyvand.linker import FILTERS, ConfigError, LinkerConfig, link_document
 from peyvand import kb as kb_module, textnorm
 from peyvand.textnorm import NormalForms, tokenize
@@ -327,13 +335,12 @@ class TestContextScore:
         ids=["mention-ends-token", "mention-starts-token", "zwnj-compound"],
     )
     def test_token_the_mention_cuts_is_dropped_whole(self, text, context):
-        lists = empty_lists()
         doc = doc_of(text, mention_at(text, "هدف"))
-        assert oracle_context_terms(doc, doc.mentions[0], _COSINE_KB, lists) == context
+        assert oracle_context_terms(doc, doc.mentions[0], _COSINE_KB) == context
         score = cosine_scores(text)["C1"]
         oracle = dense_cosine(
             context,
-            oracle_article_terms("C1", _COSINE_KB, lists),
+            oracle_article_terms("C1", _COSINE_KB),
             _COSINE_KB.doc_freq,
             _COSINE_KB.doc_count,
         )
@@ -345,19 +352,19 @@ class TestContextScore:
         text, a, b = drawn
         words = sorted({t for t, _, _ in tokenize(text)})
         stopwords = frozenset(data.draw(st.lists(st.sampled_from(words)))) if words else frozenset()
-        lists = empty_lists(stopwords=stopwords)
+        lists = empty_lists()
         records = [entity("A", "هدف", article=text), entity("B", "هدف", article=other)]
         kb = build_kb(records, stopwords)
         # The span is drawn over the text; the surface only makes A and B
         # its candidates.
         doc = doc_of(text, Mention(a, b, "هدف"))
         mention = doc.mentions[0]
-        context = oracle_context_terms(doc, mention, kb, lists)
+        context = oracle_context_terms(doc, mention, kb)
         scores = context_scores(kb, lists, doc)
         assert set(scores) == {"A", "B"}
         for entity_id, score in scores.items():
             oracle = dense_cosine(
-                context, oracle_article_terms(entity_id, kb, lists), kb.doc_freq, kb.doc_count
+                context, oracle_article_terms(entity_id, kb), kb.doc_freq, kb.doc_count
             )
             assert abs(score - oracle) <= 1e-9
 
@@ -414,7 +421,7 @@ def context_documents(draw):
         entity(f"E{j}", "هدف", variants=("نشان",) if j % 2 else (), article=draw(articles))
         for j in range(draw(st.integers(1, 4)))
     ]
-    return build_kb(records, stopwords), empty_lists(stopwords=stopwords), doc_of(text, *mentions)
+    return build_kb(records, stopwords), empty_lists(), doc_of(text, *mentions)
 
 
 # The span cuts the first سیب, which recurs after it, so سیب moves from
@@ -435,13 +442,13 @@ def test_context_score_is_the_cosine_of_the_context_terms_bit_for_bit(case):
     kb, lists, doc = case
 
     def vector(words):
-        weights = linker._tfidf(Counter(words), kb, frozenset())
+        weights = linker._tfidf(Counter(words), kb)
         return weights, linker._norm(weights)
 
     for mention, kept in zip(doc.mentions, kept_candidates(kb, lists, ALL_OFF, doc)):
-        context = vector(oracle_context_terms(doc, mention, kb, lists))
+        context = vector(oracle_context_terms(doc, mention, kb))
         for entity_id, scored in kept.items():
-            article = vector(oracle_article_terms(entity_id, kb, lists))
+            article = vector(oracle_article_terms(entity_id, kb))
             assert scored.context_score == linker._cosine(*context, *article)
 
 
@@ -728,9 +735,9 @@ class TestConfigRejectsMalformedFlags:
 
 
 class TestArticleVectorMemo:
-    """Article vectors (keyed by the stopwords) and IDF weights are
-    memoized on the KB, and articles are stored in normal form; a warm KB
-    must link exactly like a freshly loaded one."""
+    """Article vectors (keyed by entity id) and IDF weights are memoized
+    on the KB, and articles are stored in normal form; a warm KB must link
+    exactly like a freshly loaded one."""
 
     @staticmethod
     def _load(data_dir):
@@ -740,23 +747,22 @@ class TestArticleVectorMemo:
     def _link_all(kb, lists, cfg, corpus):
         return [link_document(kb, lists, cfg, doc) for doc in corpus]
 
-    def test_interleaved_keys_match_fresh_kb_and_oracle(self, data_dir, mini_corpus):
-        shared, bundled = self._load(data_dir)
-        frequent = sorted(shared.doc_freq, key=lambda t: (-shared.doc_freq[t], t))[:5]
-        extra = replace(bundled, stopwords=bundled.stopwords | frozenset(frequent))
-        runs = [(bundled, LinkerConfig()), (extra, LinkerConfig())]
-        first = [self._link_all(shared, lists, cfg, mini_corpus) for lists, cfg in runs]
-        assert len(shared.article_vectors) == 2
-        assert first[0] != first[1]  # each key changes scores
-        for (lists, cfg), got in zip(runs, first):
-            fresh, _ = self._load(data_dir)
-            assert got == self._link_all(fresh, lists, cfg, mini_corpus)
-
-        second = [self._link_all(shared, lists, cfg, mini_corpus) for lists, cfg in runs]
+    def test_two_stopword_sets_give_two_kbs_that_match_the_oracle(self, data_dir, mini_corpus):
+        # The stopwords are fixed when a KB is built, so other stopwords
+        # take another KB, read from the same dump.
+        dump = data_dir / "mini_kb.jsonl"
+        lists, bundled = load_reference_lists(data_dir / "reference_lists.json")
+        kb = read_dump(read_json_lines(dump), dump, bundled)
+        frequent = sorted(kb.doc_freq, key=lambda t: (-kb.doc_freq[t], t))[:5]
+        kbs = [kb, read_dump(read_json_lines(dump), dump, bundled | frozenset(frequent))]
+        cfg = LinkerConfig()
+        first = [self._link_all(kb, lists, cfg, mini_corpus) for kb in kbs]
+        assert first[0] != first[1]  # the stopwords change scores
+        second = [self._link_all(kb, lists, cfg, mini_corpus) for kb in kbs]
         assert second == first
-        for (lists, cfg), results in zip(runs, second):
+        for kb, results in zip(kbs, first):
             for doc, got in zip(mini_corpus, results):
-                expected = oracle_link_document(shared, lists, cfg, doc)
+                expected = oracle_link_document(kb, lists, cfg, doc)
                 assert [r.decision for r in got] == [r.decision for r in expected]
                 for g, e in zip(got, expected):
                     assert g.score == pytest.approx(e.score, abs=1e-9)
@@ -783,7 +789,7 @@ class TestArticleVectorMemo:
                 stores[entity_id] += 1
                 super().__setitem__(entity_id, vector)
 
-        kb.article_vectors[lists.stopwords] = CountingVectors()
+        kb.article_vectors = CountingVectors()
         for _ in range(2):
             self._link_all(kb, lists, LinkerConfig(), mini_corpus)
         assert stores
@@ -820,7 +826,7 @@ class TestArticleVectorMemo:
         for doc in mini_corpus:
             expected.update(run for run, _, _ in oracle_tokenize(doc.text, lambda run: run))
             expected.update(mention.surface for mention in doc.mentions)
-        assert kb.article_vectors[lists.stopwords]
+        assert kb.article_vectors
         assert calls == Counter({s: 2 * n for s, n in expected.items()})
 
     def test_post_with_nothing_to_link_is_never_tokenized(self, monkeypatch):
@@ -844,7 +850,7 @@ class TestArticleVectorMemo:
         kb = build_kb([entity("E1", "هدف", article="سیب")])
         kb.entities["E1"] = replace(kb.entities["E1"], article_text="كتاب كتاب")  # Arabic kaf
         link_document(kb, empty_lists(), LinkerConfig(), doc_of("هدف", mention_at("هدف", "هدف")))
-        assert kb.article_vectors[frozenset()]["E1"][0].keys() == {"كتاب"}
+        assert kb.article_vectors["E1"][0].keys() == {"كتاب"}
 
 
 def test_scores_do_not_depend_on_how_sum_rounds(tmp_path, data_dir, mini_corpus, monkeypatch):
@@ -875,8 +881,9 @@ def test_idf_table_is_exact(case):
     the IDF table holds one entry per distinct df looked up."""
     doc_count, pairs = case
     names = [f"t{i}" for i in range(len(pairs))]
-    kb = KnowledgeBase({}, {}, doc_count, {t: df for t, (df, _) in zip(names, pairs) if df})
-    vector = linker._tfidf({t: n for t, (_, n) in zip(names, pairs)}, kb, frozenset())
+    doc_freq = {t: df for t, (df, _) in zip(names, pairs) if df}
+    kb = KnowledgeBase({}, {}, doc_count, doc_freq, frozenset())
+    vector = linker._tfidf({t: n for t, (_, n) in zip(names, pairs)}, kb)
     for term, (df, count) in zip(names, pairs):
         assert vector[term] == count * (math.log((1 + doc_count) / (1 + df)) + 1.0)
     assert len(kb.idf) == len({df for df, _ in pairs})
@@ -951,7 +958,7 @@ def linked_documents(draw):
         mentions.append(Mention(len(text), len(text) + len(surface), surface))
         text += surface + " "
     text += " ".join(draw(vocab))
-    return build_kb(records, stopwords), empty_lists(stopwords=stopwords), doc_of(text, *mentions)
+    return build_kb(records, stopwords), empty_lists(), doc_of(text, *mentions)
 
 
 @given(linked_documents(), st.sampled_from([LinkerConfig(), replace(ALL_OFF, nil_threshold=2.0)]))

@@ -153,7 +153,7 @@ def test_dump_load_save_load_is_identity(workdir, records, lists_obj):
         for r in records
     }
     assert kb.entities == resolved
-    content = [set(_oracle_terms(r.article_text)) - lists.stopwords for r in records]
+    content = [set(_oracle_terms(r.article_text)) - kb.stopwords for r in records]
     assert kb.doc_freq == Counter(t for terms in content for t in terms)
     for r in records:
         for label in (r.canonical_label, *r.variant_labels):
