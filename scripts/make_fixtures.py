@@ -328,7 +328,7 @@ def main() -> None:
         encoding="utf-8",
     )
 
-    kb, lists = load_kb(DATA / "mini_kb.jsonl", DATA / "reference_lists.json")
+    kb, lists, _ = load_kb(DATA / "mini_kb.jsonl", DATA / "reference_lists.json")
     docs = load_corpus(DATA / "mini_corpus.jsonl")
     cfg = LinkerConfig()
 

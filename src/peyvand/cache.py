@@ -95,9 +95,9 @@ def _load_body(fh: BinaryIO, path: str | Path) -> tuple[KnowledgeBase, Reference
         reason = f"doc_count must be an integer from {stored} to {count}"
         raise InputError(path, meta_line, reason)
 
-    kb = build_kb(records, frequencies, doc_count, stopwords)
-    if kb.dropped_links:
-        reason = f"{kb.dropped_links} out-link(s) point outside the index or back at their entity"
+    kb, dropped = build_kb(records, frequencies, doc_count, stopwords)
+    if n := sum(dropped):
+        reason = f"{n} out-link(s) point outside the index or back at their entity"
         raise InputError(path, None, reason)
     # A term occurs in at least one and at most every non-empty article.
     if not isinstance(frequencies, dict) or not all(

@@ -34,15 +34,11 @@ def _sha256(path: str | Path) -> str:
 
 
 def cmd_build_index(args: argparse.Namespace) -> int:
-    kb, lists = load_kb(args.kb, args.lists)
-    missing = kb.dropped_links - kb.self_links
-    if missing:
-        print(f"warning: dropped {missing} out-link(s) pointing outside the dump", file=sys.stderr)
-    if kb.self_links:
-        print(
-            f"warning: dropped {kb.self_links} self-link(s) from an entity to itself",
-            file=sys.stderr,
-        )
+    kb, lists, (outside, self_links) = load_kb(args.kb, args.lists)
+    if outside:
+        print(f"warning: dropped {outside} out-link(s) pointing outside the dump", file=sys.stderr)
+    if self_links:
+        print(f"warning: dropped {self_links} self-link(s) from an entity to itself", file=sys.stderr)
     save_index(kb, lists, args.out)
     print(
         f"indexed {len(kb.entities)} entities, {len(kb.alias_index)} aliases -> {args.out}",

@@ -105,12 +105,6 @@ class KnowledgeBase:
     The memos are derived data, not part of the KB: they are never saved
     to the index, `==` ignores them and `dataclasses.replace` starts them
     empty.
-
-    `dropped_links` counts the out-links that `build_kb` dropped, and
-    `self_links` how many of those pointed back at their own entity. Both
-    are build-time counts for `build-index`'s warnings: an index that
-    holds such a link is corrupt, so a loaded KB reads 0 for both, and
-    `==` ignores them.
     """
 
     entities: dict[str, EntityRecord]
@@ -118,8 +112,6 @@ class KnowledgeBase:
     doc_count: int
     doc_freq: dict[str, int]
     stopwords: frozenset[str]
-    dropped_links: int = field(default=0, compare=False)
-    self_links: int = field(default=0, compare=False)
     idf: IdfTable = field(init=False, repr=False, compare=False)
     article_vectors: dict[str, tuple[dict[str, float], float]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -354,26 +346,26 @@ def record_to_obj(record: EntityRecord) -> dict:
 def build_kb(
     records: Collection[EntityRecord], frequencies: dict[str, int], doc_count: int,
     stopwords: frozenset[str],
-) -> KnowledgeBase:
+) -> tuple[KnowledgeBase, tuple[int, int]]:
     """Build a knowledge base from `parse_record` output, its articles'
     document frequencies, its count of non-empty articles and the
     stopwords that the frequencies leave out.
 
     Out-links that point outside the records or back at the entity
-    itself are dropped and counted on `KnowledgeBase.dropped_links`, the
-    latter also on `self_links`; an incomplete dump subset is not an
-    error. A link repeated in the dump is one out-link. An alias that
-    normalizes to nothing is not indexed, so no surface can match it.
+    itself are dropped; an incomplete dump subset is not an error. The
+    second value counts them: the links outside, then the self-links. A
+    link repeated in the dump is one out-link. An alias that normalizes
+    to nothing is not indexed, so no surface can match it.
     """
     ids = {record.id for record in records}
     entities: dict[str, EntityRecord] = {}
-    dropped = self_links = 0
+    outside = self_links = 0
     for record in records:
         links = record.out_links
         if not links <= ids or record.id in links:
-            resolved = frozenset(l for l in links if l in ids and l != record.id)
-            dropped += len(links) - len(resolved)
+            outside += len(links - ids)
             self_links += record.id in links
+            resolved = frozenset(l for l in links if l in ids and l != record.id)
             record = replace(record, out_links=resolved)
         entities[record.id] = record
 
@@ -383,15 +375,14 @@ def build_kb(
             if key := persian_normalize(alias):
                 alias_sets.setdefault(key, set()).add(entity.id)
 
-    return KnowledgeBase(
+    kb = KnowledgeBase(
         entities=entities,
         alias_index={key: frozenset(members) for key, members in alias_sets.items()},
         doc_count=doc_count,
         doc_freq=frequencies,
         stopwords=stopwords,
-        dropped_links=dropped,
-        self_links=self_links,
     )
+    return kb, (outside, self_links)
 
 
 def read_records(
@@ -410,18 +401,21 @@ def read_records(
 
 def load_kb(
     dump_path: str | Path, lists_path: str | Path
-) -> tuple[KnowledgeBase, ReferenceLists]:
-    """Load a dump and its reference lists and build all indexes."""
+) -> tuple[KnowledgeBase, ReferenceLists, tuple[int, int]]:
+    """Load a dump and its reference lists and build all indexes; the
+    third value counts the dropped out-links as `build_kb` does."""
     lists, stopwords = load_reference_lists(lists_path)
-    return read_dump(read_json_lines(dump_path), dump_path, stopwords), lists
+    kb, dropped = read_dump(read_json_lines(dump_path), dump_path, stopwords)
+    return kb, lists, dropped
 
 
 def read_dump(
     lines: Iterable[tuple[int, object]], path: str | Path, stopwords: frozenset[str]
-) -> KnowledgeBase:
+) -> tuple[KnowledgeBase, tuple[int, int]]:
     """The knowledge base of numbered dump lines, each article stored in
-    normal form. Each article is tokenized once, and its terms give both
-    its stored text and its share of `doc_freq`: the number of non-empty
+    normal form, and its dropped out-links counted as `build_kb` does.
+    Each article is tokenized once, and its terms give both its stored
+    text and its share of `doc_freq`: the number of non-empty
     articles each term outside `stopwords` occurs in. `doc_count` counts
     the non-empty raw articles, so an article of punctuation alone, stored
     as "", still counts."""
@@ -445,5 +439,8 @@ def read_dump(
 
 
 def lookup_alias(kb: KnowledgeBase, surface: str) -> frozenset[str]:
-    """Entity ids whose canonical or variant label normalizes to `surface`."""
-    return kb.alias_index.get(persian_normalize(surface), frozenset())
+    """Entity ids whose canonical or variant label normalizes to `surface`.
+    A key is in normal form, so a surface that is a key is not normalized."""
+    # No key maps to an empty set, so `or` tries the normal form only for a non-key.
+    index = kb.alias_index
+    return index.get(surface) or index.get(persian_normalize(surface), frozenset())

@@ -17,16 +17,21 @@ is the count of distinct candidates of the document's other mentions that
 link to the candidate or that it links to, divided by the highest such
 count among the mention's candidates (0 when that is 0).
 The top candidate wins unless its combined score falls below the NIL
-threshold; rejected candidates are kept on a ranked ambiguity list.
+threshold; rejected candidates are kept on a ranked ambiguity list, by
+combined score and then by entity id. Candidates are named tuples, so
+each costs one tuple to build.
 
 The document's terms are counted and weighted once, up front. Each
 mention's context vector is a copy of that vector with the terms of its
 touched tokens patched: a term left with no count goes, one that also
 occurs before the span gets its new weight in place. The terms keep the
 order of their first occurrence in the context, because the norm and the
-cosine sum in that order and another order would round differently; a
-touched term that first occurs in the span and recurs after it changes
-that order, so then the mention's vector is rebuilt. Both sums are
+cosine sum in that order and another order would round differently. A
+touched term that first occurs in the span and recurs after it moves in
+that order, so then the patched vector is re-keyed by the context's
+distinct words, in order. That is exact: after patching, each term of the
+context holds its context count times its IDF, the same product that a
+fresh count would give, and only the order was off. Both sums are
 explicit left-to-right loops, not `sum()`, which compensates its rounding
 from Python 3.12 on, so the scores are the same bits on every supported
 Python.
@@ -48,7 +53,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from operator import itemgetter
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InputError, PeyvandError
 from .corpus import Document, Mention, NIL, _Nil
@@ -139,8 +144,7 @@ class LinkerConfig:
         }
 
 
-@dataclass(frozen=True)
-class ScoredCandidate:
+class ScoredCandidate(NamedTuple):
     entity_id: str
     context_score: float
     graph_score: float
@@ -153,6 +157,11 @@ class LinkResult:
     decision: str | _Nil
     score: float
     ambiguity: tuple[ScoredCandidate, ...]
+
+
+# The result of a mention that keeps no candidate. It is immutable, so all share it.
+_NO_CANDIDATE = LinkResult(NIL, 0.0, ())
+_COMBINED = itemgetter(4)  # `ScoredCandidate.combined`
 
 
 def _tfidf(counts: Mapping[str, int], kb: KnowledgeBase) -> dict[str, float]:
@@ -182,22 +191,27 @@ def _context(
 ) -> dict[str, float]:
     """The TF-IDF vector of `words` without `words[a:b]`, term for term and
     in the order `_tfidf(Counter(...))` gives: the document's `doc_vector`,
-    built from its `counts`, with each touched term patched in place or,
-    when a touched term moves in that order, rebuilt."""
+    built from its `counts`, with each touched term's weight patched in
+    place and, when a touched term moves in that order, re-keyed in the
+    order of the context's words."""
     if a == b:
         return doc_vector
+    idf, doc_freq, stopwords = kb.idf, kb.doc_freq, kb.stopwords
     vector = doc_vector.copy()
     touched = words[a:b]
+    moved = False
     for t in touched:
-        if t in kb.stopwords:
+        if t in stopwords:
             continue
         n = counts[t] - touched.count(t)
         if not n:
             vector.pop(t, None)  # `touched` may hold `t` twice
-        elif words.index(t) < a:
-            vector[t] = n * kb.idf[kb.doc_freq.get(t, 0)]
         else:
-            return _tfidf(Counter(words[:a] + words[b:]), kb)
+            vector[t] = n * idf[doc_freq.get(t, 0)]
+            # `t` moves if it first occurs in the span, since it recurs after it.
+            moved = moved or words.index(t) >= a
+    if moved:
+        return {t: vector[t] for t in dict.fromkeys(words[:a] + words[b:]) if t in vector}
     return vector
 
 
@@ -275,7 +289,7 @@ def link_document(
     lam = cfg.lambda_weight
     kept = [_kept(kb, lists, cfg, mention) for mention in doc.mentions]
     if not any(kept):
-        return [LinkResult(NIL, 0.0, ()) for _ in kept]
+        return [_NO_CANDIDATE] * len(kept)
     tokens = tokenize(doc.text)
     words = [t for t, _, _ in tokens]
     counts = Counter(words)
@@ -286,7 +300,7 @@ def link_document(
     results = []
     for mention, candidates in zip(doc.mentions, kept):
         if not candidates:
-            results.append(LinkResult(NIL, 0.0, ()))
+            results.append(_NO_CANDIDATE)
             continue
         # Class-specific evidence: generic names (artwork titles and the like) keep their
         # full rate only when a non-stopword trigger term is in the document (`doc_vector`).
@@ -325,7 +339,8 @@ def link_document(
             penalty = own[entity_id]
             combined = penalty * (lam * ctx + (1.0 - lam) * graph)
             scored.append(ScoredCandidate(entity_id, ctx, graph, penalty, combined))
-        scored.sort(key=lambda c: (-c.combined, c.entity_id))
+        # Stable, and `scored` is in id order: a tie goes to the lowest id.
+        scored.sort(key=_COMBINED, reverse=True)
         top = scored[0]
         if top.combined < cfg.nil_threshold:
             results.append(LinkResult(NIL, top.combined, tuple(scored)))

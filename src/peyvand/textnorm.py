@@ -20,9 +20,10 @@ Text is split by one `str.translate` table that maps every separator
 first sight of each codepoint, so it holds at most one entry per distinct
 codepoint seen: a few hundred on typical text, and at worst, for an input
 holding every codepoint, 1,114,112 entries in about 74 MiB, of which 848
-are separators. `terms` splits on whitespace first and sends only the
-words that are not all letters and digits through the table, since no
-letter or digit is a separator.
+are separators. `tokenize` splits the translated text on spaces and
+finds each run's offset with `str.index`. `terms` splits on whitespace
+first and sends only the words that are not all letters and digits
+through the table, since no letter or digit is a separator.
 """
 
 from __future__ import annotations
@@ -115,7 +116,6 @@ class _SeparatorTable(dict):
 
 
 _SEPARATORS = _SeparatorTable()
-_RUN = re.compile("[^ ]+")
 
 
 def tokenize(s: str) -> list[tuple[str, int, int]]:
@@ -125,11 +125,17 @@ def tokenize(s: str) -> list[tuple[str, int, int]]:
     Slices that normalize to nothing (bare tatweel runs and the like) are
     dropped, as is punctuation by construction.
     """
-    # The translation is one character for one, so run offsets are offsets into `s`.
+    # The translation is one character for one and leaves every other
+    # character as it is, so each run is the slice of `s` at its offsets.
+    # Only spaces separate the runs, so the next run starts at the first
+    # place at or after the last run's end where it occurs.
+    translated = s.translate(_SEPARATORS)
     tokens = []
-    for run in _RUN.finditer(s.translate(_SEPARATORS)):
-        start, end = run.span()
-        text = persian_normalize(s[start:end])
+    end = 0
+    for run in translated.split():
+        start = translated.index(run, end)
+        end = start + len(run)
+        text = persian_normalize(run)
         if text:
             tokens.append((text, start, end))
     return tokens

@@ -22,13 +22,15 @@ from peyvand.linker import LinkerConfig, ScoredCandidate, link_document
 from peyvand.textnorm import ARABIC_DIACRITICS, ARABIC_KAF, ARABIC_YEH, TATWEEL, ZWNJ
 
 # What the tokenizer must split or keep: Persian and Arabic letters, the
-# Arabic kaf/yeh, ZWNJ, tatweel, harakat, a combining mark, ASCII and
-# Arabic punctuation, Unicode spaces, digits and Latin letters.
+# Arabic kaf/yeh, ZWNJ, tatweel, harakat, the madda and hamza marks
+# (U+0653-U+0655, which compose with alef once a tatweel or ZWNJ between
+# them is deleted), a combining mark, ASCII and Arabic punctuation, Unicode spaces,
+# digits and Latin letters.
 tokenizer_text = st.text(
     alphabet=st.one_of(
         st.characters(min_codepoint=0x0621, max_codepoint=0x064A),
         st.sampled_from("پچژگکیآ" + ARABIC_KAF + ARABIC_YEH + ZWNJ + TATWEEL),
-        st.sampled_from(ARABIC_DIACRITICS + ("\u0301", "\u0670")),
+        st.sampled_from(ARABIC_DIACRITICS + ("\u0301", "\u0670", "\u0653", "\u0654", "\u0655")),
         st.sampled_from(".,!?;:()-\"'،؛؟٫«»…"),
         st.sampled_from(" \t\n\u00a0\u2009\u202f\u3000\u2028"),
         st.sampled_from("0123456789۰۱۲۳۴۵۶۷۸۹"),
@@ -64,7 +66,8 @@ def entity(
 
 def build_kb(records: list[EntityRecord], stopwords: frozenset[str] = frozenset()) -> KnowledgeBase:
     """Index records the way `load_kb` reads a dump, without file round-trips."""
-    return kb.read_dump(enumerate(map(kb.record_to_obj, records), start=1), "records", stopwords)
+    lines = enumerate(map(kb.record_to_obj, records), start=1)
+    return kb.read_dump(lines, "records", stopwords)[0]
 
 
 def empty_lists(**overrides) -> ReferenceLists:

@@ -77,13 +77,13 @@ class TestLoadKb:
             _record("A", "آلفا", ["الف"]) + "\n" + _record("B", "بتا", ["ب"]) + "\n",
             encoding="utf-8",
         )
-        kb, _ = load_kb(dump, lists_file)
+        kb, _, _ = load_kb(dump, lists_file)
         assert len(kb.alias_index) == 4
 
     def test_empty_dump(self, tmp_path, lists_file):
         dump = tmp_path / "kb.jsonl"
         dump.write_text("", encoding="utf-8")
-        kb, _ = load_kb(dump, lists_file)
+        kb, _, _ = load_kb(dump, lists_file)
         assert kb.entities == {}
         assert lookup_alias(kb, "هرچیزی") == frozenset()
         assert kb.doc_count == 0
@@ -94,18 +94,16 @@ class TestLoadKb:
             _record("E1", "یک", links=["E_missing", "E2"]) + "\n" + _record("E2", "دو") + "\n",
             encoding="utf-8",
         )
-        kb, _ = load_kb(dump, lists_file)
+        kb, _, dropped = load_kb(dump, lists_file)
         assert kb.entities["E1"].out_links == frozenset({"E2"})
-        assert kb.dropped_links == 1
-        assert kb.self_links == 0
+        assert dropped == (1, 0)
 
     def test_self_link_dropped_and_counted(self, tmp_path, lists_file):
         dump = tmp_path / "kb.jsonl"
         dump.write_text(_record("E1", "یک", links=["E1"]) + "\n", encoding="utf-8")
-        kb, _ = load_kb(dump, lists_file)
+        kb, _, dropped = load_kb(dump, lists_file)
         assert kb.entities["E1"].out_links == frozenset()
-        assert kb.dropped_links == 1
-        assert kb.self_links == 1
+        assert dropped == (0, 1)
 
     def test_duplicate_id_rejected(self, tmp_path, lists_file):
         dump = tmp_path / "kb.jsonl"
@@ -126,7 +124,7 @@ class TestLoadKb:
     def test_rare_flag_defaults_false(self, tmp_path, lists_file):
         dump = tmp_path / "kb.jsonl"
         dump.write_text(_record("E1", "یک") + "\n" + _record("E2", "دو", rare=True) + "\n", encoding="utf-8")
-        kb, _ = load_kb(dump, lists_file)
+        kb, _, _ = load_kb(dump, lists_file)
         assert not kb.entities["E1"].rare
         assert kb.entities["E2"].rare
 
@@ -137,7 +135,7 @@ class TestLoadKb:
             + _record("E3", "سه", article="«…»") + "\n",
             encoding="utf-8",
         )
-        kb, _ = load_kb(dump, lists_file)
+        kb, _, _ = load_kb(dump, lists_file)
         assert kb.doc_count == 2  # punctuation alone is stored as "" but counts
         assert kb.entities["E3"].article_text == ""
 
@@ -212,7 +210,7 @@ class TestLookupAlias:
     def test_alias_that_normalizes_to_nothing_is_not_indexed(self, tmp_path, lists_file):
         dump = tmp_path / "kb.jsonl"
         dump.write_text(_record("E1", "ـ", ["یک"]) + "\n", encoding="utf-8")  # a bare tatweel
-        kb, _ = load_kb(dump, lists_file)
+        kb, _, _ = load_kb(dump, lists_file)
         assert "" not in kb.alias_index
         for surface in ("ـ", "", " "):
             assert lookup_alias(kb, surface) == frozenset() == brute_force_candidates(kb, surface)
@@ -243,7 +241,7 @@ class TestDocFreq:
 
         monkeypatch.setattr("peyvand.kb.NormalForms", SpyForms)
         dump = data_dir / "mini_kb.jsonl"
-        assert read_dump(read_json_lines(dump), dump, kb.stopwords) == kb
+        assert read_dump(read_json_lines(dump), dump, kb.stopwords) == (kb, (0, 0))
         gc.collect()
         assert len(memos) == 1 and memos[0]() is None
         assert type(textnorm.persian_normalize) is types.FunctionType
@@ -361,10 +359,9 @@ class TestBuildKb:
             (1, json.loads(_record("A", "آلفا", links=("B", "A", "Z"), article="متنِ كوتاه"))),
             (2, json.loads(_record("B", "بتا", ["آلفا"]))),
         ]
-        kb = read_dump(lines, "d", frozenset())
+        kb, dropped = read_dump(lines, "d", frozenset())
         assert kb.entities["A"].out_links == frozenset({"B"})
-        assert kb.dropped_links == 2
-        assert kb.self_links == 1
+        assert dropped == (1, 1)
         assert kb.doc_count == 1
         assert kb.entities["A"].article_text == "متن کوتاه"
         assert kb.alias_index[normalize("آلفا")] == frozenset({"A", "B"})
@@ -376,7 +373,7 @@ class TestBuildKb:
                 (("A", "سیب سیب و"), ("B", "سیب!"), ("C", ""), ("D", "؟!")), start=1
             )
         ]
-        kb = read_dump(lines, "d", frozenset({"و"}))
+        kb, _ = read_dump(lines, "d", frozenset({"و"}))
         assert kb.doc_freq == {"سیب": 2}
         assert kb.doc_count == 3
         assert [e.article_text for e in kb.entities.values()] == ["سیب سیب و", "سیب", "", ""]

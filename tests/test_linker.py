@@ -452,6 +452,34 @@ def test_context_score_is_the_cosine_of_the_context_terms_bit_for_bit(case):
             assert scored.context_score == linker._cosine(*context, *article)
 
 
+@st.composite
+def context_spans(draw):
+    """Words from `_VOCAB`, a span `a:b` of them, and a KB with stopwords
+    from `_VOCAB` whose articles give the terms their frequencies."""
+    words = draw(st.lists(st.sampled_from(_VOCAB), max_size=16))
+    a = draw(st.integers(0, len(words)))
+    b = draw(st.integers(a, len(words)))
+    stopwords = frozenset(draw(st.lists(st.sampled_from(_VOCAB), max_size=2)))
+    articles = draw(st.lists(st.lists(st.sampled_from(_VOCAB), max_size=6).map(" ".join),
+                             min_size=1, max_size=4))
+    kb = build_kb([entity(f"E{j}", article=t) for j, t in enumerate(articles)], stopwords)
+    return words, a, b, kb
+
+
+@given(context_spans())
+@example(("انار سیب موز سیب".split(), 1, 2, build_kb([entity("E0", article="سیب")])))
+@settings(max_examples=300, deadline=None)
+def test_context_vector_is_a_fresh_count_of_the_context(case):
+    """The patched, and where a term moves re-keyed, document vector is
+    the vector of the context words counted afresh, item for item and in
+    order."""
+    words, a, b, kb = case
+    counts = Counter(words)
+    got = linker._context(words, a, b, counts, linker._tfidf(counts, kb), kb)
+    expected = linker._tfidf(Counter(words[:a] + words[b:]), kb)
+    assert list(got.items()) == list(expected.items())
+
+
 class TestGraphScore:
     def test_single_mention_document_scores_zero(self, kb):
         doc = doc_of("تهران", mention_at("تهران", "تهران"))
@@ -741,7 +769,7 @@ class TestArticleVectorMemo:
 
     @staticmethod
     def _load(data_dir):
-        return load_kb(data_dir / "mini_kb.jsonl", data_dir / "reference_lists.json")
+        return load_kb(data_dir / "mini_kb.jsonl", data_dir / "reference_lists.json")[:2]
 
     @staticmethod
     def _link_all(kb, lists, cfg, corpus):
@@ -752,9 +780,9 @@ class TestArticleVectorMemo:
         # take another KB, read from the same dump.
         dump = data_dir / "mini_kb.jsonl"
         lists, bundled = load_reference_lists(data_dir / "reference_lists.json")
-        kb = read_dump(read_json_lines(dump), dump, bundled)
+        kb, _ = read_dump(read_json_lines(dump), dump, bundled)
         frequent = sorted(kb.doc_freq, key=lambda t: (-kb.doc_freq[t], t))[:5]
-        kbs = [kb, read_dump(read_json_lines(dump), dump, bundled | frozenset(frequent))]
+        kbs = [kb, read_dump(read_json_lines(dump), dump, bundled | frozenset(frequent))[0]]
         cfg = LinkerConfig()
         first = [self._link_all(kb, lists, cfg, mini_corpus) for kb in kbs]
         assert first[0] != first[1]  # the stopwords change scores
@@ -821,11 +849,12 @@ class TestArticleVectorMemo:
             self._link_all(kb, lists, LinkerConfig(), mini_corpus)
 
         # Only each document's runs, when it is tokenized, and each
-        # mention's surface, when its candidates are looked up.
+        # mention's surface that is not an alias key as it stands, when
+        # its candidates are looked up.
         expected: Counter[str] = Counter()
         for doc in mini_corpus:
             expected.update(run for run, _, _ in oracle_tokenize(doc.text, lambda run: run))
-            expected.update(mention.surface for mention in doc.mentions)
+            expected.update(m.surface for m in doc.mentions if m.surface not in kb.alias_index)
         assert kb.article_vectors
         assert calls == Counter({s: 2 * n for s, n in expected.items()})
 
@@ -840,8 +869,10 @@ class TestArticleVectorMemo:
         calls = self._count_normalize(monkeypatch)
         for _ in range(2):
             got = link_document(kb, lists, LinkerConfig(), doc)
-        # Only each mention's surface, when its candidates are looked up.
-        assert calls == Counter({mention.surface: 2 for mention in doc.mentions})
+        # Only each mention's surface that is not an alias key as it
+        # stands, when its candidates are looked up: here "ناشناس".
+        assert calls == Counter({mention.surface: 2 for mention in doc.mentions
+                                 if mention.surface not in kb.alias_index})
         assert got == oracle_link_document(kb, lists, LinkerConfig(), doc)
         assert [r.decision for r in got] == [NIL, NIL]
 
@@ -859,7 +890,7 @@ def test_scores_do_not_depend_on_how_sum_rounds(tmp_path, data_dir, mini_corpus,
     rounding: with `sum` shadowed by the correctly rounded `math.fsum`, the
     predictions still equal the golden file byte for byte."""
     monkeypatch.setattr(linker, "sum", math.fsum, raising=False)
-    kb, lists = load_kb(data_dir / "mini_kb.jsonl", data_dir / "reference_lists.json")
+    kb, lists, _ = load_kb(data_dir / "mini_kb.jsonl", data_dir / "reference_lists.json")
     results = [link_document(kb, lists, LinkerConfig(), doc) for doc in mini_corpus]
     write_predictions(mini_corpus, results, tmp_path / "predictions.jsonl")
     golden = (data_dir / "golden_predictions.jsonl").read_bytes()

@@ -141,7 +141,7 @@ def _oracle_terms(article):
 @given(records=_records(), lists_obj=_lists_obj)
 @settings(deadline=None)
 def test_dump_load_save_load_is_identity(workdir, records, lists_obj):
-    kb, lists = load_kb(*_write_dump(workdir, records, lists_obj))
+    kb, lists, _ = load_kb(*_write_dump(workdir, records, lists_obj))
 
     ids = {r.id for r in records}
     resolved = {
@@ -174,7 +174,7 @@ def test_stored_articles_are_the_oracle_terms(workdir, records):
     """Each stored article splits into the oracle's terms of its raw text,
     and N counts the non-empty raw articles, whether the knowledge base
     comes from the dump or from its index."""
-    kb, lists = load_kb(*_write_dump(workdir, records, {}))
+    kb, lists, _ = load_kb(*_write_dump(workdir, records, {}))
     save_index(kb, lists, workdir / "kb.idx")
     for loaded, _ in ((kb, lists), load_index(workdir / "kb.idx")):
         for r in records:
