@@ -3,19 +3,22 @@
 The format is a magic header line followed by JSON lines: the metadata
 (record count, `doc_count` and the reference lists in the lists file's
 shape), then the article document frequencies, then one dump record per
-line, sorted by id, with its article in normal form and its out-links
-resolved. Keys and set members are sorted, so rebuilding from unchanged
-inputs is byte-identical. The records are read back by the dump's own
-record loop (`kb.read_records`) and the lists by the lists file's
-parser, so a malformed or repeated record fails the way it does in a
-dump, naming its line; no article is normalized again. Every error after
-the header is an `InputError` whose reason starts `corrupt index cache:`.
-The record count makes a file cut off at a line boundary fail instead of
-loading part of the knowledge base. `doc_count` is stored because an
-article of punctuation alone is stored as "" yet counts in it. A link to
-an unknown id or to its own entity, which `build-index` drops, is an
-error. A version bump in the header invalidates old caches loudly
-instead of misreading them.
+line, sorted by id, with its out-links resolved and its article stored
+as its bag of terms, `[terms, counts]`: the distinct normalized terms
+outside the stopwords, in order of first occurrence and joined by single
+spaces, and one count per term. Keys and set members are sorted, so
+rebuilding from unchanged inputs is byte-identical. The records are read
+back by the dump's own record loop (`kb.read_records`) and the lists by
+the lists file's parser, so a malformed or repeated record, or a bag
+whose counts are not one positive integer per term, fails the way a dump
+record does, naming its line; no article is normalized or counted again.
+Every error after the header is an `InputError` whose reason starts
+`corrupt index cache:`. The record count makes a file cut off at a line
+boundary fail instead of loading part of the knowledge base. `doc_count`
+is stored because an article of punctuation or stopwords alone is stored
+as an empty bag yet counts in it. A link to an unknown id or to its own
+entity, which `build-index` drops, is an error. A version bump in the
+header invalidates old caches loudly instead of misreading them.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .kb import (
 )
 
 MAGIC = b"#peyvand-index"
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 _HEADER = MAGIC + b":v%d\n" % CACHE_VERSION
 _META_KEYS = ("doc_count", "lists", "records")
 

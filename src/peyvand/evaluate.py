@@ -9,6 +9,9 @@ Per-mention accounting, aligned by (document id, mention index):
     gold NIL,    predicted NIL          -> ignored
     gold absent                         -> mention excluded
 
+A prediction record must carry its gold document's text, mention count
+and spans; any mismatch is an `AlignmentError` for that document.
+
 The total row is the micro-average: counts are summed over categories
 before precision, recall and F1 are computed. 0/0 ratios are 0.
 """
@@ -79,6 +82,8 @@ def score_predictions(gold: Sequence[Document], predictions: Sequence[Document])
         pred = by_id.get(doc.id)
         if pred is None:
             raise AlignmentError(f"no prediction record for document {doc.id!r}")
+        if pred.text != doc.text:
+            raise AlignmentError(f"document {doc.id!r}: text differs between gold and prediction")
         if len(pred.mentions) != len(doc.mentions):
             raise AlignmentError(
                 f"document {doc.id!r}: {len(doc.mentions)} gold mentions but "

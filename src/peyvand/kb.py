@@ -5,6 +5,12 @@ A dump is UTF-8 JSON lines, one entity per line:
     {"id": ..., "label": ..., "variants": [...], "class": ..., "ner_type": ...,
      "pos": ..., "article": ..., "links": [...], "rare": false}
 
+A knowledge base keeps each article as its bag of terms: its distinct
+normalized terms outside the stopwords, in order of first occurrence,
+each with its count. The index writes a record in the dump's shape with
+that bag as its article, `["t1 t2", [2, 1]]`, and reads it back through
+the same record reader.
+
 Reference lists live in a single JSON file: the filter lists `rare_blocklist`,
 `class_filters` and `type_mapping`, and the knowledge base's `stopwords`.
 
@@ -21,6 +27,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import filterfalse
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
@@ -46,9 +53,11 @@ class PosCategory(str, Enum):
 
 @dataclass(frozen=True)
 class EntityRecord:
-    """One entity. In a knowledge base, `article_text` holds the article in
-    normal form: the texts of its tokens, normalized, joined by single
-    spaces, so that `article_text.split()` gives its terms in order."""
+    """One entity. Its article is a bag of terms: `article_text` holds the
+    article's distinct normalized terms outside the stopwords, in order of
+    first occurrence, joined by single spaces, and `article_counts` holds
+    how often each occurs, so that `zip(article_text.split(),
+    article_counts)` gives the article's term counts in order."""
 
     id: str
     canonical_label: str
@@ -57,6 +66,7 @@ class EntityRecord:
     ner_type: NerType
     pos_category: PosCategory
     article_text: str
+    article_counts: tuple[int, ...]
     out_links: frozenset[str]
     rare: bool = False
 
@@ -279,13 +289,37 @@ def lists_to_obj(lists: ReferenceLists, stopwords: frozenset[str]) -> dict:
 
 _RECORD_KEYS = ("id", "label", "variants", "class", "ner_type", "pos", "article", "links")
 _RECORD_ALLOWED = frozenset((*_RECORD_KEYS, "rare"))
+_INT = {int}
+
+
+def stored_article(value: object) -> tuple[str, tuple[int, ...]]:
+    """The bag of an article that `record_to_obj` wrote: `[terms, counts]`,
+    the terms joined by single spaces and one positive integer count per
+    term. A value of another shape raises `ValueError`; a term that is
+    repeated or empty is left to `linker.link_document` to refuse."""
+    if type(value) is not list or len(value) != 2 or type(value[0]) is not str:
+        raise ValueError("article must be an array of its terms and their counts")
+    text, counts = value
+    # JSON gives `bool` for true, which `type(n) is int` leaves out.
+    if type(counts) is not list or (counts and (set(map(type, counts)) != _INT or min(counts) < 1)):
+        raise ValueError("article counts must be an array of positive integers")
+    stored = text.count(" ") + 1 if text else 0
+    if len(counts) != stored:
+        raise ValueError(f"article holds {stored} term(s) but {len(counts)} count(s)")
+    return text, tuple(counts)
 
 
 def parse_record(
-    obj: object, path: str | Path, line_no: int, article: Callable[[str], str] = str
+    obj: object,
+    path: str | Path,
+    line_no: int,
+    article: Callable[[object], tuple[str, tuple[int, ...]]] = stored_article,
 ) -> EntityRecord:
-    """Validate one dump record; returns it with its out-links unresolved
-    and its article text mapped by `article`, which by default keeps it."""
+    """Validate one record; returns it with its out-links unresolved and
+    its article the bag that `article` makes of the record's `article`
+    value, or an error on the record's line with the reason of the
+    `ValueError` that `article` raises. By default the value is a stored
+    bag, as `record_to_obj` writes it."""
     if reason := key_error(obj, "record", _RECORD_KEYS, _RECORD_ALLOWED):
         raise InputError(path, line_no, reason)
     entity_id = obj["id"]
@@ -302,8 +336,10 @@ def parse_record(
         raise InputError(path, line_no, "links must be an array of entity ids")
     if not isinstance(obj["class"], str):
         raise InputError(path, line_no, "class must be a string")
-    if not isinstance(obj["article"], str):
-        raise InputError(path, line_no, "article must be a string")
+    try:
+        text, counts = article(obj["article"])
+    except ValueError as exc:
+        raise InputError(path, line_no, str(exc)) from None
     try:
         ner = NerType(obj["ner_type"])
     except ValueError:
@@ -322,14 +358,16 @@ def parse_record(
         kb_class=obj["class"],
         ner_type=ner,
         pos_category=pos,
-        article_text=article(obj["article"]),
+        article_text=text,
+        article_counts=counts,
         out_links=frozenset(links),  # resolved by `build_kb`
         rare=rare,
     )
 
 
 def record_to_obj(record: EntityRecord) -> dict:
-    """The dump-line shape of a record, with its sets sorted."""
+    """The dump-line shape of a record, with its sets sorted and its article
+    the bag `[terms, counts]` that `stored_article` reads."""
     return {
         "id": record.id,
         "label": record.canonical_label,
@@ -337,7 +375,7 @@ def record_to_obj(record: EntityRecord) -> dict:
         "class": record.kb_class,
         "ner_type": record.ner_type.value,
         "pos": record.pos_category.value,
-        "article": record.article_text,
+        "article": [record.article_text, list(record.article_counts)],
         "links": sorted(record.out_links),
         "rare": record.rare,
     }
@@ -386,7 +424,9 @@ def build_kb(
 
 
 def read_records(
-    lines: Iterable[tuple[int, object]], path: str | Path, article: Callable[[str], str] = str
+    lines: Iterable[tuple[int, object]],
+    path: str | Path,
+    article: Callable[[object], tuple[str, tuple[int, ...]]] = stored_article,
 ) -> Collection[EntityRecord]:
     """`parse_record` each numbered dump line, in order, with `article`; a
     repeated id is an `InputError` on the line that repeats it."""
@@ -412,30 +452,33 @@ def load_kb(
 def read_dump(
     lines: Iterable[tuple[int, object]], path: str | Path, stopwords: frozenset[str]
 ) -> tuple[KnowledgeBase, tuple[int, int]]:
-    """The knowledge base of numbered dump lines, each article stored in
-    normal form, and its dropped out-links counted as `build_kb` does.
-    Each article is tokenized once, and its terms give both its stored
-    text and its share of `doc_freq`: the number of non-empty
-    articles each term outside `stopwords` occurs in. `doc_count` counts
-    the non-empty raw articles, so an article of punctuation alone, stored
-    as "", still counts."""
+    """The knowledge base of numbered dump lines and its dropped out-links,
+    counted as `build_kb` does. Each article is tokenized and counted
+    once, stopwords dropped, and its bag gives both the stored record and
+    its share of `doc_freq`: the number of non-empty articles that hold
+    each of its terms. `doc_count` counts the non-empty raw articles, so
+    an article of punctuation or stopwords alone, stored as an empty bag,
+    still counts."""
     # Articles repeat words, so normalize each distinct run once; the memo
     # lives only as long as this call.
     normal = NormalForms().__getitem__
-    counts: Counter[str] = Counter()
+    is_stopword = stopwords.__contains__
+    frequencies: Counter[str] = Counter()
     doc_count = 0
 
-    def article(raw: str) -> str:
+    def article(raw: object) -> tuple[str, tuple[int, ...]]:
         nonlocal doc_count
+        if not isinstance(raw, str):
+            raise ValueError("article must be a string")
         if not raw:
-            return raw
+            return "", ()
         doc_count += 1
-        words = terms(raw, normal)
-        counts.update({t for t in words if t not in stopwords})
-        return " ".join(words)
+        bag = Counter(filterfalse(is_stopword, terms(raw, normal)))
+        frequencies.update(bag.keys())
+        return " ".join(bag), tuple(bag.values())
 
     records = read_records(lines, path, article)
-    return build_kb(records, dict(counts), doc_count, stopwords)
+    return build_kb(records, dict(frequencies), doc_count, stopwords)
 
 
 def lookup_alias(kb: KnowledgeBase, surface: str) -> frozenset[str]:

@@ -39,6 +39,18 @@ Python.
 The document's candidate graph is built once too, up front:
 each kept candidate's neighbours among all kept candidates, either way.
 
+An article's vector is built on the first use of its entity and kept in
+`kb.article_vectors`. The knowledge base stores each article as its bag:
+its distinct terms outside the stopwords, in order of first occurrence,
+each with its count. Those are the counts, in the same order, that
+`Counter` gives of the article's terms once the stopwords are dropped, so
+the vector equals `_tfidf(Counter(terms))` item for item and in order,
+and so do its norm and every cosine, to the bit. Every stored term is a
+`doc_freq` key, because the frequencies are counted from the bags. A
+term that is not, or a bag whose terms repeat, was edited after the
+build, and linking fails with a `PeyvandError` that names the entity
+instead of weighing it with df 0.
+
 Above a NIL threshold of 1 every mention abstains, so its ambiguity list
 holds each kept candidate with its context score, graph score and penalty;
 the tests check each stage that way.
@@ -230,6 +242,31 @@ def _cosine(a: Mapping[str, float], norm_a: float, b: Mapping[str, float], norm_
     return dot / (norm_a * norm_b)
 
 
+def _article_vector(
+    kb: KnowledgeBase, entity_id: str, record: EntityRecord
+) -> tuple[dict[str, float], float]:
+    """The TF-IDF vector and norm of the entity's stored article bag, each
+    distinct term interned once, so that the vectors of all articles share
+    one string per term. A term that `kb.doc_freq` does not hold, or a bag
+    whose terms repeat or do not match its counts one for one, raises
+    `PeyvandError`: the stored article was edited."""
+    terms, counts = record.article_text.split(), record.article_counts
+    idf, doc_freq = kb.idf, kb.doc_freq
+    try:
+        weights = {sys.intern(t): n * idf[doc_freq[t]] for t, n in zip(terms, counts)}
+    except KeyError as exc:
+        reason = f"stored article term {exc.args[0]!r} has no document frequency"
+        raise PeyvandError(f"entity {entity_id!r}: {reason}") from None
+    if not len(weights) == len(terms) == len(counts):
+        repeated = [t for i, t in enumerate(terms) if t in terms[:i]]
+        reason = (
+            f"stored article repeats the term {repeated[0]!r}" if repeated
+            else f"stored article holds {len(terms)} term(s) for {len(counts)} count(s)"
+        )
+        raise PeyvandError(f"entity {entity_id!r}: {reason}")
+    return weights, _norm(weights)
+
+
 def _kept(
     kb: KnowledgeBase, lists: ReferenceLists, cfg: LinkerConfig, mention: Mention
 ) -> dict[str, EntityRecord]:
@@ -296,7 +333,7 @@ def link_document(
     doc_vector = _tfidf(counts, kb)
     shared, neighbours = _link_graph(kb, kept)
     class_filters = lists.class_filters if "class" in cfg.filters else {}
-    article_vectors, stopwords = kb.article_vectors, kb.stopwords
+    article_vectors = kb.article_vectors
     results = []
     for mention, candidates in zip(doc.mentions, kept):
         if not candidates:
@@ -324,16 +361,9 @@ def link_document(
         for entity_id in sorted(own):
             article = article_vectors.get(entity_id)
             if article is None:
-                # Stored in normal form: the words are the terms. This is
-                # `_tfidf` with each distinct term interned once, so the
-                # vectors of all articles share one string per term.
-                article_counts = Counter(candidates[entity_id].article_text.split())
-                weights = {
-                    sys.intern(t): n * kb.idf[kb.doc_freq.get(t, 0)]
-                    for t, n in article_counts.items()
-                    if t not in stopwords
-                }
-                article = article_vectors[entity_id] = weights, _norm(weights)
+                article = article_vectors[entity_id] = _article_vector(
+                    kb, entity_id, candidates[entity_id]
+                )
             ctx = _cosine(*context, *article)
             graph = linked[entity_id] / max_linked if max_linked else 0.0
             penalty = own[entity_id]

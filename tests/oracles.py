@@ -185,11 +185,19 @@ def oracle_context_terms(doc: Document, mention: Mention, kb: KnowledgeBase) -> 
 
 
 def oracle_article_terms(entity_id: str, kb: KnowledgeBase) -> list[str]:
-    # The KB stores each article in normal form, which normalizes to
-    # itself; `test_stored_articles_are_the_oracle_terms` checks the stored
-    # text against the raw dump.
-    tokens = oracle_tokenize(kb.entities[entity_id].article_text, oracle_normalize)
-    return [text for text, _, _ in tokens if text not in kb.stopwords]
+    # The KB stores each article as its bag: its distinct terms in normal
+    # form, which normalizes to itself, each with its count. Each term is
+    # repeated its count of times, so the terms come back grouped, which a
+    # dense vector does not see. `test_stored_articles_are_the_oracle_terms`
+    # checks the bag against the raw dump.
+    record = kb.entities[entity_id]
+    tokens = oracle_tokenize(record.article_text, oracle_normalize)
+    return [
+        text
+        for (text, _, _), count in zip(tokens, record.article_counts, strict=True)
+        if text not in kb.stopwords
+        for _ in range(count)
+    ]
 
 
 def oracle_kept(

@@ -51,6 +51,8 @@ def entity(
     links: tuple[str, ...] = (),
     rare: bool = False,
 ) -> EntityRecord:
+    """A dump record: `article_text` holds the raw article, as the dump
+    does, and `article_counts` is empty until `build_kb` counts it."""
     return EntityRecord(
         id=entity_id,
         canonical_label=label or entity_id,
@@ -59,14 +61,20 @@ def entity(
         ner_type=ner_type,
         pos_category=pos,
         article_text=article,
+        article_counts=(),
         out_links=frozenset(links),
         rare=rare,
     )
 
 
+def dump_line(record: EntityRecord) -> dict:
+    """The dump line of an `entity` record, its raw article as a string."""
+    return {**kb.record_to_obj(record), "article": record.article_text}
+
+
 def build_kb(records: list[EntityRecord], stopwords: frozenset[str] = frozenset()) -> KnowledgeBase:
     """Index records the way `load_kb` reads a dump, without file round-trips."""
-    lines = enumerate(map(kb.record_to_obj, records), start=1)
+    lines = enumerate(map(dump_line, records), start=1)
     return kb.read_dump(lines, "records", stopwords)[0]
 
 
@@ -90,4 +98,7 @@ def kept_candidates(
     return [{c.entity_id: c for c in result.ambiguity} for result in results]
 
 
-__all__ = ["ClassFilter", "build_kb", "empty_lists", "entity", "kept_candidates", "tokenizer_text"]
+__all__ = [
+    "ClassFilter", "build_kb", "dump_line", "empty_lists", "entity", "kept_candidates",
+    "tokenizer_text",
+]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peyvand.cache import CACHE_VERSION, MAGIC, load_index, save_index
+from peyvand.cli import main
 from peyvand.errors import InputError
 
 from mutations import dumps, mutations
@@ -101,6 +103,20 @@ class TestIndexCache:
         with pytest.raises(InputError, match=_stale(path, "v4")):
             load_index(path)
 
+    def test_v5_index_demands_rebuild(self, tmp_path, kb, lists):
+        # v5 kept each article as its normal-form text, stopwords included.
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+        _, (meta, frequencies, *records) = _read_lines(path)
+        for record in records:
+            text, counts = record["article"]
+            record["article"] = " ".join(
+                t for t, n in zip(text.split(), counts, strict=True) for _ in range(n)
+            )
+        _write_lines(path, MAGIC + b":v5\n", [meta, frequencies, *records])
+        with pytest.raises(InputError, match=_stale(path, "v5")):
+            load_index(path)
+
     def test_body_holds_dump_records_lists_and_frequencies_only(self, tmp_path, kb, lists):
         path = tmp_path / "kb.idx"
         save_index(kb, lists, path)
@@ -112,7 +128,8 @@ class TestIndexCache:
         dump_keys = {"id", "label", "variants", "class", "ner_type", "pos", "article", "links", "rare"}
         assert all(set(record) == dump_keys for record in records)
         assert [record["article"] for record in records] == [
-            kb.entities[record["id"]].article_text for record in records
+            [kb.entities[record["id"]].article_text, list(kb.entities[record["id"]].article_counts)]
+            for record in records
         ]
         assert [record["id"] for record in records] == sorted(kb.entities)
         assert meta["records"] == len(records)
@@ -124,6 +141,46 @@ class TestIndexCache:
         _write_lines(path, header, values + [values[2]])
         reason = f"corrupt index cache: duplicate entity id {values[2]['id']!r}"
         message = f"{path}:{len(values) + 2}: {reason}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_index(path)
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda bag: bag[0], "article must be an array of its terms and their counts"),
+            (lambda bag: [bag[0]], "article must be an array of its terms and their counts"),
+            (lambda bag: [bag[0], bag[1], []],
+             "article must be an array of its terms and their counts"),
+            (lambda bag: [bag[1], bag[1]], "article must be an array of its terms and their counts"),
+            (lambda bag: [bag[0], " ".join(map(str, bag[1]))],
+             "article counts must be an array of positive integers"),
+            (lambda bag: [bag[0], dict(enumerate(bag[1]))],
+             "article counts must be an array of positive integers"),
+            (lambda bag: [bag[0], [*bag[1][:-1], 0]],
+             "article counts must be an array of positive integers"),
+            (lambda bag: [bag[0], [-1, *bag[1][1:]]],
+             "article counts must be an array of positive integers"),
+            (lambda bag: [bag[0], [*bag[1][:-1], 1.5]],
+             "article counts must be an array of positive integers"),
+            (lambda bag: [bag[0], [*bag[1][:-1], True]],
+             "article counts must be an array of positive integers"),
+            (lambda bag: [bag[0], [*bag[1], 1]], "article holds {n} term(s) but {more} count(s)"),
+            (lambda bag: [bag[0], bag[1][:-1]], "article holds {n} term(s) but {fewer} count(s)"),
+        ],
+        ids=["string", "terms-only", "three-items", "counts-for-terms", "counts-string",
+             "counts-object", "zero", "negative", "float", "bool", "one-more", "one-fewer"],
+    )
+    def test_corrupt_article_bag_names_its_line(self, tmp_path, kb, lists, edit, reason):
+        path = tmp_path / "kb.idx"
+        save_index(kb, lists, path)
+        header, values = _read_lines(path)
+        bag = values[5]["article"]  # the fourth record, on line 7
+        n = len(bag[1])
+        assert n >= 2
+        values[5]["article"] = edit(bag)
+        _write_lines(path, header, values)
+        reason = reason.format(n=n, more=n + 1, fewer=n - 1)
+        message = f"{path}:7: corrupt index cache: {reason}"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             load_index(path)
 
@@ -254,6 +311,19 @@ class TestIndexCache:
         monkeypatch.setattr("peyvand.kb.terms", no_terms)
         kb2, _ = load_index(path)
         assert kb2 == kb
+
+
+# The index that `build-index` writes for the bundled mini KB: the same
+# bytes on every supported Python.
+MINI_INDEX_SHA256 = "bf06cf41c9ba5c661c4b9aaafaac47d163b6fb41471df0c85d1527c9af7f2d03"
+
+
+def test_mini_index_bytes_are_pinned(tmp_path, data_dir):
+    path = tmp_path / "mini.idx"
+    argv = ["build-index", "--kb", str(data_dir / "mini_kb.jsonl"),
+            "--lists", str(data_dir / "reference_lists.json"), "--out", str(path)]
+    assert main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MINI_INDEX_SHA256
 
 
 @pytest.fixture(scope="module")

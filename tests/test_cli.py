@@ -277,6 +277,22 @@ class TestEvaluate:
         assert main(["evaluate", "--corpus", str(gold), "--predictions", str(empty)]) == 1
         assert capsys.readouterr().err == f"error: {empty}: no prediction record for document 'd1'\n"
 
+    def test_text_mismatch_exits_one(self, tmp_path, data_dir, capsys):
+        # The mini corpus's first prediction record, its text overwritten
+        # after its last mention: ids and spans still line up.
+        gold = data_dir / "mini_corpus.jsonl"
+        first, *rest = (data_dir / "golden_predictions.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(first)
+        end = record["mentions"][-1]["end"]
+        record["text"] = record["text"][:end] + "x" * (len(record["text"]) - end)
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(
+            "\n".join([json.dumps(record, ensure_ascii=False), *rest]) + "\n", encoding="utf-8"
+        )
+        assert main(["evaluate", "--corpus", str(gold), "--predictions", str(pred)]) == 1
+        reason = f"document {record['id']!r}: text differs between gold and prediction"
+        assert capsys.readouterr().err == f"error: {pred}: {reason}\n"
+
     def test_bad_prediction_span_names_the_predictions_file(self, tmp_path, data_dir, capsys):
         gold, pred = self._write_perfect_predictions(tmp_path, data_dir)
         record = json.loads(pred.read_text(encoding="utf-8"))
@@ -411,7 +427,7 @@ class TestMalformedInputExitsOne:
             (lambda lines: lines[1].update(dict.fromkeys(list(lines[1])[::2], 0)),
              ":3: corrupt index cache: doc_freq"),
             (lambda lines: lines[1].update(
-                dict.fromkeys(list(lines[1])[::2], sum(1 for r in lines[2:] if r["article"]) + 1)
+                dict.fromkeys(list(lines[1])[::2], sum(1 for r in lines[2:] if r["article"][0]) + 1)
             ), ":3: corrupt index cache: doc_freq"),
         ],
         ids=["missing-doc-freq", "entities-not-an-object", "bad-ner-type", "zero",
@@ -424,6 +440,25 @@ class TestMalformedInputExitsOne:
         err = capsys.readouterr().err
         assert _one_error_line(err)
         assert err.startswith(f"error: {corrupt}{where}")
+
+    def test_edited_article_term_exits_one_and_writes_nothing(
+        self, tmp_path, data_dir, index_path, capsys
+    ):
+        # "کشور" with an Arabic kaf: the bag still loads, but the term has no
+        # document frequency, so `link` refuses to weigh it with df 0.
+        def edit(lines):
+            record = next(r for r in lines[2:] if r["id"] == "E01")
+            text, counts = record["article"]
+            assert "کشور" in text.split()
+            record["article"] = [text.replace("کشور", "كشور"), counts]
+
+        edited = tmp_path / "edited.idx"
+        _rewrite_index_body(index_path, edited, edit)
+        out = tmp_path / "p.jsonl"
+        assert _link(edited, data_dir / "mini_corpus.jsonl", out) == 1
+        reason = "stored article term 'كشور' has no document frequency"
+        assert capsys.readouterr().err == f"error: entity 'E01': {reason}\n"
+        assert list(tmp_path.iterdir()) == [edited]  # no predictions, no manifest
 
     def test_removed_config_keys_are_unknown(self, tmp_path, data_dir, index_path, capsys):
         # Even at their old defaults: the context is always the whole

@@ -195,6 +195,15 @@ class TestScorePredictions:
         with pytest.raises(AlignmentError):
             score_predictions([gold], [pred])
 
+    def test_alignment_error_on_text_mismatch(self):
+        # Ids, mention count and spans line up; only the text after the
+        # last mention differs.
+        gold, pred = _pair("d1", "sport", ["E1", "E2"], ["E1", "E2"])
+        edited = Document(pred.id, pred.category, gold.text[:-1] + "پ", pred.mentions)
+        message = "document 'd1': text differs between gold and prediction"
+        with pytest.raises(AlignmentError, match=f"^{message}$"):
+            score_predictions([gold], [edited])
+
     def test_duplicate_prediction_record_rejected(self):
         gold, pred = _pair("d1", "sport", ["E1"], ["E1"])
         with pytest.raises(AlignmentError):

@@ -57,6 +57,8 @@ _MALFORMED_RECORDS = {
                 "ner_type": "LOC", "pos": "OTHER", "article": "", "links": []}):
         "variants must be an array of strings",
     _record("E1", "یک", rar=True): "unknown keys in record: ['rar']",
+    # A dump holds raw article text; only an index holds a stored bag.
+    _record("E1", "یک", article=["یک", [1]]): "article must be a string",
 }
 
 
@@ -136,8 +138,8 @@ class TestLoadKb:
             encoding="utf-8",
         )
         kb, _, _ = load_kb(dump, lists_file)
-        assert kb.doc_count == 2  # punctuation alone is stored as "" but counts
-        assert kb.entities["E3"].article_text == ""
+        assert kb.doc_count == 2  # punctuation alone is stored as an empty bag but counts
+        assert (kb.entities["E3"].article_text, kb.entities["E3"].article_counts) == ("", ())
 
 
 class TestReferenceLists:
@@ -363,7 +365,7 @@ class TestBuildKb:
         assert kb.entities["A"].out_links == frozenset({"B"})
         assert dropped == (1, 1)
         assert kb.doc_count == 1
-        assert kb.entities["A"].article_text == "متن کوتاه"
+        assert (kb.entities["A"].article_text, kb.entities["A"].article_counts) == ("متن کوتاه", (1, 1))
         assert kb.alias_index[normalize("آلفا")] == frozenset({"A", "B"})
 
     def test_doc_freq_counts_each_article_once(self):
@@ -376,4 +378,7 @@ class TestBuildKb:
         kb, _ = read_dump(lines, "d", frozenset({"و"}))
         assert kb.doc_freq == {"سیب": 2}
         assert kb.doc_count == 3
-        assert [e.article_text for e in kb.entities.values()] == ["سیب سیب و", "سیب", "", ""]
+        # Each article is its bag, stopwords dropped: "و" alone counts but is stored empty.
+        assert [(e.article_text, e.article_counts) for e in kb.entities.values()] == [
+            ("سیب", (2,)), ("سیب", (1,)), ("", ()), ("", ())
+        ]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from peyvand import linker
 from peyvand.cache import save_index
 from peyvand.corpus import Document, Mention, NIL, write_predictions
-from peyvand.errors import InputError
+from peyvand.errors import InputError, PeyvandError
 from peyvand.kb import (
     KnowledgeBase,
     NerType,
@@ -38,6 +38,7 @@ from oracles import (
     oracle_is_separator,
     oracle_kept,
     oracle_link_document,
+    oracle_normalize,
     oracle_tokenize,
 )
 from synth import ClassFilter, build_kb, empty_lists, entity, kept_candidates, tokenizer_text
@@ -453,6 +454,35 @@ def test_context_score_is_the_cosine_of_the_context_terms_bit_for_bit(case):
 
 
 @st.composite
+def article_kbs(draw):
+    """Records, all candidates of "هدف", whose raw articles come from the
+    tokenizer's alphabet or repeat words of `_VOCAB`, and a KB of them
+    whose stopwords are drawn from the articles' own terms."""
+    repeats = st.lists(st.sampled_from(_VOCAB), max_size=12).map(" ".join)
+    articles = draw(st.lists(tokenizer_text | repeats, min_size=1, max_size=4))
+    records = [entity(f"E{j}", "هدف", article=a) for j, a in enumerate(articles)]
+    vocabulary = sorted({t for a in articles for t, _, _ in oracle_tokenize(a, oracle_normalize)})
+    stopwords = draw(st.lists(st.sampled_from(vocabulary), max_size=2)) if vocabulary else []
+    return records, build_kb(records, frozenset(stopwords))
+
+
+@given(article_kbs())
+@settings(max_examples=200, deadline=None)
+def test_article_vector_is_the_tfidf_of_the_oracle_terms(case):
+    """The vector that `link_document` builds from a stored bag on first
+    use is `_tfidf` of a fresh count of the oracle's terms of the raw
+    article, item for item and in order, and so is its norm."""
+    records, kb = case
+    link_document(kb, empty_lists(), ALL_OFF, doc_of("هدف", mention_at("هدف", "هدف")))
+    for r in records:
+        terms = [t for t, _, _ in oracle_tokenize(r.article_text, oracle_normalize)]
+        expected = linker._tfidf(Counter(terms), kb)
+        vector, norm = kb.article_vectors[r.id]
+        assert list(vector.items()) == list(expected.items())
+        assert norm == linker._norm(expected)
+
+
+@st.composite
 def context_spans(draw):
     """Words from `_VOCAB`, a span `a:b` of them, and a KB with stopwords
     from `_VOCAB` whose articles give the terms their frequencies."""
@@ -764,8 +794,8 @@ class TestConfigRejectsMalformedFlags:
 
 class TestArticleVectorMemo:
     """Article vectors (keyed by entity id) and IDF weights are memoized
-    on the KB, and articles are stored in normal form; a warm KB must link
-    exactly like a freshly loaded one."""
+    on the KB, and articles are stored as bags of normal-form terms; a warm
+    KB must link exactly like a freshly loaded one."""
 
     @staticmethod
     def _load(data_dir):
@@ -877,11 +907,32 @@ class TestArticleVectorMemo:
         assert [r.decision for r in got] == [NIL, NIL]
 
     def test_stored_article_words_are_the_terms(self):
-        # As they stand, even a word that is not in normal form.
+        # As they stand: a word that is not in normal form is no `doc_freq`
+        # key, so linking fails instead of weighing it with df 0.
         kb = build_kb([entity("E1", "هدف", article="سیب")])
-        kb.entities["E1"] = replace(kb.entities["E1"], article_text="كتاب كتاب")  # Arabic kaf
-        link_document(kb, empty_lists(), LinkerConfig(), doc_of("هدف", mention_at("هدف", "هدف")))
-        assert kb.article_vectors["E1"][0].keys() == {"كتاب"}
+        kb.entities["E1"] = replace(kb.entities["E1"], article_text="كتاب")  # Arabic kaf
+        message = "entity 'E1': stored article term 'كتاب' has no document frequency"
+        with pytest.raises(PeyvandError, match=f"^{re.escape(message)}$"):
+            link_document(kb, empty_lists(), LinkerConfig(), doc_of("هدف", mention_at("هدف", "هدف")))
+        assert kb.article_vectors == {}
+
+    @pytest.mark.parametrize(
+        "text, counts, reason",
+        [
+            ("سیب سیب", (1, 1), "repeats the term 'سیب'"),
+            ("سیب  انار", (1, 1, 1), "holds 2 term(s) for 3 count(s)"),
+            ("سیب انار", (2,), "holds 2 term(s) for 1 count(s)"),
+            ("سیب", (1, 1), "holds 1 term(s) for 2 count(s)"),
+        ],
+        ids=["repeated-term", "double-space", "fewer-counts", "more-counts"],
+    )
+    def test_bag_whose_terms_do_not_match_its_counts_fails(self, text, counts, reason):
+        kb = build_kb([entity("E1", "هدف", article="سیب انار")])
+        kb.entities["E1"] = replace(kb.entities["E1"], article_text=text, article_counts=counts)
+        message = f"entity 'E1': stored article {reason}"
+        with pytest.raises(PeyvandError, match=f"^{re.escape(message)}$"):
+            link_document(kb, empty_lists(), LinkerConfig(), doc_of("هدف", mention_at("هدف", "هدف")))
+        assert kb.article_vectors == {}
 
 
 def test_scores_do_not_depend_on_how_sum_rounds(tmp_path, data_dir, mini_corpus, monkeypatch):

@@ -24,11 +24,11 @@ from peyvand.corpus import (
     save_corpus,
     write_predictions,
 )
-from peyvand.kb import NerType, PosCategory, load_kb, lookup_alias, record_to_obj
+from peyvand.kb import NerType, PosCategory, load_kb, lookup_alias
 from peyvand.linker import LinkResult, ScoredCandidate
 
 from oracles import brute_force_candidates, oracle_normalize, oracle_tokenize
-from synth import entity, tokenizer_text
+from synth import dump_line, entity, tokenizer_text
 
 _ids = st.text(min_size=1, max_size=4)
 _scores = st.floats(allow_nan=False, allow_infinity=False)
@@ -127,7 +127,7 @@ def workdir(tmp_path_factory):
 def _write_dump(workdir, records, lists_obj):
     dump, lists_path = workdir / "kb.jsonl", workdir / "lists.json"
     dump.write_text(
-        "".join(json.dumps(record_to_obj(r), ensure_ascii=False) + "\n" for r in records),
+        "".join(json.dumps(dump_line(r), ensure_ascii=False) + "\n" for r in records),
         encoding="utf-8",
     )
     lists_path.write_text(json.dumps(lists_obj, ensure_ascii=False), encoding="utf-8")
@@ -138,20 +138,27 @@ def _oracle_terms(article):
     return [text for text, _, _ in oracle_tokenize(article, oracle_normalize)]
 
 
+def _oracle_bag(article, stopwords):
+    """The oracle's terms of a raw article outside `stopwords`: the distinct
+    ones in order of first occurrence, joined by single spaces, and how
+    often each occurs."""
+    kept = [t for t in _oracle_terms(article) if t not in stopwords]
+    distinct = list(dict.fromkeys(kept))
+    return " ".join(distinct), tuple(kept.count(t) for t in distinct)
+
+
 @given(records=_records(), lists_obj=_lists_obj)
 @settings(deadline=None)
 def test_dump_load_save_load_is_identity(workdir, records, lists_obj):
     kb, lists, _ = load_kb(*_write_dump(workdir, records, lists_obj))
 
     ids = {r.id for r in records}
-    resolved = {
-        r.id: replace(
-            r,
-            article_text=" ".join(_oracle_terms(r.article_text)),
-            out_links=r.out_links & ids - {r.id},
+    resolved = {}
+    for r in records:
+        text, counts = _oracle_bag(r.article_text, kb.stopwords)
+        resolved[r.id] = replace(
+            r, article_text=text, article_counts=counts, out_links=r.out_links & ids - {r.id}
         )
-        for r in records
-    }
     assert kb.entities == resolved
     content = [set(_oracle_terms(r.article_text)) - kb.stopwords for r in records]
     assert kb.doc_freq == Counter(t for terms in content for t in terms)
@@ -168,17 +175,24 @@ def test_dump_load_save_load_is_identity(workdir, records, lists_obj):
     assert second.read_bytes() == first.read_bytes()
 
 
-@given(records=_records())
+@given(data=st.data(), records=_records())
 @settings(deadline=None)
-def test_stored_articles_are_the_oracle_terms(workdir, records):
-    """Each stored article splits into the oracle's terms of its raw text,
-    and N counts the non-empty raw articles, whether the knowledge base
-    comes from the dump or from its index."""
-    kb, lists, _ = load_kb(*_write_dump(workdir, records, {}))
+def test_stored_articles_are_the_oracle_terms(workdir, data, records):
+    """Each stored article is the bag of the oracle's terms of its raw
+    text, stopwords dropped, counted in order of first occurrence, and N
+    counts the non-empty raw articles, whether the knowledge base comes
+    from the dump or from its index. The stopwords are drawn from the
+    articles' own terms, so that some of them occur."""
+    vocabulary = sorted({t for r in records for t in _oracle_terms(r.article_text)})
+    stopwords = data.draw(st.lists(st.sampled_from(vocabulary), max_size=3)) if vocabulary else []
+    kb, lists, _ = load_kb(*_write_dump(workdir, records, {"stopwords": stopwords}))
+    assert kb.stopwords == frozenset(stopwords)
     save_index(kb, lists, workdir / "kb.idx")
     for loaded, _ in ((kb, lists), load_index(workdir / "kb.idx")):
         for r in records:
-            assert loaded.entities[r.id].article_text.split() == _oracle_terms(r.article_text)
+            stored = loaded.entities[r.id]
+            text, counts = _oracle_bag(r.article_text, kb.stopwords)
+            assert (stored.article_text, stored.article_counts) == (text, counts)
         assert loaded.doc_count == sum(1 for r in records if r.article_text)
 
 
