@@ -93,7 +93,7 @@ def _load_body(fh: BinaryIO, path: str | Path) -> tuple[KnowledgeBase, Reference
         raise InputError(path, None, f"{len(records)} records, not {count}")
     # Every non-empty stored article comes from a non-empty raw one.
     doc_count = meta["doc_count"]
-    stored = sum(1 for record in records if record.article_text)
+    stored = sum(1 for record in records.values() if record.article_text)
     if type(doc_count) is not int or not stored <= doc_count <= count:
         reason = f"doc_count must be an integer from {stored} to {count}"
         raise InputError(path, meta_line, reason)

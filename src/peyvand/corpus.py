@@ -180,6 +180,12 @@ def _mention_to_obj(m: Mention) -> dict:
     return obj
 
 
+def _document_line(doc: Document, mentions: list[dict]) -> str:
+    """A document's file line, given its mentions in file shape."""
+    record = {"id": doc.id, "category": doc.category, "text": doc.text, "mentions": mentions}
+    return json.dumps(record, ensure_ascii=False) + "\n"
+
+
 def save_corpus(docs: Iterable[Document], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for doc in docs:
@@ -189,8 +195,7 @@ def save_corpus(docs: Iterable[Document], path: str | Path) -> None:
                 if m.gold is not None:
                     obj["gold"] = None if isinstance(m.gold, _Nil) else m.gold
                 mentions.append(obj)
-            record = {"id": doc.id, "category": doc.category, "text": doc.text, "mentions": mentions}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(_document_line(doc, mentions))
 
 
 def write_predictions(
@@ -214,8 +219,7 @@ def write_predictions(
                     {"id": c.entity_id, "score": c.combined} for c in res.ambiguity
                 ]
                 mentions.append(obj)
-            record = {"id": doc.id, "category": doc.category, "text": doc.text, "mentions": mentions}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(_document_line(doc, mentions))
 
 
 def _parse_prediction(obj: object, path: str | Path, line_no: int) -> PredictedMention:

@@ -382,12 +382,12 @@ def record_to_obj(record: EntityRecord) -> dict:
 
 
 def build_kb(
-    records: Collection[EntityRecord], frequencies: dict[str, int], doc_count: int,
+    entities: dict[str, EntityRecord], frequencies: dict[str, int], doc_count: int,
     stopwords: frozenset[str],
 ) -> tuple[KnowledgeBase, tuple[int, int]]:
-    """Build a knowledge base from `parse_record` output, its articles'
-    document frequencies, its count of non-empty articles and the
-    stopwords that the frequencies leave out.
+    """Build a knowledge base from `read_records` output (which it takes
+    over and changes), its articles' document frequencies, its count of
+    non-empty articles and the stopwords that the frequencies leave out.
 
     Out-links that point outside the records or back at the entity
     itself are dropped; an incomplete dump subset is not an error. The
@@ -395,17 +395,15 @@ def build_kb(
     link repeated in the dump is one out-link. An alias that normalizes
     to nothing is not indexed, so no surface can match it.
     """
-    ids = {record.id for record in records}
-    entities: dict[str, EntityRecord] = {}
     outside = self_links = 0
-    for record in records:
+    for entity_id, record in entities.items():
         links = record.out_links
-        if not links <= ids or record.id in links:
-            outside += len(links - ids)
-            self_links += record.id in links
-            resolved = frozenset(l for l in links if l in ids and l != record.id)
-            record = replace(record, out_links=resolved)
-        entities[record.id] = record
+        if not links <= entities.keys() or entity_id in links:
+            resolved = frozenset(l for l in links if l in entities and l != entity_id)
+            self_link = entity_id in links
+            self_links += self_link
+            outside += len(links) - len(resolved) - self_link
+            entities[entity_id] = replace(record, out_links=resolved)
 
     alias_sets: dict[str, set[str]] = {}
     for entity in entities.values():
@@ -427,16 +425,17 @@ def read_records(
     lines: Iterable[tuple[int, object]],
     path: str | Path,
     article: Callable[[object], tuple[str, tuple[int, ...]]] = stored_article,
-) -> Collection[EntityRecord]:
-    """`parse_record` each numbered dump line, in order, with `article`; a
-    repeated id is an `InputError` on the line that repeats it."""
+) -> dict[str, EntityRecord]:
+    """`parse_record` each numbered dump line, in order, with `article`,
+    keyed by id; a repeated id is an `InputError` on the line that repeats
+    it."""
     records: dict[str, EntityRecord] = {}
     for line_no, obj in lines:
         record = parse_record(obj, path, line_no, article)
         if record.id in records:
             raise InputError(path, line_no, f"duplicate entity id {record.id!r}")
         records[record.id] = record
-    return records.values()
+    return records
 
 
 def load_kb(

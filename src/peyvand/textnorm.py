@@ -15,21 +15,20 @@ already NFC, case folding and the kaf/yeh table act one character at a
 time, and single inner spaces survive the whitespace collapse. The class
 is one compiled regex of fixed size; nothing is memoized.
 
-Text is split by one `str.translate` table that maps every separator
-(whitespace or Unicode punctuation) to a space. The table is filled on
-first sight of each codepoint, so it holds at most one entry per distinct
-codepoint seen: a few hundred on typical text, and at worst, for an input
-holding every codepoint, 1,114,112 entries in about 74 MiB, of which 848
-are separators. `tokenize` splits the translated text on spaces and
-finds each run's offset with `str.index`. `terms` splits on whitespace
-first and sends only the words that are not all letters and digits
-through the table, since no letter or digit is a separator.
+Text is split one way, into runs: maximal stretches of characters that
+are not separators (whitespace or Unicode punctuation). `_runs` splits on
+whitespace, keeps a word of letters and digits alone as one run, and
+splits every other word with one `str.translate` table that maps each
+separator to a space. `tokenize` adds each run's offsets; `terms` does
+not. The table is filled on first sight of each codepoint, so it holds at
+most one entry per distinct codepoint seen: a few hundred on typical
+text, and at worst, for an input holding every codepoint, 1,114,112
+entries in about 74 MiB, of which 848 are separators.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 import unicodedata
 from typing import Callable
 
@@ -118,6 +117,19 @@ class _SeparatorTable(dict):
 _SEPARATORS = _SeparatorTable()
 
 
+def _runs(s: str) -> list[str]:
+    """The runs of `s` in order. Every whitespace codepoint is a separator,
+    so the runs lie inside the whitespace-split words; no letter or digit
+    is, so a word that `isalnum()` is one run as it stands."""
+    runs = []
+    for word in s.split():
+        if word.isalnum():
+            runs.append(word)
+        else:
+            runs += word.translate(_SEPARATORS).split()
+    return runs
+
+
 def tokenize(s: str) -> list[tuple[str, int, int]]:
     """Split on whitespace and punctuation into `(text, start, end)` tuples.
 
@@ -125,44 +137,27 @@ def tokenize(s: str) -> list[tuple[str, int, int]]:
     Slices that normalize to nothing (bare tatweel runs and the like) are
     dropped, as is punctuation by construction.
     """
-    # The translation is one character for one and leaves every other
-    # character as it is, so each run is the slice of `s` at its offsets.
-    # Only spaces separate the runs, so the next run starts at the first
-    # place at or after the last run's end where it occurs.
-    translated = s.translate(_SEPARATORS)
+    # A run holds no separator and only separators lie between two runs,
+    # so each run starts at its first occurrence at or after the last end.
     tokens = []
     end = 0
-    for run in translated.split():
-        start = translated.index(run, end)
+    for run in _runs(s):
+        start = s.index(run, end)
         end = start + len(run)
-        text = persian_normalize(run)
-        if text:
+        if text := persian_normalize(run):
             tokens.append((text, start, end))
     return tokens
 
 
 class NormalForms(dict):
-    """Memo of `persian_normalize`: each raw run maps to its normal form,
-    interned, so that all the counts built from it share one string per
-    distinct term. A run that is already normal is stored under that
-    interned string too, so key and value are one object."""
+    """Memo of `persian_normalize`: each raw run maps to its normal form."""
 
     def __missing__(self, run: str) -> str:
-        form = sys.intern(persian_normalize(run))
-        self[form if form == run else run] = form
+        form = self[run] = persian_normalize(run)
         return form
 
 
 def terms(s: str, normalizer: Callable[[str], str]) -> list[str]:
     """The texts of `tokenize(s)`, without building offsets, with each run
     normalized by `normalizer`: `persian_normalize` or a memo of it."""
-    # Every whitespace codepoint is a separator, so the runs lie inside the
-    # whitespace-split words. A letter or digit is never a separator, so a
-    # word that `isalnum()` is one run as it stands and skips the table.
-    runs = []
-    for word in s.split():
-        if word.isalnum():
-            runs.append(word)
-        else:
-            runs += word.translate(_SEPARATORS).split()
-    return [t for run in runs if (t := normalizer(run))]
+    return [t for run in _runs(s) if (t := normalizer(run))]

@@ -15,6 +15,7 @@ from peyvand.errors import InputError
 from peyvand.kb import (
     NerType,
     PosCategory,
+    build_kb,
     decode_json,
     lists_to_obj,
     load_kb,
@@ -23,6 +24,7 @@ from peyvand.kb import (
     parse_reference_lists,
     read_dump,
     read_json_lines,
+    read_records,
 )
 from peyvand import textnorm
 from peyvand.textnorm import normalize
@@ -382,3 +384,23 @@ class TestBuildKb:
         assert [(e.article_text, e.article_counts) for e in kb.entities.values()] == [
             ("سیب", (2,)), ("سیب", (1,)), ("", ()), ("", ())
         ]
+
+    # Ids E0..E(n-1) exist; links may also name E5..E7, which never do.
+    @given(st.lists(st.sets(st.sampled_from([f"E{i}" for i in range(8)])), max_size=5))
+    @settings(max_examples=200)
+    def test_keeps_the_records_dict_and_counts_each_drop(self, link_sets):
+        lines = [
+            (n, json.loads(_record(f"E{n}", "نام", links=sorted(links))))
+            for n, links in enumerate(link_sets)
+        ]
+        records = read_records(lines, "d", lambda raw: ("", ()))
+        kb, dropped = build_kb(records, {}, 0, frozenset())
+        assert kb.entities is records
+        assert list(records) == [f"E{n}" for n in range(len(link_sets))]
+        outside = self_links = 0
+        for n, links in enumerate(link_sets):
+            kept = {link for link in links if link in records and link != f"E{n}"}
+            assert records[f"E{n}"].out_links == kept
+            outside += sum(link not in records for link in links)
+            self_links += f"E{n}" in links
+        assert dropped == (outside, self_links)

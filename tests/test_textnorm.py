@@ -183,6 +183,25 @@ class TestTokenize:
     def test_matches_oracle_tokenizer(self, s):
         assert tokenize(s) == oracle_tokenize(s, oracle_normalize)
 
+    @given(st.text())
+    @settings(max_examples=300)
+    def test_matches_oracle_tokenizer_on_any_text(self, s):
+        assert tokenize(s) == oracle_tokenize(s, oracle_normalize)
+
+    @given(st.text())
+    @settings(max_examples=300)
+    def test_terms_are_the_token_texts_on_any_text(self, s):
+        assert terms(s, persian_normalize) == [text for text, _, _ in tokenize(s)]
+
+    def test_str_split_splits_on_exactly_the_whitespace(self):
+        # Why the runs lie inside the whitespace-split words: `str.split()`
+        # cuts at each `isspace()` codepoint, every one of them a separator,
+        # and at no other.
+        for cp in range(0x110000):
+            ch = chr(cp)
+            expected = ["a", "b"] if ch.isspace() else ["a" + ch + "b"]
+            assert ("a" + ch + "b").split() == expected, hex(cp)
+            assert not ch.isspace() or oracle_is_separator(ch), hex(cp)
 
     # The raw runs as well: the separator table alone decides where terms split.
     @given(tokenizer_text, st.sampled_from([persian_normalize, lambda run: run]))
