@@ -7,9 +7,10 @@ A dump is UTF-8 JSON lines, one entity per line:
 
 A knowledge base keeps each article as its bag of terms: its distinct
 normalized terms outside the stopwords, in order of first occurrence,
-each with its count. The index writes a record in the dump's shape with
-that bag as its article, `["t1 t2", [2, 1]]`, and reads it back through
-the same record reader.
+each with its count. A record holds its bag as the compact JSON text
+`["t1 t2",[2,1]]` that the index stores on the line after the record,
+and decodes it only when it is read. The index reads its records back
+through the dump's record reader.
 
 Reference lists live in a single JSON file: the filter lists `rare_blocklist`,
 `class_filters` and `type_mapping`, and the knowledge base's `stopwords`.
@@ -53,11 +54,14 @@ class PosCategory(str, Enum):
 
 @dataclass(frozen=True)
 class EntityRecord:
-    """One entity. Its article is a bag of terms: `article_text` holds the
-    article's distinct normalized terms outside the stopwords, in order of
-    first occurrence, joined by single spaces, and `article_counts` holds
-    how often each occurs, so that `zip(article_text.split(),
-    article_counts)` gives the article's term counts in order."""
+    """One entity. Its article is a bag of terms, held undecoded in `bag`
+    as the UTF-8 JSON text `["t1 t2",[2,1]]` that `bag_json` writes and
+    the index stores. The read-only properties decode it on each read:
+    `article_text` is the article's distinct normalized terms outside the
+    stopwords, in order of first occurrence, joined by single spaces, and
+    `article_counts` is how often each occurs, so that
+    `zip(article_text.split(), article_counts)` gives the article's term
+    counts in order. A bag that `read_bag` refuses raises `ValueError`."""
 
     id: str
     canonical_label: str
@@ -65,10 +69,17 @@ class EntityRecord:
     kb_class: str
     ner_type: NerType
     pos_category: PosCategory
-    article_text: str
-    article_counts: tuple[int, ...]
+    bag: bytes
     out_links: frozenset[str]
     rare: bool = False
+
+    @property
+    def article_text(self) -> str:
+        return read_bag(self.bag)[0]
+
+    @property
+    def article_counts(self) -> tuple[int, ...]:
+        return read_bag(self.bag)[1]
 
 
 @dataclass(frozen=True)
@@ -106,6 +117,9 @@ class KnowledgeBase:
     """Immutable after load apart from two memos that `linker.link_document`
     fills on first use. `stopwords` are the terms that `doc_freq` leaves out
     and that no vector holds; they are fixed when the KB is built.
+    `index_path` is the index file that `cache.load_index` read the KB
+    from, so that a bad article bag, decoded on first use, names its line;
+    it is None for a KB built from a dump, and `==` ignores it.
 
     - `idf` maps a document frequency to its IDF weight. It is bounded by
       the distinct df values, at most `doc_count + 1` of them.
@@ -122,6 +136,7 @@ class KnowledgeBase:
     doc_count: int
     doc_freq: dict[str, int]
     stopwords: frozenset[str]
+    index_path: str | Path | None = field(default=None, repr=False, compare=False)
     idf: IdfTable = field(init=False, repr=False, compare=False)
     article_vectors: dict[str, tuple[dict[str, float], float]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -292,11 +307,31 @@ _RECORD_ALLOWED = frozenset((*_RECORD_KEYS, "rare"))
 _INT = {int}
 
 
-def stored_article(value: object) -> tuple[str, tuple[int, ...]]:
-    """The bag of an article that `record_to_obj` wrote: `[terms, counts]`,
-    the terms joined by single spaces and one positive integer count per
-    term. A value of another shape raises `ValueError`; a term that is
-    repeated or empty is left to `linker.link_document` to refuse."""
+def dump_json(obj: object) -> bytes:
+    """The compact UTF-8 JSON text of `obj`, keys sorted: the form of each
+    line of the index and of each article bag."""
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode()
+
+
+def bag_json(terms: str, counts: Iterable[int]) -> bytes:
+    """The bag `[terms, counts]` of an article as `EntityRecord.bag` holds it."""
+    return dump_json([terms, list(counts)])
+
+
+EMPTY_BAG = bag_json("", ())
+
+
+def read_bag(data: bytes) -> tuple[str, tuple[int, ...]]:
+    """The terms and counts of an article bag as `bag_json` writes it: the
+    JSON text of `[terms, counts]`, the terms joined by single spaces and
+    one positive integer count per term. Text that `decode_json` refuses,
+    or a value of another shape, raises `ValueError` with the reason; a
+    term that is repeated or empty is left to `linker.link_document` to
+    refuse."""
+    try:
+        value = decode_json(data, "bag", 1)
+    except InputError as exc:
+        raise ValueError(exc.reason) from None
     if type(value) is not list or len(value) != 2 or type(value[0]) is not str:
         raise ValueError("article must be an array of its terms and their counts")
     text, counts = value
@@ -310,16 +345,12 @@ def stored_article(value: object) -> tuple[str, tuple[int, ...]]:
 
 
 def parse_record(
-    obj: object,
-    path: str | Path,
-    line_no: int,
-    article: Callable[[object], tuple[str, tuple[int, ...]]] = stored_article,
+    obj: object, path: str | Path, line_no: int, article: Callable[[object], bytes]
 ) -> EntityRecord:
     """Validate one record; returns it with its out-links unresolved and
-    its article the bag that `article` makes of the record's `article`
+    its bag the bytes that `article` makes of the record's `article`
     value, or an error on the record's line with the reason of the
-    `ValueError` that `article` raises. By default the value is a stored
-    bag, as `record_to_obj` writes it."""
+    `ValueError` that `article` raises."""
     if reason := key_error(obj, "record", _RECORD_KEYS, _RECORD_ALLOWED):
         raise InputError(path, line_no, reason)
     entity_id = obj["id"]
@@ -337,7 +368,7 @@ def parse_record(
     if not isinstance(obj["class"], str):
         raise InputError(path, line_no, "class must be a string")
     try:
-        text, counts = article(obj["article"])
+        bag = article(obj["article"])
     except ValueError as exc:
         raise InputError(path, line_no, str(exc)) from None
     try:
@@ -358,16 +389,15 @@ def parse_record(
         kb_class=obj["class"],
         ner_type=ner,
         pos_category=pos,
-        article_text=text,
-        article_counts=counts,
+        bag=bag,
         out_links=frozenset(links),  # resolved by `build_kb`
         rare=rare,
     )
 
 
 def record_to_obj(record: EntityRecord) -> dict:
-    """The dump-line shape of a record, with its sets sorted and its article
-    the bag `[terms, counts]` that `stored_article` reads."""
+    """The dump-line shape of a record without its article, with its sets
+    sorted: the index writes the bag on a line of its own."""
     return {
         "id": record.id,
         "label": record.canonical_label,
@@ -375,7 +405,6 @@ def record_to_obj(record: EntityRecord) -> dict:
         "class": record.kb_class,
         "ner_type": record.ner_type.value,
         "pos": record.pos_category.value,
-        "article": [record.article_text, list(record.article_counts)],
         "links": sorted(record.out_links),
         "rare": record.rare,
     }
@@ -422,9 +451,7 @@ def build_kb(
 
 
 def read_records(
-    lines: Iterable[tuple[int, object]],
-    path: str | Path,
-    article: Callable[[object], tuple[str, tuple[int, ...]]] = stored_article,
+    lines: Iterable[tuple[int, object]], path: str | Path, article: Callable[[object], bytes]
 ) -> dict[str, EntityRecord]:
     """`parse_record` each numbered dump line, in order, with `article`,
     keyed by id; a repeated id is an `InputError` on the line that repeats
@@ -453,11 +480,11 @@ def read_dump(
 ) -> tuple[KnowledgeBase, tuple[int, int]]:
     """The knowledge base of numbered dump lines and its dropped out-links,
     counted as `build_kb` does. Each article is tokenized and counted
-    once, stopwords dropped, and its bag gives both the stored record and
-    its share of `doc_freq`: the number of non-empty articles that hold
-    each of its terms. `doc_count` counts the non-empty raw articles, so
-    an article of punctuation or stopwords alone, stored as an empty bag,
-    still counts."""
+    once, stopwords dropped, and its bag gives both the record's `bag`,
+    encoded as the index stores it, and its share of `doc_freq`: the
+    number of non-empty articles that hold each of its terms. `doc_count`
+    counts the non-empty raw articles, so an article of punctuation or
+    stopwords alone, stored as an empty bag, still counts."""
     # Articles repeat words, so normalize each distinct run once; the memo
     # lives only as long as this call.
     normal = NormalForms().__getitem__
@@ -465,16 +492,16 @@ def read_dump(
     frequencies: Counter[str] = Counter()
     doc_count = 0
 
-    def article(raw: object) -> tuple[str, tuple[int, ...]]:
+    def article(raw: object) -> bytes:
         nonlocal doc_count
         if not isinstance(raw, str):
             raise ValueError("article must be a string")
         if not raw:
-            return "", ()
+            return EMPTY_BAG
         doc_count += 1
         bag = Counter(filterfalse(is_stopword, terms(raw, normal)))
         frequencies.update(bag.keys())
-        return " ".join(bag), tuple(bag.values())
+        return bag_json(" ".join(bag), bag.values())
 
     records = read_records(lines, path, article)
     return build_kb(records, dict(frequencies), doc_count, stopwords)

@@ -4,7 +4,7 @@ shared by the tokenizer properties."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from hypothesis import strategies as st
 
@@ -12,7 +12,6 @@ from peyvand import kb
 from peyvand.corpus import Document
 from peyvand.kb import (
     ClassFilter,
-    EntityRecord,
     KnowledgeBase,
     NerType,
     PosCategory,
@@ -40,6 +39,22 @@ tokenizer_text = st.text(
 )
 
 
+@dataclass(frozen=True)
+class DumpRecord:
+    """A dump record as `entity` makes it, with its raw article, before
+    `build_kb` counts the article into a bag."""
+
+    id: str
+    canonical_label: str
+    variant_labels: frozenset[str]
+    kb_class: str
+    ner_type: NerType
+    pos_category: PosCategory
+    article: str
+    out_links: frozenset[str]
+    rare: bool
+
+
 def entity(
     entity_id: str,
     label: str | None = None,
@@ -50,29 +65,36 @@ def entity(
     article: str = "",
     links: tuple[str, ...] = (),
     rare: bool = False,
-) -> EntityRecord:
-    """A dump record: `article_text` holds the raw article, as the dump
-    does, and `article_counts` is empty until `build_kb` counts it."""
-    return EntityRecord(
+) -> DumpRecord:
+    return DumpRecord(
         id=entity_id,
         canonical_label=label or entity_id,
         variant_labels=frozenset(variants),
         kb_class=kb_class,
         ner_type=ner_type,
         pos_category=pos,
-        article_text=article,
-        article_counts=(),
+        article=article,
         out_links=frozenset(links),
         rare=rare,
     )
 
 
-def dump_line(record: EntityRecord) -> dict:
-    """The dump line of an `entity` record, its raw article as a string."""
-    return {**kb.record_to_obj(record), "article": record.article_text}
+def dump_line(record: DumpRecord) -> dict:
+    """The dump line of an `entity` record."""
+    return {
+        "id": record.id,
+        "label": record.canonical_label,
+        "variants": sorted(record.variant_labels),
+        "class": record.kb_class,
+        "ner_type": record.ner_type.value,
+        "pos": record.pos_category.value,
+        "article": record.article,
+        "links": sorted(record.out_links),
+        "rare": record.rare,
+    }
 
 
-def build_kb(records: list[EntityRecord], stopwords: frozenset[str] = frozenset()) -> KnowledgeBase:
+def build_kb(records: list[DumpRecord], stopwords: frozenset[str] = frozenset()) -> KnowledgeBase:
     """Index records the way `load_kb` reads a dump, without file round-trips."""
     lines = enumerate(map(dump_line, records), start=1)
     return kb.read_dump(lines, "records", stopwords)[0]
@@ -99,6 +121,6 @@ def kept_candidates(
 
 
 __all__ = [
-    "ClassFilter", "build_kb", "dump_line", "empty_lists", "entity", "kept_candidates",
-    "tokenizer_text",
+    "ClassFilter", "DumpRecord", "build_kb", "dump_line", "empty_lists", "entity",
+    "kept_candidates", "tokenizer_text",
 ]

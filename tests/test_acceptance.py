@@ -95,7 +95,7 @@ def test_c3_cosine_oracle_equivalence():
             doc = Document("r", "test", text, [Mention(0, 3, "هدف")])
             target = rng.choice(records)
             got = kept_candidates(kb, lists, LinkerConfig(), doc)[0][target.id].context_score
-            article_terms = [text for text, _, _ in tokenize(target.article_text)]
+            article_terms = [text for text, _, _ in tokenize(target.article)]
             expected = dense_cosine(context_words, article_terms, kb.doc_freq, kb.doc_count)
             assert abs(got - expected) <= 1e-9
             assert 0.0 <= got <= 1.0

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import peyvand.cli
+from peyvand.cache import load_index, save_index
 from peyvand.linker import LinkerConfig, link_document
 
 _PATH, _KB, _LISTS, _CFG, _DOC = Path("x"), object(), object(), object(), object()
@@ -102,3 +103,14 @@ def test_linker_calls_the_names_the_bench_wraps(kb, lists, mini_corpus, monkeypa
         link_document(kb, lists, LinkerConfig(), doc)
     assert tokenize_calls[0] == len(mini_corpus)
     assert lookup_calls[0] == sum(len(doc.mentions) for doc in mini_corpus)
+
+
+def test_loaded_records_expose_their_article_text(tmp_path, kb, lists):
+    # `bench/run.py --trace 1` reads `article_text` of every record of a
+    # loaded index.
+    save_index(kb, lists, tmp_path / "mini.idx")
+    loaded, _ = load_index(tmp_path / "mini.idx")
+    texts = [record.article_text for record in loaded.entities.values()]
+    assert all(type(text) is str for text in texts)
+    assert texts == [kb.entities[entity_id].article_text for entity_id in loaded.entities]
+    assert any(texts)

@@ -372,7 +372,8 @@ def _one_error_line(err: str) -> bool:
 
 
 def _rewrite_index_body(src, dest, edit):
-    """`edit` the decoded body lines of an index: metadata, doc_freq, records."""
+    """`edit` the decoded body lines of an index: metadata, doc_freq, then
+    each record and its article bag."""
     header, *body = src.read_bytes().splitlines(keepends=True)
     values = [json.loads(line) for line in body]
     edit(values)
@@ -419,15 +420,16 @@ class TestMalformedInputExitsOne:
     @pytest.mark.parametrize(
         "edit, where",
         [
-            (lambda lines: lines.pop(1), ": corrupt index cache: 32 records, not 33"),
+            # The first record is read as the doc_freq line, its bag as a record.
+            (lambda lines: lines.pop(1), ":4: corrupt index cache: record must be a JSON object"),
             (lambda lines: lines.__setitem__(2, list(lines[2].values())),
              ":4: corrupt index cache: record must be a JSON object"),
-            (lambda lines: next(r for r in lines[2:] if r["id"] == "E01").update(ner_type="XX"),
+            (lambda lines: next(r for r in lines[2::2] if r["id"] == "E01").update(ner_type="XX"),
              ":4: corrupt index cache: ner_type 'XX' is invalid"),
             (lambda lines: lines[1].update(dict.fromkeys(list(lines[1])[::2], 0)),
              ":3: corrupt index cache: doc_freq"),
             (lambda lines: lines[1].update(
-                dict.fromkeys(list(lines[1])[::2], sum(1 for r in lines[2:] if r["article"][0]) + 1)
+                dict.fromkeys(list(lines[1])[::2], sum(1 for bag in lines[3::2] if bag[0]) + 1)
             ), ":3: corrupt index cache: doc_freq"),
         ],
         ids=["missing-doc-freq", "entities-not-an-object", "bad-ner-type", "zero",
@@ -441,24 +443,52 @@ class TestMalformedInputExitsOne:
         assert _one_error_line(err)
         assert err.startswith(f"error: {corrupt}{where}")
 
+    def _link_with_edited_bag(self, tmp_path, data_dir, index_path, capsys, edit):
+        """Link the mini corpus over an index in which `edit(text, counts)`
+        gives the bag of E01, the first record, on line 5. The index loads,
+        and the bag fails on first use: check that `link` exits 1 and
+        writes nothing, and return its error line and the edited index."""
+        edited = tmp_path / "edited.idx"
+        _rewrite_index_body(index_path, edited, lambda lines: lines.__setitem__(3, edit(*lines[3])))
+        assert _link(edited, data_dir / "mini_corpus.jsonl", tmp_path / "p.jsonl") == 1
+        assert list(tmp_path.iterdir()) == [edited]  # no predictions, no manifest
+        return capsys.readouterr().err, edited
+
     def test_edited_article_term_exits_one_and_writes_nothing(
         self, tmp_path, data_dir, index_path, capsys
     ):
-        # "کشور" with an Arabic kaf: the bag still loads, but the term has no
+        # "کشور" with an Arabic kaf: the bag decodes, but the term has no
         # document frequency, so `link` refuses to weigh it with df 0.
-        def edit(lines):
-            record = next(r for r in lines[2:] if r["id"] == "E01")
-            text, counts = record["article"]
+        def edit(text, counts):
             assert "کشور" in text.split()
-            record["article"] = [text.replace("کشور", "كشور"), counts]
+            return [text.replace("کشور", "كشور"), counts]
 
+        err, edited = self._link_with_edited_bag(tmp_path, data_dir, index_path, capsys, edit)
+        reason = "stored article term 'كشور' has no document frequency"
+        assert err == f"error: {edited}:5: corrupt index cache: {reason}\n"
+
+    def test_bad_article_bag_exits_one_and_writes_nothing(
+        self, tmp_path, data_dir, index_path, capsys
+    ):
+        err, edited = self._link_with_edited_bag(
+            tmp_path, data_dir, index_path, capsys, lambda text, counts: [text, counts[:-1]]
+        )
+        n = len(json.loads(index_path.read_bytes().splitlines()[4])[1])
+        reason = f"article holds {n} term(s) but {n - 1} count(s)"
+        assert err == f"error: {edited}:5: corrupt index cache: {reason}\n"
+
+    def test_stopword_with_a_document_frequency_exits_one_and_writes_nothing(
+        self, tmp_path, data_dir, index_path, capsys
+    ):
         edited = tmp_path / "edited.idx"
-        _rewrite_index_body(index_path, edited, edit)
+        _rewrite_index_body(
+            index_path, edited, lambda lines: lines[0]["lists"]["stopwords"].append("کشور")
+        )
         out = tmp_path / "p.jsonl"
         assert _link(edited, data_dir / "mini_corpus.jsonl", out) == 1
-        reason = "stored article term 'كشور' has no document frequency"
-        assert capsys.readouterr().err == f"error: entity 'E01': {reason}\n"
-        assert list(tmp_path.iterdir()) == [edited]  # no predictions, no manifest
+        reason = "corrupt index cache: stopword 'کشور' has a document frequency"
+        assert capsys.readouterr().err == f"error: {edited}:2: {reason}\n"
+        assert list(tmp_path.iterdir()) == [edited]
 
     def test_removed_config_keys_are_unknown(self, tmp_path, data_dir, index_path, capsys):
         # Even at their old defaults: the context is always the whole

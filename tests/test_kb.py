@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from peyvand.errors import InputError
 from peyvand.kb import (
+    EMPTY_BAG,
     NerType,
     PosCategory,
     build_kb,
@@ -393,7 +394,7 @@ class TestBuildKb:
             (n, json.loads(_record(f"E{n}", "نام", links=sorted(links))))
             for n, links in enumerate(link_sets)
         ]
-        records = read_records(lines, "d", lambda raw: ("", ()))
+        records = read_records(lines, "d", lambda raw: EMPTY_BAG)
         kb, dropped = build_kb(records, {}, 0, frozenset())
         assert kb.entities is records
         assert list(records) == [f"E{n}" for n in range(len(link_sets))]

@@ -20,6 +20,7 @@ from peyvand.kb import (
     KnowledgeBase,
     NerType,
     PosCategory,
+    bag_json,
     load_kb,
     load_reference_lists,
     read_dump,
@@ -475,7 +476,7 @@ def test_article_vector_is_the_tfidf_of_the_oracle_terms(case):
     records, kb = case
     link_document(kb, empty_lists(), ALL_OFF, doc_of("هدف", mention_at("هدف", "هدف")))
     for r in records:
-        terms = [t for t, _, _ in oracle_tokenize(r.article_text, oracle_normalize)]
+        terms = [t for t, _, _ in oracle_tokenize(r.article, oracle_normalize)]
         expected = linker._tfidf(Counter(terms), kb)
         vector, norm = kb.article_vectors[r.id]
         assert list(vector.items()) == list(expected.items())
@@ -910,26 +911,28 @@ class TestArticleVectorMemo:
         # As they stand: a word that is not in normal form is no `doc_freq`
         # key, so linking fails instead of weighing it with df 0.
         kb = build_kb([entity("E1", "هدف", article="سیب")])
-        kb.entities["E1"] = replace(kb.entities["E1"], article_text="كتاب")  # Arabic kaf
+        kb.entities["E1"] = replace(kb.entities["E1"], bag=bag_json("كتاب", (1,)))  # Arabic kaf
         message = "entity 'E1': stored article term 'كتاب' has no document frequency"
         with pytest.raises(PeyvandError, match=f"^{re.escape(message)}$"):
             link_document(kb, empty_lists(), LinkerConfig(), doc_of("هدف", mention_at("هدف", "هدف")))
         assert kb.article_vectors == {}
 
+    # A count per space-separated term is the bag's shape, which decoding
+    # checks; a count per term of `str.split` is checked after it.
     @pytest.mark.parametrize(
         "text, counts, reason",
         [
-            ("سیب سیب", (1, 1), "repeats the term 'سیب'"),
-            ("سیب  انار", (1, 1, 1), "holds 2 term(s) for 3 count(s)"),
-            ("سیب انار", (2,), "holds 2 term(s) for 1 count(s)"),
-            ("سیب", (1, 1), "holds 1 term(s) for 2 count(s)"),
+            ("سیب سیب", (1, 1), "stored article repeats the term 'سیب'"),
+            ("سیب  انار", (1, 1, 1), "stored article holds 2 term(s) for 3 count(s)"),
+            ("سیب انار", (2,), "article holds 2 term(s) but 1 count(s)"),
+            ("سیب", (1, 1), "article holds 1 term(s) but 2 count(s)"),
         ],
         ids=["repeated-term", "double-space", "fewer-counts", "more-counts"],
     )
     def test_bag_whose_terms_do_not_match_its_counts_fails(self, text, counts, reason):
         kb = build_kb([entity("E1", "هدف", article="سیب انار")])
-        kb.entities["E1"] = replace(kb.entities["E1"], article_text=text, article_counts=counts)
-        message = f"entity 'E1': stored article {reason}"
+        kb.entities["E1"] = replace(kb.entities["E1"], bag=bag_json(text, counts))
+        message = f"entity 'E1': {reason}"
         with pytest.raises(PeyvandError, match=f"^{re.escape(message)}$"):
             link_document(kb, empty_lists(), LinkerConfig(), doc_of("هدف", mention_at("هدف", "هدف")))
         assert kb.article_vectors == {}

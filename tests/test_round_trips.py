@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +23,7 @@ from peyvand.corpus import (
     save_corpus,
     write_predictions,
 )
-from peyvand.kb import NerType, PosCategory, load_kb, lookup_alias
+from peyvand.kb import EntityRecord, NerType, PosCategory, bag_json, load_kb, lookup_alias
 from peyvand.linker import LinkResult, ScoredCandidate
 
 from oracles import brute_force_candidates, oracle_normalize, oracle_tokenize
@@ -153,14 +152,15 @@ def test_dump_load_save_load_is_identity(workdir, records, lists_obj):
     kb, lists, _ = load_kb(*_write_dump(workdir, records, lists_obj))
 
     ids = {r.id for r in records}
-    resolved = {}
-    for r in records:
-        text, counts = _oracle_bag(r.article_text, kb.stopwords)
-        resolved[r.id] = replace(
-            r, article_text=text, article_counts=counts, out_links=r.out_links & ids - {r.id}
+    resolved = {
+        r.id: EntityRecord(
+            r.id, r.canonical_label, r.variant_labels, r.kb_class, r.ner_type, r.pos_category,
+            bag_json(*_oracle_bag(r.article, kb.stopwords)), r.out_links & ids - {r.id}, r.rare,
         )
+        for r in records
+    }
     assert kb.entities == resolved
-    content = [set(_oracle_terms(r.article_text)) - kb.stopwords for r in records]
+    content = [set(_oracle_terms(r.article)) - kb.stopwords for r in records]
     assert kb.doc_freq == Counter(t for terms in content for t in terms)
     for r in records:
         for label in (r.canonical_label, *r.variant_labels):
@@ -183,7 +183,7 @@ def test_stored_articles_are_the_oracle_terms(workdir, data, records):
     counts the non-empty raw articles, whether the knowledge base comes
     from the dump or from its index. The stopwords are drawn from the
     articles' own terms, so that some of them occur."""
-    vocabulary = sorted({t for r in records for t in _oracle_terms(r.article_text)})
+    vocabulary = sorted({t for r in records for t in _oracle_terms(r.article)})
     stopwords = data.draw(st.lists(st.sampled_from(vocabulary), max_size=3)) if vocabulary else []
     kb, lists, _ = load_kb(*_write_dump(workdir, records, {"stopwords": stopwords}))
     assert kb.stopwords == frozenset(stopwords)
@@ -191,9 +191,9 @@ def test_stored_articles_are_the_oracle_terms(workdir, data, records):
     for loaded, _ in ((kb, lists), load_index(workdir / "kb.idx")):
         for r in records:
             stored = loaded.entities[r.id]
-            text, counts = _oracle_bag(r.article_text, kb.stopwords)
+            text, counts = _oracle_bag(r.article, kb.stopwords)
             assert (stored.article_text, stored.article_counts) == (text, counts)
-        assert loaded.doc_count == sum(1 for r in records if r.article_text)
+        assert loaded.doc_count == sum(1 for r in records if r.article)
 
 
 @given(docs=_documents())
