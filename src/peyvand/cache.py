@@ -13,11 +13,11 @@ The records are read back by the dump's own record loop
 (`kb.read_records`) and the lists by the lists file's parser, so a
 malformed or repeated record fails the way a dump record does, naming
 its line. Each bag line is kept undecoded in `EntityRecord.bag`, which
-`save_index` writes back as it is, and `linker.link_document` decodes
-and checks it on the first use of its article, naming its line through
-`bag_error`. So a corpus that scores a few articles of a large knowledge
-base decodes only their bags, and no article is normalized or counted
-again.
+`save_index` writes back as it is. `linker.link_document` reads it with
+`kb.read_bag` on the first use of its article, and `bag_error` names
+its line when it is bad. So a corpus that scores a few articles of a
+large knowledge base decodes only their bags, and no article is
+normalized or counted again.
 
 Every error after the header is an `InputError` whose reason starts
 `corrupt index cache:`. The record count makes a file cut off at a line
@@ -36,7 +36,7 @@ import itertools
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
-from .errors import InputError
+from .errors import InputError, PeyvandError
 from .kb import (
     KnowledgeBase,
     ReferenceLists,
@@ -83,10 +83,13 @@ def load_index(path: str | Path) -> tuple[KnowledgeBase, ReferenceLists]:
             raise InputError(path, exc.line, f"corrupt index cache: {exc.reason}") from None
 
 
-def bag_error(kb: KnowledgeBase, entity_id: str, reason: str) -> InputError:
-    """The error of the bad article bag of `entity_id` in the index that
-    `kb` was loaded from, on the bag's line. The records keep the order
-    of their lines."""
+def bag_error(kb: KnowledgeBase, entity_id: str, reason: str) -> PeyvandError:
+    """The error of the bad article bag of `entity_id`: for a knowledge
+    base that `load_index` read, an `InputError` on the bag's line of its
+    index, whose records keep the order of their lines; for one built
+    from a dump, a `PeyvandError` that names the entity."""
+    if kb.index_path is None:
+        return PeyvandError(f"entity {entity_id!r}: {reason}")
     line = _FIRST_BAG_LINE + 2 * list(kb.entities).index(entity_id)
     return InputError(kb.index_path, line, f"corrupt index cache: {reason}")
 

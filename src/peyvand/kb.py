@@ -9,7 +9,8 @@ A knowledge base keeps each article as its bag of terms: its distinct
 normalized terms outside the stopwords, in order of first occurrence,
 each with its count. A record holds its bag as the compact JSON text
 `["t1 t2",[2,1]]` that the index stores on the line after the record,
-and decodes it only when it is read. The index reads its records back
+and `read_bag` is the one reader of that text: it decodes the bag when
+it is read and checks its shape. The index reads its records back
 through the dump's record reader.
 
 Reference lists live in a single JSON file: the filter lists `rare_blocklist`,
@@ -56,12 +57,11 @@ class PosCategory(str, Enum):
 class EntityRecord:
     """One entity. Its article is a bag of terms, held undecoded in `bag`
     as the UTF-8 JSON text `["t1 t2",[2,1]]` that `bag_json` writes and
-    the index stores. The read-only properties decode it on each read:
-    `article_text` is the article's distinct normalized terms outside the
-    stopwords, in order of first occurrence, joined by single spaces, and
-    `article_counts` is how often each occurs, so that
-    `zip(article_text.split(), article_counts)` gives the article's term
-    counts in order. A bag that `read_bag` refuses raises `ValueError`."""
+    the index stores; `read_bag(record.bag)` gives its terms and counts.
+    The read-only `article_text` decodes it on each read: the article's
+    distinct normalized terms outside the stopwords, in order of first
+    occurrence, joined by single spaces. A bag that `read_bag` refuses
+    raises `ValueError`."""
 
     id: str
     canonical_label: str
@@ -75,11 +75,7 @@ class EntityRecord:
 
     @property
     def article_text(self) -> str:
-        return read_bag(self.bag)[0]
-
-    @property
-    def article_counts(self) -> tuple[int, ...]:
-        return read_bag(self.bag)[1]
+        return " ".join(read_bag(self.bag)[0])
 
 
 @dataclass(frozen=True)
@@ -195,19 +191,12 @@ def _finite_float(text: str) -> float:
 _DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_reject_constant)
 
 
-def json_lines(
-    numbered: Iterable[tuple[int, bytes]], path: str | Path
-) -> Iterator[tuple[int, object]]:
-    """Line number and decoded value of each non-blank numbered line."""
-    for line_no, line in numbered:
-        if line.strip():
-            yield line_no, decode_json(line, path, line_no)
-
-
 def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
     """Line number and decoded value of each non-blank line of a JSON-lines file."""
     with open(path, "rb") as fh:
-        yield from json_lines(enumerate(fh, start=1), path)
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                yield line_no, decode_json(line, path, line_no)
 
 
 def key_error(
@@ -321,13 +310,15 @@ def bag_json(terms: str, counts: Iterable[int]) -> bytes:
 EMPTY_BAG = bag_json("", ())
 
 
-def read_bag(data: bytes) -> tuple[str, tuple[int, ...]]:
+def read_bag(data: bytes) -> tuple[list[str], list[int]]:
     """The terms and counts of an article bag as `bag_json` writes it: the
     JSON text of `[terms, counts]`, the terms joined by single spaces and
-    one positive integer count per term. Text that `decode_json` refuses,
-    or a value of another shape, raises `ValueError` with the reason; a
-    term that is repeated or empty is left to `linker.link_document` to
-    refuse."""
+    one positive integer count per term. This is the one reader of a bag.
+    Text that `decode_json` refuses, a value of another shape, or a count
+    for each space-separated term that is not also a count for each term
+    of `str.split` raises `ValueError` with the reason. A repeated term is
+    left to the caller, which finds it for free when it maps the terms to
+    their counts."""
     try:
         value = decode_json(data, "bag", 1)
     except InputError as exc:
@@ -338,10 +329,13 @@ def read_bag(data: bytes) -> tuple[str, tuple[int, ...]]:
     # JSON gives `bool` for true, which `type(n) is int` leaves out.
     if type(counts) is not list or (counts and (set(map(type, counts)) != _INT or min(counts) < 1)):
         raise ValueError("article counts must be an array of positive integers")
-    stored = text.count(" ") + 1 if text else 0
-    if len(counts) != stored:
-        raise ValueError(f"article holds {stored} term(s) but {len(counts)} count(s)")
-    return text, tuple(counts)
+    terms = text.split()
+    # Single spaces join the terms, so the spaces count them too; the two
+    # counts differ when a term is empty or holds other whitespace.
+    for held in (text.count(" ") + 1 if text else 0, len(terms)):
+        if held != len(counts):
+            raise ValueError(f"article holds {held} term(s) but {len(counts)} count(s)")
+    return terms, counts
 
 
 def parse_record(

@@ -46,15 +46,15 @@ each with its count. Those are the counts, in the same order, that
 `Counter` gives of the article's terms once the stopwords are dropped, so
 the vector equals `_tfidf(Counter(terms))` item for item and in order,
 and so do its norm and every cosine, to the bit. A record holds its bag
-undecoded, and the bag is decoded and checked here, on that first use,
-so an article that no mention scores is never decoded. Every stored term
-is a `doc_freq` key, because the frequencies are counted from the bags.
-A bag that does not decode to one positive count per term, or whose
-terms repeat or are no `doc_freq` key, was edited after the build. Then
-linking fails instead of weighing a term with df 0: with an `InputError`
-on the bag's line when the knowledge base was loaded from an index, or
-with a `PeyvandError` that names the entity when it was built from a
-dump.
+undecoded, and `kb.read_bag` decodes it on that first use and checks its
+shape, so an article that no mention scores is never decoded. Every
+stored term is a `doc_freq` key, because the frequencies are counted
+from the bags. Building the vector checks the rest for free: a term that
+is no `doc_freq` key fails its lookup, a repeated term leaves the vector
+shorter than the terms, and counts too large to weigh leave no finite
+norm. Such a bag was edited after the build, and linking fails instead
+of weighing a term with df 0 or scoring with an infinite norm, with the
+error that `cache.bag_error` builds.
 
 Above a NIL threshold of 1 every mention abstains, so its ambiguity list
 holds each kept candidate with its context score, graph score and penalty;
@@ -252,39 +252,33 @@ def _cosine(a: Mapping[str, float], norm_a: float, b: Mapping[str, float], norm_
 def _article_vector(
     kb: KnowledgeBase, entity_id: str, record: EntityRecord
 ) -> tuple[dict[str, float], float]:
-    """The TF-IDF vector and norm of the entity's article bag, decoded
-    here, each distinct term interned once, so that the vectors of all
-    articles share one string per term. A bag that `read_bag` refuses, a
-    term that `kb.doc_freq` does not hold, or a bag whose terms repeat or
-    do not match its counts one for one raises `_bag_error`: the stored
-    article was edited."""
+    """The TF-IDF vector and norm of the entity's article bag, which
+    `read_bag` decodes and checks here, each distinct term interned once,
+    so that the vectors of all articles share one string per term. A bag
+    that `read_bag` refuses, a term that `kb.doc_freq` does not hold, a
+    repeated term, or counts too large to weigh to a finite norm raise
+    `bag_error`: the stored article was edited."""
     try:
-        text, counts = read_bag(record.bag)
+        terms, counts = read_bag(record.bag)
     except ValueError as exc:
-        raise _bag_error(kb, entity_id, str(exc)) from None
-    terms, idf, doc_freq = text.split(), kb.idf, kb.doc_freq
+        raise bag_error(kb, entity_id, str(exc)) from None
+    idf, doc_freq = kb.idf, kb.doc_freq
     try:
         weights = {sys.intern(t): n * idf[doc_freq[t]] for t, n in zip(terms, counts)}
     except KeyError as exc:
         reason = f"stored article term {exc.args[0]!r} has no document frequency"
-        raise _bag_error(kb, entity_id, reason) from None
-    if not len(weights) == len(terms) == len(counts):
-        repeated = [t for i, t in enumerate(terms) if t in terms[:i]]
-        reason = (
-            f"stored article repeats the term {repeated[0]!r}" if repeated
-            else f"stored article holds {len(terms)} term(s) for {len(counts)} count(s)"
-        )
-        raise _bag_error(kb, entity_id, reason)
-    return weights, _norm(weights)
-
-
-def _bag_error(kb: KnowledgeBase, entity_id: str, reason: str) -> PeyvandError:
-    """The error of the entity's bad article bag: on the bag's line of the
-    index that `kb` was loaded from, or naming the entity of a knowledge
-    base built from a dump."""
-    if kb.index_path is not None:
-        return bag_error(kb, entity_id, reason)
-    return PeyvandError(f"entity {entity_id!r}: {reason}")
+        raise bag_error(kb, entity_id, reason) from None
+    except OverflowError:  # a count too large to convert to a float
+        norm = math.inf
+    else:
+        # A weight whose square overflows makes the norm infinite, not an error.
+        norm = _norm(weights)
+    if norm == math.inf:
+        raise bag_error(kb, entity_id, "stored article counts are too large to weigh")
+    if len(weights) != len(terms):
+        repeated = next(t for i, t in enumerate(terms) if t in terms[:i])
+        raise bag_error(kb, entity_id, f"stored article repeats the term {repeated!r}")
+    return weights, norm
 
 
 def _kept(

@@ -25,6 +25,7 @@ from peyvand.kb import (
     NerType,
     PosCategory,
     ReferenceLists,
+    read_bag,
 )
 from peyvand.linker import LinkResult, LinkerConfig, ScoredCandidate
 
@@ -194,7 +195,7 @@ def oracle_article_terms(entity_id: str, kb: KnowledgeBase) -> list[str]:
     tokens = oracle_tokenize(record.article_text, oracle_normalize)
     return [
         text
-        for (text, _, _), count in zip(tokens, record.article_counts, strict=True)
+        for (text, _, _), count in zip(tokens, read_bag(record.bag)[1], strict=True)
         if text not in kb.stopwords
         for _ in range(count)
     ]

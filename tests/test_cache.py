@@ -178,8 +178,8 @@ class TestIndexCache:
         dump_keys = {"id", "label", "variants", "class", "ner_type", "pos", "links", "rare"}
         assert all(set(record) == dump_keys for record in records)
         assert bags == [
-            [kb.entities[record["id"]].article_text, list(kb.entities[record["id"]].article_counts)]
-            for record in records
+            [e.article_text, kb_module.read_bag(e.bag)[1]]
+            for e in (kb.entities[record["id"]] for record in records)
         ]
         assert [record["id"] for record in records] == sorted(kb.entities)
         assert meta["records"] == len(records)
@@ -216,9 +216,15 @@ class TestIndexCache:
              "article counts must be an array of positive integers"),
             (lambda bag: [bag[0], [*bag[1], 1]], "article holds {n} term(s) but {more} count(s)"),
             (lambda bag: [bag[0], bag[1][:-1]], "article holds {n} term(s) but {fewer} count(s)"),
+            # 10**400 converts to no float; 10**300 does, but its square overflows the norm.
+            (lambda bag: [bag[0], [10**300, *bag[1][1:]]],
+             "stored article counts are too large to weigh"),
+            (lambda bag: [bag[0], [10**400, *bag[1][1:]]],
+             "stored article counts are too large to weigh"),
         ],
         ids=["string", "terms-only", "three-items", "counts-for-terms", "counts-string",
-             "counts-object", "zero", "negative", "float", "bool", "one-more", "one-fewer"],
+             "counts-object", "zero", "negative", "float", "bool", "one-more", "one-fewer",
+             "norm-overflows", "int-overflows"],
     )
     def test_corrupt_article_bag_names_its_line(self, tmp_path, kb, lists, edit, reason):
         # The index loads, and the bag fails on the first use of its article.

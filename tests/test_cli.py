@@ -477,6 +477,17 @@ class TestMalformedInputExitsOne:
         reason = f"article holds {n} term(s) but {n - 1} count(s)"
         assert err == f"error: {edited}:5: corrupt index cache: {reason}\n"
 
+    # 10**400 converts to no float; 10**300 does, but its square overflows the norm.
+    @pytest.mark.parametrize("count", [10**300, 10**400], ids=["norm-overflows", "int-overflows"])
+    def test_count_too_large_to_weigh_exits_one_and_writes_nothing(
+        self, tmp_path, data_dir, index_path, capsys, count
+    ):
+        err, edited = self._link_with_edited_bag(
+            tmp_path, data_dir, index_path, capsys, lambda text, counts: [text, [count, *counts[1:]]]
+        )
+        reason = "stored article counts are too large to weigh"
+        assert err == f"error: {edited}:5: corrupt index cache: {reason}\n"
+
     def test_stopword_with_a_document_frequency_exits_one_and_writes_nothing(
         self, tmp_path, data_dir, index_path, capsys
     ):

@@ -16,6 +16,7 @@ from peyvand.kb import (
     EMPTY_BAG,
     NerType,
     PosCategory,
+    bag_json,
     build_kb,
     decode_json,
     lists_to_obj,
@@ -23,6 +24,7 @@ from peyvand.kb import (
     load_reference_lists,
     lookup_alias,
     parse_reference_lists,
+    read_bag,
     read_dump,
     read_json_lines,
     read_records,
@@ -30,6 +32,7 @@ from peyvand.kb import (
 from peyvand import textnorm
 from peyvand.textnorm import normalize
 
+from mutations import dumps, json_values, mutations
 from oracles import brute_force_candidates, oracle_normalize, oracle_tokenize
 
 
@@ -142,7 +145,7 @@ class TestLoadKb:
         )
         kb, _, _ = load_kb(dump, lists_file)
         assert kb.doc_count == 2  # punctuation alone is stored as an empty bag but counts
-        assert (kb.entities["E3"].article_text, kb.entities["E3"].article_counts) == ("", ())
+        assert read_bag(kb.entities["E3"].bag) == ([], [])
 
 
 class TestReferenceLists:
@@ -309,6 +312,50 @@ def test_lone_surrogate_is_invalid_json_and_a_pair_decodes(objects, upper):
     assert re.fullmatch(r"invalid JSON: lone surrogate \\u[dD][89a-fA-F][0-9a-fA-F]{2}", info.value.reason)
 
 
+def _encode(value) -> bytes:
+    return dumps(value).encode()
+
+
+# Any bytes, any JSON value, a valid bag with one edit at any depth, and
+# text of terms and whitespace with any integers for counts.
+_bag_bytes = (
+    st.binary(max_size=24)
+    | json_values.map(_encode)
+    | mutations(["سیب انار", [2, 1]]).map(_encode)
+    | st.builds(bag_json, st.text(" \t\xa0سیب", max_size=8), st.lists(st.integers(), max_size=4))
+)
+
+
+@given(_bag_bytes)
+@settings(max_examples=300, deadline=None)
+def test_read_bag_returns_or_raises_value_error(data):
+    """Whatever the bytes, `read_bag` gives one positive integer count per
+    term of `str.split` or raises `ValueError`."""
+    try:
+        terms, counts = read_bag(data)
+    except ValueError:
+        return
+    assert len(terms) == len(counts)
+    assert all(t.split() == [t] for t in terms)
+    assert all(type(n) is int and n >= 1 for n in counts)
+
+
+@st.composite
+def _bags(draw):
+    """Distinct non-empty terms without whitespace, and a positive count each."""
+    terms = draw(st.lists(st.text(min_size=1, max_size=4).filter(lambda t: t.split() == [t]),
+                          unique=True, max_size=6))
+    counts = draw(st.lists(st.integers(min_value=1), min_size=len(terms), max_size=len(terms)))
+    return terms, counts
+
+
+@given(_bags())
+@settings(max_examples=200, deadline=None)
+def test_read_bag_reads_back_what_bag_json_writes(bag):
+    terms, counts = bag
+    assert read_bag(bag_json(" ".join(terms), counts)) == (terms, counts)
+
+
 def test_enums_round_trip():
     assert NerType("LOC") is NerType.LOC
     assert PosCategory("COMMON_NOUN") is PosCategory.COMMON_NOUN
@@ -368,7 +415,7 @@ class TestBuildKb:
         assert kb.entities["A"].out_links == frozenset({"B"})
         assert dropped == (1, 1)
         assert kb.doc_count == 1
-        assert (kb.entities["A"].article_text, kb.entities["A"].article_counts) == ("متن کوتاه", (1, 1))
+        assert read_bag(kb.entities["A"].bag) == (["متن", "کوتاه"], [1, 1])
         assert kb.alias_index[normalize("آلفا")] == frozenset({"A", "B"})
 
     def test_doc_freq_counts_each_article_once(self):
@@ -382,8 +429,8 @@ class TestBuildKb:
         assert kb.doc_freq == {"سیب": 2}
         assert kb.doc_count == 3
         # Each article is its bag, stopwords dropped: "و" alone counts but is stored empty.
-        assert [(e.article_text, e.article_counts) for e in kb.entities.values()] == [
-            ("سیب", (2,)), ("سیب", (1,)), ("", ()), ("", ())
+        assert [read_bag(e.bag) for e in kb.entities.values()] == [
+            (["سیب"], [2]), (["سیب"], [1]), ([], []), ([], [])
         ]
 
     # Ids E0..E(n-1) exist; links may also name E5..E7, which never do.

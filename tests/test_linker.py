@@ -917,13 +917,13 @@ class TestArticleVectorMemo:
             link_document(kb, empty_lists(), LinkerConfig(), doc_of("هدف", mention_at("هدف", "هدف")))
         assert kb.article_vectors == {}
 
-    # A count per space-separated term is the bag's shape, which decoding
-    # checks; a count per term of `str.split` is checked after it.
+    # Decoding checks a count per space-separated term and per term of
+    # `str.split`; building the vector finds a repeated term.
     @pytest.mark.parametrize(
         "text, counts, reason",
         [
             ("سیب سیب", (1, 1), "stored article repeats the term 'سیب'"),
-            ("سیب  انار", (1, 1, 1), "stored article holds 2 term(s) for 3 count(s)"),
+            ("سیب  انار", (1, 1, 1), "article holds 2 term(s) but 3 count(s)"),
             ("سیب انار", (2,), "article holds 2 term(s) but 1 count(s)"),
             ("سیب", (1, 1), "article holds 1 term(s) but 2 count(s)"),
         ],
@@ -936,6 +936,31 @@ class TestArticleVectorMemo:
         with pytest.raises(PeyvandError, match=f"^{re.escape(message)}$"):
             link_document(kb, empty_lists(), LinkerConfig(), doc_of("هدف", mention_at("هدف", "هدف")))
         assert kb.article_vectors == {}
+
+
+    # Terms with a document frequency, and one without (an Arabic kaf);
+    # counts small, too large for a weight's square, or for any float.
+    @given(st.lists(st.sampled_from(["سیب", "انار", "كتاب"]), max_size=4),
+           st.lists(st.integers(min_value=1) | st.integers(10**150, 10**400), min_size=4,
+                    max_size=4))
+    @example(["سیب", "انار"], [10**300, 1, 1, 1])
+    @example(["سیب", "انار"], [10**400, 1, 1, 1])
+    @settings(max_examples=200, deadline=None)
+    def test_any_decodable_bag_scores_with_a_finite_norm_or_fails(self, terms, counts):
+        kb = build_kb([entity("E1", "هدف", article="سیب انار")])
+        bag = bag_json(" ".join(terms), counts[: len(terms)])
+        kb.entities["E1"] = replace(kb.entities["E1"], bag=bag)
+        text = "هدف سیب انار"
+        cfg = LinkerConfig(nil_threshold=2.0)  # every candidate on the ambiguity list
+        try:
+            [result] = link_document(kb, empty_lists(), cfg, doc_of(text, mention_at(text, "هدف")))
+        except PeyvandError:
+            assert kb.article_vectors == {}
+            return
+        assert math.isfinite(kb.article_vectors["E1"][1])
+        [candidate] = result.ambiguity
+        assert 0.0 <= candidate.context_score <= 1.0 + 1e-12
+        assert math.isfinite(candidate.combined)
 
 
 def test_scores_do_not_depend_on_how_sum_rounds(tmp_path, data_dir, mini_corpus, monkeypatch):

@@ -23,7 +23,9 @@ from peyvand.corpus import (
     save_corpus,
     write_predictions,
 )
-from peyvand.kb import EntityRecord, NerType, PosCategory, bag_json, load_kb, lookup_alias
+from peyvand.kb import (
+    EntityRecord, NerType, PosCategory, bag_json, load_kb, lookup_alias, read_bag,
+)
 from peyvand.linker import LinkResult, ScoredCandidate
 
 from oracles import brute_force_candidates, oracle_normalize, oracle_tokenize
@@ -192,7 +194,7 @@ def test_stored_articles_are_the_oracle_terms(workdir, data, records):
         for r in records:
             stored = loaded.entities[r.id]
             text, counts = _oracle_bag(r.article, kb.stopwords)
-            assert (stored.article_text, stored.article_counts) == (text, counts)
+            assert read_bag(stored.bag) == (text.split(), list(counts))
         assert loaded.doc_count == sum(1 for r in records if r.article)
 
 
