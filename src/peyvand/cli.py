@@ -68,7 +68,8 @@ def cmd_link(args: argparse.Namespace) -> int:
     timings["write"] = time.perf_counter() - started
 
     inputs = {
-        "index": {"path": str(args.index), "sha256": _sha256(args.index)},
+        # `load_index` hashed the index as it read it.
+        "index": {"path": str(args.index), "sha256": kb.index_sha256},
         "corpus": {"path": str(args.corpus), "sha256": _sha256(args.corpus)},
     }
     if args.config:

@@ -8,10 +8,15 @@ A dump is UTF-8 JSON lines, one entity per line:
 A knowledge base keeps each article as its bag of terms: its distinct
 normalized terms outside the stopwords, in order of first occurrence,
 each with its count. A record holds its bag as the compact JSON text
-`["t1 t2",[2,1]]` that the index stores on the line after the record,
-and `read_bag` is the one reader of that text: it decodes the bag when
-it is read and checks its shape. The index reads its records back
-through the dump's record reader.
+`["t1 t2",[2,1]]` that the index stores on a line of its own, and
+`read_bag` is the one reader of that text: it decodes the bag when it is
+read and checks its shape.
+
+A record keeps in memory what the filters and the link graph read: its
+id, class, POS category, rare flag and out-links. It reads its label,
+variants, NER type and bag from its `source`: a record of a dump holds
+them in a `RecordText`, and one that `cache.load_index` read fetches
+them from its index on each read, through `parse_labels` and `read_bag`.
 
 Reference lists live in a single JSON file: the filter lists `rare_blocklist`,
 `class_filters` and `type_mapping`, and the knowledge base's `stopwords`.
@@ -31,9 +36,9 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import filterfalse
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Any, Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InputError
+from .errors import InputError, PeyvandError
 from .textnorm import NormalForms, persian_normalize, terms
 
 
@@ -53,29 +58,94 @@ class PosCategory(str, Enum):
     UNKNOWN = "UNKNOWN"
 
 
-@dataclass(frozen=True)
+class RecordText(NamedTuple):
+    """The label, variants, NER type and article bag of a record that a
+    dump gave, held in memory."""
+
+    label: str
+    variants: frozenset[str]
+    ner_type: NerType
+    bag: bytes
+
+
+class _InMemory:
+    """The source of the records that a dump gave: each record's key is its
+    `RecordText`. `cache.IndexText` is the source of a loaded index."""
+
+    @staticmethod
+    def labels(text: RecordText) -> tuple[str, frozenset[str], NerType]:
+        return text.label, text.variants, text.ner_type
+
+    @staticmethod
+    def bag(text: RecordText) -> bytes:
+        return text.bag
+
+    @staticmethod
+    def bag_error(text: RecordText, entity_id: str, reason: str) -> PeyvandError:
+        return PeyvandError(f"entity {entity_id!r}: {reason}")
+
+
+IN_MEMORY = _InMemory()
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class EntityRecord:
-    """One entity. Its article is a bag of terms, held undecoded in `bag`
-    as the UTF-8 JSON text `["t1 t2",[2,1]]` that `bag_json` writes and
-    the index stores; `read_bag(record.bag)` gives its terms and counts.
-    The read-only `article_text` decodes it on each read: the article's
-    distinct normalized terms outside the stopwords, in order of first
-    occurrence, joined by single spaces. A bag that `read_bag` refuses
-    raises `ValueError`."""
+    """One entity. The filters and the link graph read its first five
+    fields, which it holds. Its label, variants, NER type and article bag
+    are read from `source` at `key` on each access and not kept:
+    `source.labels(key)` gives the first three and `source.bag(key)` the
+    bag, undecoded, as the UTF-8 JSON text `["t1 t2",[2,1]]` that
+    `bag_json` writes and the index stores; `read_bag(record.bag)` gives
+    its terms and counts. `source.bag_error(key, id, reason)` is the error
+    of a bag that fails when it is used. The read-only `article_text` is
+    the article's distinct normalized terms outside the stopwords, in
+    order of first occurrence, joined by single spaces. `==` compares
+    every field that a record reads, not where it reads them from."""
 
     id: str
-    canonical_label: str
-    variant_labels: frozenset[str]
     kb_class: str
-    ner_type: NerType
     pos_category: PosCategory
-    bag: bytes
     out_links: frozenset[str]
-    rare: bool = False
+    rare: bool
+    source: Any = field(repr=False)
+    key: Any = field(repr=False)
+
+    @property
+    def canonical_label(self) -> str:
+        return self.source.labels(self.key)[0]
+
+    @property
+    def variant_labels(self) -> frozenset[str]:
+        return self.source.labels(self.key)[1]
+
+    @property
+    def ner_type(self) -> NerType:
+        return self.source.labels(self.key)[2]
+
+    @property
+    def bag(self) -> bytes:
+        return self.source.bag(self.key)
 
     @property
     def article_text(self) -> str:
-        return " ".join(read_bag(self.bag)[0])
+        try:
+            return " ".join(read_bag(self.bag)[0])
+        except ValueError as exc:
+            raise self.bag_error(str(exc)) from None
+
+    def bag_error(self, reason: str) -> PeyvandError:
+        """The error of this record's bag, which fails for `reason`."""
+        return self.source.bag_error(self.key, self.id, reason)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EntityRecord):
+            return NotImplemented
+        return (
+            (self.id, self.kb_class, self.pos_category, self.out_links, self.rare)
+            == (other.id, other.kb_class, other.pos_category, other.out_links, other.rare)
+            and self.source.labels(self.key) == other.source.labels(other.key)
+            and self.bag == other.bag
+        )
 
 
 @dataclass(frozen=True)
@@ -113,9 +183,9 @@ class KnowledgeBase:
     """Immutable after load apart from two memos that `linker.link_document`
     fills on first use. `stopwords` are the terms that `doc_freq` leaves out
     and that no vector holds; they are fixed when the KB is built.
-    `index_path` is the index file that `cache.load_index` read the KB
-    from, so that a bad article bag, decoded on first use, names its line;
-    it is None for a KB built from a dump, and `==` ignores it.
+    `index_sha256` is the SHA-256 of the index file that `cache.load_index`
+    read the KB from, hashed as it was read; it is None for a KB built from
+    a dump, and `==` ignores it.
 
     - `idf` maps a document frequency to its IDF weight. It is bounded by
       the distinct df values, at most `doc_count + 1` of them.
@@ -132,7 +202,7 @@ class KnowledgeBase:
     doc_count: int
     doc_freq: dict[str, int]
     stopwords: frozenset[str]
-    index_path: str | Path | None = field(default=None, repr=False, compare=False)
+    index_sha256: str | None = field(default=None, repr=False, compare=False)
     idf: IdfTable = field(init=False, repr=False, compare=False)
     article_vectors: dict[str, tuple[dict[str, float], float]] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -338,6 +408,23 @@ def read_bag(data: bytes) -> tuple[list[str], list[int]]:
     return terms, counts
 
 
+def parse_labels(obj: dict, path: str | Path, line_no: int) -> tuple[str, frozenset[str], NerType]:
+    """The checked label, variants and NER type of a dump record, or of the
+    label line of an index, that `path` holds on line `line_no`; a bad one
+    is an `InputError` on that line."""
+    label = obj["label"]
+    if not isinstance(label, str) or not label:
+        raise InputError(path, line_no, "label must be a non-empty string")
+    variants = obj["variants"]
+    if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
+        raise InputError(path, line_no, "variants must be an array of strings")
+    try:
+        ner = NerType(obj["ner_type"])
+    except ValueError:
+        raise InputError(path, line_no, f"ner_type {obj['ner_type']!r} is invalid") from None
+    return label, frozenset(variants), ner
+
+
 def parse_record(
     obj: object, path: str | Path, line_no: int, article: Callable[[object], bytes]
 ) -> EntityRecord:
@@ -348,14 +435,9 @@ def parse_record(
     if reason := key_error(obj, "record", _RECORD_KEYS, _RECORD_ALLOWED):
         raise InputError(path, line_no, reason)
     entity_id = obj["id"]
-    label = obj["label"]
     if not isinstance(entity_id, str) or not entity_id:
         raise InputError(path, line_no, "id must be a non-empty string")
-    if not isinstance(label, str) or not label:
-        raise InputError(path, line_no, "label must be a non-empty string")
-    variants = obj["variants"]
-    if not isinstance(variants, list) or not all(isinstance(v, str) for v in variants):
-        raise InputError(path, line_no, "variants must be an array of strings")
+    label, variants, ner = parse_labels(obj, path, line_no)
     links = obj["links"]
     if not isinstance(links, list) or not all(isinstance(l, str) for l in links):
         raise InputError(path, line_no, "links must be an array of entity ids")
@@ -366,10 +448,6 @@ def parse_record(
     except ValueError as exc:
         raise InputError(path, line_no, str(exc)) from None
     try:
-        ner = NerType(obj["ner_type"])
-    except ValueError:
-        raise InputError(path, line_no, f"ner_type {obj['ner_type']!r} is invalid") from None
-    try:
         pos = PosCategory(obj["pos"])
     except ValueError:
         raise InputError(path, line_no, f"pos {obj['pos']!r} is invalid") from None
@@ -378,30 +456,13 @@ def parse_record(
         raise InputError(path, line_no, "rare must be a boolean")
     return EntityRecord(
         id=entity_id,
-        canonical_label=label,
-        variant_labels=frozenset(variants),
         kb_class=obj["class"],
-        ner_type=ner,
         pos_category=pos,
-        bag=bag,
         out_links=frozenset(links),  # resolved by `build_kb`
         rare=rare,
+        source=IN_MEMORY,
+        key=RecordText(label, variants, ner, bag),
     )
-
-
-def record_to_obj(record: EntityRecord) -> dict:
-    """The dump-line shape of a record without its article, with its sets
-    sorted: the index writes the bag on a line of its own."""
-    return {
-        "id": record.id,
-        "label": record.canonical_label,
-        "variants": sorted(record.variant_labels),
-        "class": record.kb_class,
-        "ner_type": record.ner_type.value,
-        "pos": record.pos_category.value,
-        "links": sorted(record.out_links),
-        "rare": record.rare,
-    }
 
 
 def build_kb(

@@ -45,16 +45,18 @@ its distinct terms outside the stopwords, in order of first occurrence,
 each with its count. Those are the counts, in the same order, that
 `Counter` gives of the article's terms once the stopwords are dropped, so
 the vector equals `_tfidf(Counter(terms))` item for item and in order,
-and so do its norm and every cosine, to the bit. A record holds its bag
-undecoded, and `kb.read_bag` decodes it on that first use and checks its
-shape, so an article that no mention scores is never decoded. Every
+and so do its norm and every cosine, to the bit. A record reads its bag
+undecoded, from its index when the knowledge base was loaded, and
+`kb.read_bag` decodes it on that first use and checks its shape, so an
+article that no mention scores is never read or decoded. Every
 stored term is a `doc_freq` key, because the frequencies are counted
 from the bags. Building the vector checks the rest for free: a term that
 is no `doc_freq` key fails its lookup, a repeated term leaves the vector
 shorter than the terms, and counts too large to weigh leave no finite
 norm. Such a bag was edited after the build, and linking fails instead
 of weighing a term with df 0 or scoring with an infinite norm, with the
-error that `cache.bag_error` builds.
+error that the record's `bag_error` builds: for a loaded index, one that
+names the bag's line.
 
 Above a NIL threshold of 1 every mention abstains, so its ambiguity list
 holds each kept candidate with its context score, graph score and penalty;
@@ -73,7 +75,6 @@ from operator import itemgetter
 from typing import Mapping, NamedTuple
 
 from .errors import InputError, PeyvandError
-from .cache import bag_error
 from .corpus import Document, Mention, NIL, _Nil
 from .kb import (
     EntityRecord,
@@ -249,35 +250,33 @@ def _cosine(a: Mapping[str, float], norm_a: float, b: Mapping[str, float], norm_
     return dot / (norm_a * norm_b)
 
 
-def _article_vector(
-    kb: KnowledgeBase, entity_id: str, record: EntityRecord
-) -> tuple[dict[str, float], float]:
-    """The TF-IDF vector and norm of the entity's article bag, which
+def _article_vector(kb: KnowledgeBase, record: EntityRecord) -> tuple[dict[str, float], float]:
+    """The TF-IDF vector and norm of the record's article bag, which
     `read_bag` decodes and checks here, each distinct term interned once,
     so that the vectors of all articles share one string per term. A bag
     that `read_bag` refuses, a term that `kb.doc_freq` does not hold, a
     repeated term, or counts too large to weigh to a finite norm raise
-    `bag_error`: the stored article was edited."""
+    the record's `bag_error`: the stored article was edited."""
     try:
         terms, counts = read_bag(record.bag)
     except ValueError as exc:
-        raise bag_error(kb, entity_id, str(exc)) from None
+        raise record.bag_error(str(exc)) from None
     idf, doc_freq = kb.idf, kb.doc_freq
     try:
         weights = {sys.intern(t): n * idf[doc_freq[t]] for t, n in zip(terms, counts)}
     except KeyError as exc:
         reason = f"stored article term {exc.args[0]!r} has no document frequency"
-        raise bag_error(kb, entity_id, reason) from None
+        raise record.bag_error(reason) from None
     except OverflowError:  # a count too large to convert to a float
         norm = math.inf
     else:
         # A weight whose square overflows makes the norm infinite, not an error.
         norm = _norm(weights)
     if norm == math.inf:
-        raise bag_error(kb, entity_id, "stored article counts are too large to weigh")
+        raise record.bag_error("stored article counts are too large to weigh")
     if len(weights) != len(terms):
         repeated = next(t for i, t in enumerate(terms) if t in terms[:i])
-        raise bag_error(kb, entity_id, f"stored article repeats the term {repeated!r}")
+        raise record.bag_error(f"stored article repeats the term {repeated!r}")
     return weights, norm
 
 
@@ -375,9 +374,7 @@ def link_document(
         for entity_id in sorted(own):
             article = article_vectors.get(entity_id)
             if article is None:
-                article = article_vectors[entity_id] = _article_vector(
-                    kb, entity_id, candidates[entity_id]
-                )
+                article = article_vectors[entity_id] = _article_vector(kb, candidates[entity_id])
             ctx = _cosine(*context, *article)
             graph = linked[entity_id] / max_linked if max_linked else 0.0
             penalty = own[entity_id]

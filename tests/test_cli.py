@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peyvand import cli
 from peyvand.cache import CACHE_VERSION, load_index
 from peyvand.cli import main
 from peyvand.corpus import load_predictions
@@ -188,6 +189,21 @@ class TestLink:
         for name, path in (("index", index_path), ("corpus", corpus)):
             recomputed = hashlib.sha256(path.read_bytes()).hexdigest()
             assert manifest["inputs"][name]["sha256"] == recomputed
+
+    def test_manifest_index_digest_comes_from_the_one_read(
+        self, tmp_path, data_dir, index_path, monkeypatch
+    ):
+        # `load_index` hashes the index as it reads it, so `link` reads it once.
+        hashed, sha256 = [], cli._sha256
+        monkeypatch.setattr(cli, "_sha256", lambda path: hashed.append(path) or sha256(path))
+        out = tmp_path / "pred.jsonl"
+        corpus = data_dir / "mini_corpus.jsonl"
+        assert main(["link", "--index", str(index_path), "--corpus", str(corpus),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "pred.jsonl.manifest.json").read_text(encoding="utf-8"))
+        digest = hashlib.sha256(index_path.read_bytes()).hexdigest()
+        assert manifest["inputs"]["index"]["sha256"] == digest
+        assert hashed == [str(corpus)]
 
     def test_lambda_flag_is_a_usage_error(self, tmp_path, data_dir, index_path, capsys):
         out = tmp_path / "pred.jsonl"
@@ -372,8 +388,8 @@ def _one_error_line(err: str) -> bool:
 
 
 def _rewrite_index_body(src, dest, edit):
-    """`edit` the decoded body lines of an index: metadata, doc_freq, then
-    each record and its article bag."""
+    """`edit` the decoded body lines of an index: metadata, doc_freq, ids,
+    aliases, the four columns, then each record's label line and bag."""
     header, *body = src.read_bytes().splitlines(keepends=True)
     values = [json.loads(line) for line in body]
     edit(values)
@@ -420,19 +436,20 @@ class TestMalformedInputExitsOne:
     @pytest.mark.parametrize(
         "edit, where",
         [
-            # The first record is read as the doc_freq line, its bag as a record.
-            (lambda lines: lines.pop(1), ":4: corrupt index cache: record must be a JSON object"),
-            (lambda lines: lines.__setitem__(2, list(lines[2].values())),
-             ":4: corrupt index cache: record must be a JSON object"),
-            (lambda lines: next(r for r in lines[2::2] if r["id"] == "E01").update(ner_type="XX"),
-             ":4: corrupt index cache: ner_type 'XX' is invalid"),
+            # The ids are read as the doc_freq line, the aliases as the ids.
+            (lambda lines: lines.pop(1),
+             ":4: corrupt index cache: ids must be an array of 33 non-empty strings"),
+            (lambda lines: lines.__setitem__(2, dict.fromkeys(lines[2])),
+             ":4: corrupt index cache: ids must be an array of 33 non-empty strings"),
+            (lambda lines: lines[5].__setitem__(0, "XX"),
+             ":7: corrupt index cache: pos 'XX' is invalid"),
             (lambda lines: lines[1].update(dict.fromkeys(list(lines[1])[::2], 0)),
              ":3: corrupt index cache: doc_freq"),
             (lambda lines: lines[1].update(
-                dict.fromkeys(list(lines[1])[::2], sum(1 for bag in lines[3::2] if bag[0]) + 1)
+                dict.fromkeys(list(lines[1])[::2], sum(1 for bag in lines[9::2] if bag[0]) + 1)
             ), ":3: corrupt index cache: doc_freq"),
         ],
-        ids=["missing-doc-freq", "entities-not-an-object", "bad-ner-type", "zero",
+        ids=["missing-doc-freq", "ids-not-an-array", "bad-pos", "zero",
              "above-article-count"],
     )
     def test_corrupt_index_body(self, tmp_path, data_dir, index_path, capsys, edit, where):
@@ -445,11 +462,11 @@ class TestMalformedInputExitsOne:
 
     def _link_with_edited_bag(self, tmp_path, data_dir, index_path, capsys, edit):
         """Link the mini corpus over an index in which `edit(text, counts)`
-        gives the bag of E01, the first record, on line 5. The index loads,
+        gives the bag of E01, the first record, on line 11. The index loads,
         and the bag fails on first use: check that `link` exits 1 and
         writes nothing, and return its error line and the edited index."""
         edited = tmp_path / "edited.idx"
-        _rewrite_index_body(index_path, edited, lambda lines: lines.__setitem__(3, edit(*lines[3])))
+        _rewrite_index_body(index_path, edited, lambda lines: lines.__setitem__(9, edit(*lines[9])))
         assert _link(edited, data_dir / "mini_corpus.jsonl", tmp_path / "p.jsonl") == 1
         assert list(tmp_path.iterdir()) == [edited]  # no predictions, no manifest
         return capsys.readouterr().err, edited
@@ -465,7 +482,7 @@ class TestMalformedInputExitsOne:
 
         err, edited = self._link_with_edited_bag(tmp_path, data_dir, index_path, capsys, edit)
         reason = "stored article term 'كشور' has no document frequency"
-        assert err == f"error: {edited}:5: corrupt index cache: {reason}\n"
+        assert err == f"error: {edited}:11: corrupt index cache: {reason}\n"
 
     def test_bad_article_bag_exits_one_and_writes_nothing(
         self, tmp_path, data_dir, index_path, capsys
@@ -473,9 +490,9 @@ class TestMalformedInputExitsOne:
         err, edited = self._link_with_edited_bag(
             tmp_path, data_dir, index_path, capsys, lambda text, counts: [text, counts[:-1]]
         )
-        n = len(json.loads(index_path.read_bytes().splitlines()[4])[1])
+        n = len(json.loads(index_path.read_bytes().splitlines()[10])[1])
         reason = f"article holds {n} term(s) but {n - 1} count(s)"
-        assert err == f"error: {edited}:5: corrupt index cache: {reason}\n"
+        assert err == f"error: {edited}:11: corrupt index cache: {reason}\n"
 
     # 10**400 converts to no float; 10**300 does, but its square overflows the norm.
     @pytest.mark.parametrize("count", [10**300, 10**400], ids=["norm-overflows", "int-overflows"])
@@ -486,7 +503,7 @@ class TestMalformedInputExitsOne:
             tmp_path, data_dir, index_path, capsys, lambda text, counts: [text, [count, *counts[1:]]]
         )
         reason = "stored article counts are too large to weigh"
-        assert err == f"error: {edited}:5: corrupt index cache: {reason}\n"
+        assert err == f"error: {edited}:11: corrupt index cache: {reason}\n"
 
     def test_stopword_with_a_document_frequency_exits_one_and_writes_nothing(
         self, tmp_path, data_dir, index_path, capsys

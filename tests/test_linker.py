@@ -806,6 +806,12 @@ class TestArticleVectorMemo:
     def _link_all(kb, lists, cfg, corpus):
         return [link_document(kb, lists, cfg, doc) for doc in corpus]
 
+    @staticmethod
+    def _set_bag(kb, entity_id, bag):
+        """Give the entity of a dump-built `kb` the article bag `bag`."""
+        record = kb.entities[entity_id]
+        kb.entities[entity_id] = replace(record, key=record.key._replace(bag=bag))
+
     def test_two_stopword_sets_give_two_kbs_that_match_the_oracle(self, data_dir, mini_corpus):
         # The stopwords are fixed when a KB is built, so other stopwords
         # take another KB, read from the same dump.
@@ -911,7 +917,7 @@ class TestArticleVectorMemo:
         # As they stand: a word that is not in normal form is no `doc_freq`
         # key, so linking fails instead of weighing it with df 0.
         kb = build_kb([entity("E1", "هدف", article="سیب")])
-        kb.entities["E1"] = replace(kb.entities["E1"], bag=bag_json("كتاب", (1,)))  # Arabic kaf
+        self._set_bag(kb, "E1", bag_json("كتاب", (1,)))  # Arabic kaf
         message = "entity 'E1': stored article term 'كتاب' has no document frequency"
         with pytest.raises(PeyvandError, match=f"^{re.escape(message)}$"):
             link_document(kb, empty_lists(), LinkerConfig(), doc_of("هدف", mention_at("هدف", "هدف")))
@@ -931,7 +937,7 @@ class TestArticleVectorMemo:
     )
     def test_bag_whose_terms_do_not_match_its_counts_fails(self, text, counts, reason):
         kb = build_kb([entity("E1", "هدف", article="سیب انار")])
-        kb.entities["E1"] = replace(kb.entities["E1"], bag=bag_json(text, counts))
+        self._set_bag(kb, "E1", bag_json(text, counts))
         message = f"entity 'E1': {reason}"
         with pytest.raises(PeyvandError, match=f"^{re.escape(message)}$"):
             link_document(kb, empty_lists(), LinkerConfig(), doc_of("هدف", mention_at("هدف", "هدف")))
@@ -949,7 +955,7 @@ class TestArticleVectorMemo:
     def test_any_decodable_bag_scores_with_a_finite_norm_or_fails(self, terms, counts):
         kb = build_kb([entity("E1", "هدف", article="سیب انار")])
         bag = bag_json(" ".join(terms), counts[: len(terms)])
-        kb.entities["E1"] = replace(kb.entities["E1"], bag=bag)
+        self._set_bag(kb, "E1", bag)
         text = "هدف سیب انار"
         cfg = LinkerConfig(nil_threshold=2.0)  # every candidate on the ambiguity list
         try:

@@ -24,7 +24,8 @@ from peyvand.corpus import (
     write_predictions,
 )
 from peyvand.kb import (
-    EntityRecord, NerType, PosCategory, bag_json, load_kb, lookup_alias, read_bag,
+    IN_MEMORY, EntityRecord, NerType, PosCategory, RecordText, bag_json, load_kb, lookup_alias,
+    read_bag,
 )
 from peyvand.linker import LinkResult, ScoredCandidate
 
@@ -156,8 +157,9 @@ def test_dump_load_save_load_is_identity(workdir, records, lists_obj):
     ids = {r.id for r in records}
     resolved = {
         r.id: EntityRecord(
-            r.id, r.canonical_label, r.variant_labels, r.kb_class, r.ner_type, r.pos_category,
-            bag_json(*_oracle_bag(r.article, kb.stopwords)), r.out_links & ids - {r.id}, r.rare,
+            r.id, r.kb_class, r.pos_category, r.out_links & ids - {r.id}, r.rare, IN_MEMORY,
+            RecordText(r.canonical_label, r.variant_labels, r.ner_type,
+                       bag_json(*_oracle_bag(r.article, kb.stopwords))),
         )
         for r in records
     }
